@@ -6,7 +6,7 @@ The public API in one place:
   terms        Symbol, TermGraph, hole, app, parse_term, format_term,
                weak_subsumes, graph_equal, instance_member
   constraints  Var, var, intersect, components, Eq, EqApp, Sub, SubApp,
-               Store, deep_subst, determined, congruent, format_atom
+               Store, determinations, format_atom
   engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces
   oracles      naive_solve, rational_unify, check_witness,
                witness_search, merge_graphs, witness files
@@ -22,13 +22,8 @@ from .constraints import (
     SubApp,
     Var,
     components,
-    congruent,
-    deep_subst,
     determinations,
-    determined,
     format_atom,
-    format_var,
-    immediately_determined,
     intersect,
     var,
 )
@@ -74,9 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Eq", "EqApp", "Store", "Sub", "SubApp", "Var",
-    "components", "congruent", "deep_subst", "determinations",
-    "determined", "format_atom", "format_var", "immediately_determined",
-    "intersect", "var",
+    "components", "determinations", "format_atom", "intersect", "var",
     "DEFAULT_PRIORITY", "RuleId", "SolveResult", "Solver", "TraceEntry",
     "Verdict", "format_trace", "solve",
     "ParseError", "ProblemFile", "parse", "random_atoms", "report", "run_cli",

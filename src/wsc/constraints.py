@@ -11,15 +11,14 @@ Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 (the last meaning: x is below some tree rooted f with the given
 children, i.e. there is a u with x <= u and u = f(ȳ)).
 
-A Store holds the current conjunction as an indexed multiset of atoms,
+A Store holds the current conjunction as an indexed set of atoms,
 plus the bookkeeping a solver needs: a contradiction flag, the record
-of eliminated variables, which equations have already been used for
-elimination, and an event log of rule firings.
+of eliminated variables, and which equations have already been used
+for elimination.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
@@ -173,10 +172,6 @@ def subst_atom(a: Atom, x: str, y: str) -> Atom:
     return SubApp(sub(a.lhs), a.sym, tuple(sub(u) for u in a.args))
 
 
-def format_var(v: Var) -> str:
-    return str(v)
-
-
 def format_atom(a: Atom) -> str:
     """Canonical one-line rendering; the frontend parser reads this back."""
     if isinstance(a, Eq):
@@ -189,24 +184,22 @@ def format_atom(a: Atom) -> str:
 
 
 class Store:
-    """An indexed multiset of atoms with solver bookkeeping.
+    """A conjunction as an indexed set of atoms, with solver bookkeeping.
 
-    Identical atoms may be stored several times (a multiset) unless the
-    store was created with dedup=True, in which case insertion of an
-    atom already present is a no-op and rewrites merge into existing
-    duplicates — the form the solver engine works on.
+    Every atom present has exactly one id.  Adding an atom already
+    present is a no-op, and a rewrite that produces an atom present
+    under another id merges the two.
 
     Equations and their applied forms must be base-variable-only; that
     is the shape every reachable solver state has, and add() enforces
     it.  Subsumption atoms may freely mention intersection variables.
     """
 
-    def __init__(self, atoms: Iterable[Atom] = (), *, dedup: bool = False):
-        self.dedup = dedup
+    def __init__(self, atoms: Iterable[Atom] = ()):
         self.contradiction = False
         self._atoms: dict[int, Atom] = {}
         self._next_id = 0
-        self._locs: dict[Atom, set[int]] = {}
+        self._locs: dict[Atom, int] = {}
         self._occ: dict[str, set[int]] = {}
         self._vocc: dict[Var, set[int]] = {}
         self._eq_ids: set[int] = set()
@@ -215,18 +208,17 @@ class Store:
         self._subapp_lhs: dict[Var, set[int]] = {}
         self.solved_eqs: set[int] = set()
         self.elim: dict[str, str] = {}
-        self.events: list[tuple] = []
         for a in atoms:
             self.add(a)
 
     # -- basic mutation --------------------------------------------------
 
     def add(self, a: Atom) -> int:
-        """Insert an atom; returns its id (the existing one under dedup)."""
+        """Insert an atom; returns its id (the existing one if present)."""
         if isinstance(a, (Eq, EqApp)) and not is_base_only(a):
             raise ValueError(f"equational atom with an intersection variable: {format_atom(a)}")
-        if self.dedup and self._locs.get(a):
-            return min(self._locs[a])
+        if a in self._locs:
+            return self._locs[a]
         aid = self._next_id
         self._next_id += 1
         self._atoms[aid] = a
@@ -240,27 +232,22 @@ class Store:
         return a
 
     def rewrite(self, aid: int, a: Atom) -> int:
-        """Replace the atom at aid, keeping the id.  Under dedup, if the
-        new atom already exists elsewhere the two occurrences merge and
-        the surviving (other) id is returned."""
+        """Replace the atom at aid, keeping the id.  If the new atom is
+        already present under another id, the two merge and that other
+        id is returned."""
         old = self._atoms[aid]
         if a == old:
             return aid
-        if self.dedup:
-            others = self._locs.get(a, set()) - {aid}
-            if others:
-                keep = min(others)
-                if aid in self.solved_eqs:
-                    self.solved_eqs.add(keep)
-                self.remove(aid)
-                return keep
+        if a in self._locs:
+            keep = self._locs[a]
+            if aid in self.solved_eqs:
+                self.solved_eqs.add(keep)
+            self.remove(aid)
+            return keep
         self._unindex(aid, old)
         self._atoms[aid] = a
         self._index(aid, a)
         return aid
-
-    def set_contradiction(self) -> None:
-        self.contradiction = True
 
     def subst_all(self, x: str, y: str, skip: Iterable[int] = ()) -> None:
         """Deep substitution [y/x] applied to every atom (except `skip`)."""
@@ -284,10 +271,7 @@ class Store:
         return len(self._atoms)
 
     def __contains__(self, a: Atom) -> bool:
-        return bool(self._locs.get(a))
-
-    def count(self, a: Atom) -> int:
-        return len(self._locs.get(a, ()))
+        return a in self._locs
 
     def variables(self) -> set[Var]:
         """All variables (base and intersection) occurring in some atom."""
@@ -319,23 +303,6 @@ class Store:
             return sorted(i for ids in self._subapp_lhs.values() for i in ids)
         return sorted(self._subapp_lhs.get(lhs, ()))
 
-    def copy(self) -> "Store":
-        out = Store(dedup=self.dedup)
-        out.contradiction = self.contradiction
-        out._atoms = dict(self._atoms)
-        out._next_id = self._next_id
-        out._locs = {a: set(ids) for a, ids in self._locs.items()}
-        out._occ = {x: set(ids) for x, ids in self._occ.items()}
-        out._vocc = {v: set(ids) for v, ids in self._vocc.items()}
-        out._eq_ids = set(self._eq_ids)
-        out._eqapp_lhs = {v: set(ids) for v, ids in self._eqapp_lhs.items()}
-        out._sub_lhs = {v: set(ids) for v, ids in self._sub_lhs.items()}
-        out._subapp_lhs = {v: set(ids) for v, ids in self._subapp_lhs.items()}
-        out.solved_eqs = set(self.solved_eqs)
-        out.elim = dict(self.elim)
-        out.events = []
-        return out
-
     def __str__(self) -> str:
         body = ", ".join(format_atom(a) for a in self.atom_list())
         return "bottom" if self.contradiction else "{" + body + "}"
@@ -345,7 +312,7 @@ class Store:
     # -- index plumbing -----------------------------------------------------
 
     def _index(self, aid: int, a: Atom) -> None:
-        self._locs.setdefault(a, set()).add(aid)
+        self._locs[a] = aid
         for v in set(atom_vars(a)):
             self._vocc.setdefault(v, set()).add(aid)
         for b in atom_base_vars(a):
@@ -360,9 +327,7 @@ class Store:
             self._subapp_lhs.setdefault(a.lhs, set()).add(aid)
 
     def _unindex(self, aid: int, a: Atom) -> None:
-        self._locs[a].discard(aid)
-        if not self._locs[a]:
-            del self._locs[a]
+        del self._locs[a]
         for v in set(atom_vars(a)):
             self._vocc[v].discard(aid)
             if not self._vocc[v]:
@@ -382,22 +347,6 @@ class Store:
             table[a.lhs].discard(aid)
             if not table[a.lhs]:
                 del table[a.lhs]
-
-
-def deep_subst(store: Store, x: str, y: str) -> Store:
-    """Pure variant of substitution: a new store with [y/x] applied."""
-    if x == y:
-        raise ValueError("substituting a variable by itself")
-    out = store.copy()
-    out.subst_all(x, y)
-    return out
-
-
-def congruent(a: Store, b: Store) -> bool:
-    """Equal as multisets of (canonicalized) atoms."""
-    if a.contradiction != b.contradiction:
-        return False
-    return Counter(a.atom_list()) == Counter(b.atom_list())
 
 
 class Determination(NamedTuple):
@@ -441,15 +390,3 @@ def determinations(store: Store, v: Var, exclude: Iterable[int] = ()) -> list[De
                 out.append(Determination(a.sym, a.args, aid, sid))
     out.sort(key=lambda d: (d.sym, d.args, d.at, -1 if d.via is None else d.via))
     return out
-
-
-def immediately_determined(store: Store, v: Var) -> set[tuple[Symbol, tuple[Var, ...]]]:
-    """All (f, ȳ) with v = f(ȳ) or v <= f(ȳ) present."""
-    return {(d.sym, d.args) for d in determinations(store, v) if d.via is None}
-
-
-def determined(store: Store, v: Var) -> set[tuple[Symbol, tuple[Var, ...]]]:
-    """All (f, ū) fixing v's top constructor: immediate determinations
-    plus those routed through a component of the right side of some
-    v <= r atom."""
-    return {(d.sym, d.args) for d in determinations(store, v)}

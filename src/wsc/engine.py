@@ -1,10 +1,11 @@
 """The terminating rule engine for equations and subsumption constraints.
 
 Eight rewrite rules act on a Store.  Each rule function inspects the
-store, and either fires once — mutating the store in place, appending
-one event to store.events, and returning the store — or returns None
-when it is inapplicable.  Rules scan atoms in ascending id order (and
-variable components in sorted order), so every firing is deterministic.
+store, and either fires once — mutating the store in place and
+returning the firing as (on, removed, added) atom tuples — or returns
+None when it is inapplicable.  Rules scan atoms in ascending id order
+(and variable components in sorted order), so every firing is
+deterministic.
 
 The rules:
 
@@ -29,9 +30,9 @@ The rules:
               ū <= v̄ down to the arguments (positions already covered
               by an existing subsumption are skipped).
 
-A Solver owns a deduplicating store and drives the rules to a fixpoint
-under a total rule priority; the default order fires Clash first and
-the store-growing Descend rules last.  The verdict is sat iff a
+A Solver owns a store and drives the rules to a fixpoint under a
+total rule priority; the default order fires Clash first and the
+store-growing Descend rules last.  The verdict is sat iff a
 non-contradictory fixpoint is reached — which priority is used does not
 change the verdict, only the route.
 
@@ -47,6 +48,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .constraints import (
     Atom,
+    Determination,
     Eq,
     EqApp,
     Store,
@@ -99,8 +101,18 @@ DEFAULT_PRIORITY: tuple[RuleId, ...] = (
 
 # --- rules --------------------------------------------------------------------
 
+# What a rule firing looked at, removed and added.
+Firing = tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]
 
-def rule_clash(store: Store) -> Store | None:
+
+def _sources(store: Store, d: Determination) -> tuple[Atom, ...]:
+    """The atoms behind a determination: the routing atom, if any, then
+    the determining one."""
+    at = store.atom(d.at)
+    return (at,) if d.via is None else (store.atom(d.via), at)
+
+
+def rule_clash(store: Store) -> Firing | None:
     """Fire when some variable w and a component x of w carry two
     different determined constructors (w = x included: a doubly
     determined variable clashes with itself)."""
@@ -123,18 +135,13 @@ def rule_clash(store: Store) -> Store | None:
             if len({d.sym for d in dx} | syms_w) < 2:
                 continue
             d1, d2 = next((p, q) for p in dx for q in dw if p.sym != q.sym)
-            on: list[Atom] = []
-            for d in (d1, d2):
-                if d.via is not None:
-                    on.append(store.atom(d.via))
-                on.append(store.atom(d.at))
-            store.set_contradiction()
-            store.events.append((RuleId.CLASH, tuple(dict.fromkeys(on)), (), ()))
-            return store
+            store.contradiction = True
+            on = _sources(store, d1) + _sources(store, d2)
+            return tuple(dict.fromkeys(on)), (), ()
     return None
 
 
-def rule_elim(store: Store) -> Store | None:
+def rule_elim(store: Store) -> Firing | None:
     """Use an equation to substitute one side away from the rest of the
     store.  The equation is kept but marked used; the substitution is
     recorded in store.elim.  Preference: eliminate the smaller name."""
@@ -156,12 +163,11 @@ def rule_elim(store: Store) -> Store | None:
         store.subst_all(gone, kept, skip={aid})
         store.solved_eqs.add(aid)
         store.elim[gone] = kept
-        store.events.append((RuleId.ELIM, (a,), (), ()))
-        return store
+        return (a,), (), ()
     return None
 
 
-def rule_decom(store: Store) -> Store | None:
+def rule_decom(store: Store) -> Firing | None:
     """Two equations x = f(ū) and x = f(v̄): drop the first, add the
     argumentwise equations ū = v̄."""
     if store.contradiction:
@@ -180,12 +186,11 @@ def rule_decom(store: Store) -> Store | None:
         added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
         for na in added:
             store.add(na)
-        store.events.append((RuleId.DECOM, (a, b), (a,), added))
-        return store
+        return (a, b), (a,), added
     return None
 
 
-def rule_propagate1(store: Store) -> Store | None:
+def rule_propagate1(store: Store) -> Firing | None:
     """w <= z and x <= u for a component x of w: grow z to z & u."""
     if store.contradiction:
         return None
@@ -199,12 +204,11 @@ def rule_propagate1(store: Store) -> Store | None:
                     b = store.atom(bid)
                     na = Sub(a.lhs, nz)
                     store.rewrite(aid, na)
-                    store.events.append((RuleId.PROPAGATE1, (a, b), (a,), (na,)))
-                    return store
+                    return (a, b), (a,), (na,)
     return None
 
 
-def rule_propagate2(store: Store) -> Store | None:
+def rule_propagate2(store: Store) -> Firing | None:
     """w <= f(ū) and a determination f(v̄) of a component x of w:
     intersect the arguments, position by position."""
     if store.contradiction:
@@ -219,19 +223,13 @@ def rule_propagate2(store: Store) -> Store | None:
                 if nargs == a.args:
                     continue
                 na = SubApp(a.lhs, a.sym, nargs)
-                on: list[Atom] = [a]
-                if d.via is not None:
-                    on.append(store.atom(d.via))
-                on.append(store.atom(d.at))
+                on = tuple(dict.fromkeys((a,) + _sources(store, d)))
                 store.rewrite(aid, na)
-                store.events.append(
-                    (RuleId.PROPAGATE2, tuple(dict.fromkeys(on)), (a,), (na,))
-                )
-                return store
+                return on, (a,), (na,)
     return None
 
 
-def rule_collapse(store: Store) -> Store | None:
+def rule_collapse(store: Store) -> Firing | None:
     """x <= r and y <= z for a component y of r: grow r to r & z."""
     if store.contradiction:
         return None
@@ -245,12 +243,11 @@ def rule_collapse(store: Store) -> Store | None:
                     b = store.atom(bid)
                     na = Sub(a.lhs, nr)
                     store.rewrite(aid, na)
-                    store.events.append((RuleId.COLLAPSE, (a, b), (a,), (na,)))
-                    return store
+                    return (a, b), (a,), (na,)
     return None
 
 
-def rule_descend2(store: Store) -> Store | None:
+def rule_descend2(store: Store) -> Firing | None:
     """An intersection variable w in use whose component is determined,
     while w itself has no applied constraint yet: give it one."""
     if store.contradiction:
@@ -264,17 +261,12 @@ def rule_descend2(store: Store) -> Store | None:
                 continue
             d = dets[0]
             na = SubApp(w, d.sym, d.args)
-            on: list[Atom] = []
-            if d.via is not None:
-                on.append(store.atom(d.via))
-            on.append(store.atom(d.at))
             store.add(na)
-            store.events.append((RuleId.DESCEND2, tuple(on), (), (na,)))
-            return store
+            return _sources(store, d), (), (na,)
     return None
 
 
-def rule_descend1(store: Store) -> Store | None:
+def rule_descend1(store: Store) -> Firing | None:
     """x = f(ū) where the rest of the store also determines x as f(v̄):
     push subsumption down to the arguments, adding ū_i <= v̄_i for every
     position not already covered by a subsumption on ū_i whose right
@@ -302,18 +294,11 @@ def rule_descend1(store: Store) -> Store | None:
             added = tuple(Sub(u, v) for u, v in missing)
             for na in added:
                 store.add(na)
-            on: list[Atom] = [a]
-            if d.via is not None:
-                on.append(store.atom(d.via))
-            on.append(store.atom(d.at))
-            store.events.append(
-                (RuleId.DESCEND1, tuple(dict.fromkeys(on)), (), added)
-            )
-            return store
+            return tuple(dict.fromkeys((a,) + _sources(store, d))), (), added
     return None
 
 
-_RULES: dict[RuleId, Callable[[Store], Store | None]] = {
+_RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.CLASH: rule_clash,
     RuleId.ELIM: rule_elim,
     RuleId.DECOM: rule_decom,
@@ -358,8 +343,7 @@ def format_trace(trace: Sequence[TraceEntry]) -> str:
 class Solver:
     """Incremental solver: assert atoms one at a time, read the verdict.
 
-    The store is deduplicating; asserted atoms are normalized through
-    the record of already-eliminated variables so that stale names in
+    Asserted atoms are normalized through the record of already-eliminated variables so that stale names in
     later assertions land on their current representatives.
     """
 
@@ -368,7 +352,7 @@ class Solver:
         if sorted(r.value for r in prio) != sorted(r.value for r in RuleId):
             raise ValueError("priority must list every rule exactly once")
         self.priority = prio
-        self.store = Store(dedup=True)
+        self.store = Store()
         self.trace: list[TraceEntry] = []
         self.step_count = 0
         self.verdict = Verdict.SAT  # the empty conjunction is satisfiable
@@ -416,17 +400,14 @@ class Solver:
             self.verdict = Verdict.UNSAT
             return False
         for rule in self.priority:
-            if _RULES[rule](self.store) is not None:
+            fired = _RULES[rule](self.store)
+            if fired is not None:
                 self.step_count += 1
-                (rid, on, removed, added) = self.store.events.pop()
-                assert not self.store.events, "a rule must log exactly one event"
                 self.trace.append(
                     TraceEntry(
                         self.step_count,
-                        rid,
-                        on,
-                        removed,
-                        added,
+                        rule,
+                        *fired,
                         contradiction=self.store.contradiction,
                     )
                 )
@@ -472,11 +453,3 @@ def solve(
         s.insert(a)
     s.run()
     return SolveResult(s.verdict, s.store, s.step_count, list(s.trace), s)
-
-
-def step(s: Solver) -> bool:
-    return s.step()
-
-
-def assert_atom(s: Solver, a: Atom) -> Verdict:
-    return s.assert_atom(a)

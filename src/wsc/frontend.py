@@ -201,6 +201,8 @@ def random_atoms(
 ) -> list[Atom]:
     """A random flat conjunction: up to n_atoms atoms of the given
     kinds over x0..x{n_vars-1} and a prefix of a/0, f/1, g/2."""
+    if n_vars < 1 or n_atoms < 1:
+        raise ValueError("n_vars and n_atoms must be at least 1")
     if not 1 <= n_symbols <= len(SYMBOL_POOL):
         raise ValueError(f"n_symbols must be in 1..{len(SYMBOL_POOL)}")
     unknown = set(kinds) - set(ATOM_KINDS)
@@ -348,8 +350,12 @@ def _random_command(args: argparse.Namespace) -> int:
     kinds = ATOM_KINDS if not args.no_sub else ("eq", "eqapp")
     for i in range(args.count):
         rng = random.Random(f"{args.seed}-{i}")
-        atoms = random_atoms(rng, n_vars=args.vars, n_symbols=args.symbols,
-                             n_atoms=args.atoms, kinds=kinds)
+        try:
+            atoms = random_atoms(rng, n_vars=args.vars, n_symbols=args.symbols,
+                                 n_atoms=args.atoms, kinds=kinds)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         result = solve(atoms)
         print(f"{args.seed}-{i}: {result.verdict.value} after {result.steps} step(s), "
               f"{len(atoms)} atom(s)")

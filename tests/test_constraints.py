@@ -15,12 +15,8 @@ from wsc.constraints import (
     atom_base_vars,
     atom_vars,
     components,
-    congruent,
-    deep_subst,
     determinations,
-    determined,
     format_atom,
-    immediately_determined,
     intersect,
     is_base_only,
     subst_atom,
@@ -39,6 +35,11 @@ x, y, z, u, w = var("x"), var("y"), var("z"), var("u"), var("w")
 def random_var(rng, names="xyzuvw"):
     k = rng.choice([1, 1, 1, 2, 3])
     return Var(tuple(rng.sample(names, k)))
+
+
+def determined(store, v):
+    """All (f, ū) fixing v's top constructor, immediate or routed."""
+    return {(d.sym, d.args) for d in determinations(store, v)}
 
 
 def random_sub_atoms(rng, n):
@@ -136,16 +137,11 @@ def test_format_atom():
 # --- store -------------------------------------------------------------------
 
 
-def test_store_is_a_multiset_by_default():
-    s = Store([Eq(x, y), Eq(x, y)])
-    assert len(s) == 2
-    assert s.count(Eq(x, y)) == 2
-
-
 def test_store_dedup_mode():
-    s = Store([Eq(x, y), Eq(x, y), Sub(x, z)], dedup=True)
+    s = Store([Eq(x, y), Eq(y, x), Sub(x, z)])
     assert len(s) == 2
-    assert s.count(Eq(x, y)) == 1
+    assert s.add(Eq(x, y)) == s.atoms()[0][0]
+    assert len(s) == 2
 
 
 def test_store_rejects_intersection_equations():
@@ -181,7 +177,7 @@ def test_store_occurs_elsewhere():
 
 
 def test_store_rewrite_keeps_id_and_merges_duplicates():
-    s = Store([Sub(x, y), Sub(x, z)], dedup=True)
+    s = Store([Sub(x, y), Sub(x, z)])
     (i, _), (j, _) = s.atoms()
     # plain rewrite keeps the id
     k = s.rewrite(j, Sub(x, var("z", "u")))
@@ -190,16 +186,6 @@ def test_store_rewrite_keeps_id_and_merges_duplicates():
     k2 = s.rewrite(j, Sub(x, y))
     assert k2 == i
     assert len(s) == 1
-
-
-def test_store_copy_is_independent():
-    s = Store([Eq(x, y)])
-    c = s.copy()
-    c.add(Sub(x, z))
-    c.set_contradiction()
-    assert len(s) == 1
-    assert not s.contradiction
-    assert len(c) == 2
 
 
 def test_subst_all_with_skip():
@@ -216,26 +202,27 @@ def test_subst_all_with_skip():
 
 def test_deep_subst_examples():
     s = Store([Sub(z, var("x", "y"))])
-    t = deep_subst(s, "x", "y")
-    assert t.atom_list() == [Sub(z, y)]
-    assert s.atom_list() == [Sub(z, var("x", "y"))]  # pure
+    s.subst_all("x", "y")
+    assert s.atom_list() == [Sub(z, y)]
 
 
 def test_deep_subst_removes_all_occurrences():
     rng = random.Random(303)
     for _ in range(100):
         s = Store(random_sub_atoms(rng, rng.randint(1, 6)))
-        t = deep_subst(s, "x", "y")
-        assert "x" not in t.base_vars()
+        s.subst_all("x", "y")
+        assert "x" not in s.base_vars()
 
 
 def test_deep_subst_idempotent():
     rng = random.Random(304)
     for _ in range(100):
-        s = Store(random_sub_atoms(rng, rng.randint(1, 6)))
-        once = deep_subst(s, "x", "y")
-        twice = deep_subst(once, "x", "y")
-        assert congruent(once, twice)
+        atoms = random_sub_atoms(rng, rng.randint(1, 6))
+        once, twice = Store(atoms), Store(atoms)
+        once.subst_all("x", "y")
+        twice.subst_all("x", "y")
+        twice.subst_all("x", "y")
+        assert set(once.atom_list()) == set(twice.atom_list())
 
 
 def test_deep_subst_preserves_components_alongside_equation():
@@ -246,51 +233,50 @@ def test_deep_subst_preserves_components_alongside_equation():
         rest = random_sub_atoms(rng, rng.randint(1, 6))
         whole = Store([Eq(x, y)] + rest)
         substituted = Store([Eq(x, y)] + [subst_atom(a, "x", "y") for a in rest])
-        comp = lambda st: set(st.base_vars())
-        assert comp(whole) == comp(substituted)
+        assert whole.base_vars() == substituted.base_vars()
 
 
 def test_deep_subst_does_not_preserve_variable_sets():
     # the variable x&y occurs before substitution but not after
-    before = Store([Eq(x, y), Sub(z, var("x", "y"))])
-    after = deep_subst(before, "x", "y")
+    atoms = [Eq(x, y), Sub(z, var("x", "y"))]
+    before, after = Store(atoms), Store(atoms)
+    after.subst_all("x", "y")
     assert var("x", "y") in before.variables()
     assert var("x", "y") not in after.variables()
     assert before.variables() != after.variables()
 
 
-# --- congruence --------------------------------------------------------------
+# --- congruence (equal atom sets) ---------------------------------------------
 
 
 def test_congruent_is_order_insensitive():
     a, b = Eq(x, y), Sub(z, u)
-    assert congruent(Store([a, b]), Store([b, a]))
-
-
-def test_congruent_counts_multiplicity():
-    a = Sub(x, y)
-    assert not congruent(Store([a]), Store([a, a]))
+    assert set(Store([a, b]).atom_list()) == set(Store([b, a]).atom_list())
 
 
 def test_congruent_uses_canonical_variables():
-    assert congruent(
-        Store([Sub(x, var("y", "z"))]),
-        Store([Sub(x, var("z", "y"))]),
-    )
+    # reordered intersections are the same variable, hence the same atom
+    s = Store([Sub(x, var("y", "z"))])
+    t = Store([Sub(x, var("z", "y"))])
+    assert set(s.atom_list()) == set(t.atom_list())
+    assert len(Store(s.atom_list() + t.atom_list())) == 1
 
 
 # --- determinedness ----------------------------------------------------------
 
 
 def test_immediately_determined_examples():
+    def immediate(s, v):
+        return {(d.sym, d.args) for d in determinations(s, v) if d.via is None}
+
     s = Store([EqApp(x, F1, (y,))])
-    assert immediately_determined(s, x) == {(F1, (y,))}
+    assert immediate(s, x) == {(F1, (y,))}
 
     s = Store([SubApp(var("x", "y"), G1, (u,))])
-    assert immediately_determined(s, var("x", "y")) == {(G1, (u,))}
+    assert immediate(s, var("x", "y")) == {(G1, (u,))}
 
     s = Store([Sub(x, y)])
-    assert immediately_determined(s, x) == set()
+    assert immediate(s, x) == set()
 
 
 def test_determined_examples():

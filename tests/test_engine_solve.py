@@ -13,10 +13,8 @@ from wsc.engine import (
     RuleId,
     Solver,
     Verdict,
-    assert_atom,
     format_trace,
     solve,
-    step,
 )
 from wsc.terms import Symbol
 
@@ -139,16 +137,16 @@ def test_single_step_to_contradiction():
     s.insert(EqApp(x, A, ()))
     s.insert(EqApp(x, B, ()))
     assert s.verdict == Verdict.UNKNOWN
-    assert step(s)
+    assert s.step()
     assert s.verdict == Verdict.UNSAT
     assert s.step_count == 1
-    assert not step(s)
+    assert not s.step()
 
 
 def test_step_on_irreducible_store():
     s = Solver()
     s.insert(Sub(x, y))
-    assert not step(s)
+    assert not s.step()
     assert s.verdict == Verdict.SAT
 
 
@@ -157,7 +155,7 @@ def test_stepping_the_loop_terminates_sat():
     s.insert(Sub(x, y))
     s.insert(EqApp(y, F1, (x,)))
     n = 0
-    while step(s):
+    while s.step():
         n += 1
         assert n < 100
     assert s.verdict == Verdict.SAT
@@ -172,12 +170,6 @@ def test_assert_atom_reaches_contradiction():
     assert s.assert_atom(EqApp(x, B, ())) == Verdict.UNSAT
     # absorbing: anything after stays unsat
     assert s.assert_atom(Sub(y, z)) == Verdict.UNSAT
-
-
-def test_assert_atom_module_function():
-    s = Solver()
-    assert assert_atom(s, Sub(x, y)) == Verdict.SAT
-    assert assert_atom(s, EqApp(y, F1, (x,))) == Verdict.SAT
 
 
 def test_all_routed_clash_orders_agree_with_batch():

@@ -147,6 +147,10 @@ def test_random_atoms_validates_arguments():
     with pytest.raises(ValueError):
         random_atoms(random.Random(0), n_symbols=0)
     with pytest.raises(ValueError):
+        random_atoms(random.Random(0), n_vars=0)
+    with pytest.raises(ValueError):
+        random_atoms(random.Random(0), n_atoms=0)
+    with pytest.raises(ValueError):
         random_atoms(random.Random(0), kinds=("eq", "bogus"))
     with pytest.raises(ValueError):
         random_atoms(random.Random(0), kinds=())
@@ -292,6 +296,14 @@ def test_cli_random_deterministic(capsys):
 def test_cli_random_no_sub_uses_equations_only(capsys):
     assert run_cli(["random", "--seed", "q", "--count", "3", "--no-sub", "--oracle-check"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--vars", "--atoms", "--symbols"])
+def test_cli_random_rejects_empty_sizes(flag, capsys):
+    assert run_cli(["random", flag, "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_usage_errors(capsys):

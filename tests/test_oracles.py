@@ -140,7 +140,7 @@ def test_naive_rejects_bad_input():
 
 
 def test_naive_accepts_a_store():
-    s = Store(dedup=True)
+    s = Store()
     for a in ROUTED_CLASH:
         s.add(a)
     assert naive_solve(s, budget=200) == NaiveResult.UNSAT
