@@ -13,8 +13,9 @@ children, i.e. there is a u with x <= u and u = f(ȳ)).
 
 A Store holds the current conjunction as an indexed set of atoms,
 plus the bookkeeping a solver needs: a contradiction flag, the record
-of eliminated variables, and which equations have already been used
-for elimination.
+of eliminated variables, which equations have already been used for
+elimination, and an index of each variable's determinations that every
+change to an atom keeps up to date.
 """
 
 from __future__ import annotations
@@ -193,6 +194,10 @@ class Store:
     Equations and their applied forms must be base-variable-only; that
     is the shape every reachable solver state has, and add() enforces
     it.  Subsumption atoms may freely mention intersection variables.
+
+    The store also keeps what determinations() computed for each
+    variable, and feeds the variables whose determinations change to
+    every Agenda in `agendas` (see determinations() and engine.py).
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -208,6 +213,9 @@ class Store:
         self._subapp_lhs: dict[Var, set[int]] = {}
         self.solved_eqs: set[int] = set()
         self.elim: dict[str, str] = {}
+        self._base: dict[str, Var] = {}
+        self._dets: dict[Var, list[Determination]] = {}
+        self.agendas: dict[str, Agenda] = {}
         for a in atoms:
             self.add(a)
 
@@ -261,6 +269,18 @@ class Store:
     def atom(self, aid: int) -> Atom:
         return self._atoms[aid]
 
+    def get(self, aid: int) -> Atom | None:
+        """The atom at aid, or None once it is removed or merged away."""
+        return self._atoms.get(aid)
+
+    def base_var(self, name: str) -> Var:
+        """The base variable `name`: one value per name for the life of
+        the store, so a rule or a lookup asking for it builds no Var."""
+        v = self._base.get(name)
+        if v is None:
+            v = self._base[name] = Var((name,))
+        return v
+
     def atoms(self) -> list[tuple[int, Atom]]:
         return sorted(self._atoms.items())
 
@@ -284,6 +304,15 @@ class Store:
     def occurs_elsewhere(self, x: str, excl: int) -> bool:
         """Does base variable x occur as a component outside atom excl?"""
         return bool(self._occ.get(x, set()) - {excl})
+
+    def lhs_ids(self, x: str) -> list[int]:
+        """The ids of the x = f(ū), x <= y and x <= f(ū) atoms whose left
+        side has base variable x as a component."""
+        return [
+            i
+            for i in self._occ.get(x, ())
+            if not isinstance(a := self._atoms[i], Eq) and x in a.lhs.parts
+        ]
 
     def eq_ids(self) -> list[int]:
         return sorted(self._eq_ids)
@@ -311,7 +340,27 @@ class Store:
 
     # -- index plumbing -----------------------------------------------------
 
+    def _changed(self, a: Atom) -> None:
+        """Drop the determinations atom a takes part in, and pass each
+        variable they belong to on to the agendas: a's own left side,
+        and, when a determines a base y, the left side of every x <= r
+        routing through y."""
+        if isinstance(a, Eq):
+            return
+        touched = [a.lhs]
+        if not isinstance(a, Sub) and a.lhs.is_base:
+            y = a.lhs.parts[0]
+            for i in self._occ.get(y, ()):
+                b = self._atoms[i]
+                if isinstance(b, Sub) and y in b.rhs.parts:
+                    touched.append(b.lhs)
+        for v in touched:
+            self._dets.pop(v, None)
+            for agenda in self.agendas.values():
+                agenda.changed.add(v)
+
     def _index(self, aid: int, a: Atom) -> None:
+        self._changed(a)
         self._locs[a] = aid
         for v in set(atom_vars(a)):
             self._vocc.setdefault(v, set()).add(aid)
@@ -336,6 +385,7 @@ class Store:
             self._occ[b].discard(aid)
             if not self._occ[b]:
                 del self._occ[b]
+        self._changed(a)
         if isinstance(a, Eq):
             self._eq_ids.discard(aid)
         else:
@@ -363,14 +413,50 @@ class Determination(NamedTuple):
     via: int | None
 
 
+class Agenda:
+    """The instances of one rule that may be enabled in a store.
+
+    The store adds to `changed` every variable whose determinations
+    change.  The rule that keeps the agenda turns those variables into
+    the keys of the instances they can enable, in `enabled`, before it
+    looks for an instance to fire.  `enabled` may hold keys that do not
+    fire, which the rule drops once it has checked them, but it never
+    lacks a key that does.
+    """
+
+    def __init__(self, enabled: Iterable):
+        self.changed: set[Var] = set()
+        self.enabled = set(enabled)
+
+
 def determinations(store: Store, v: Var, exclude: Iterable[int] = ()) -> list[Determination]:
     """All determinations of v, immediate and routed, in a stable order.
 
     `exclude` drops the given atom ids from every role — both as the
     determining atom and as the routing atom — so callers can ask what
     the store minus one atom still determines.
+
+    Without `exclude` the result comes from the store's index.  It is
+    computed on the first call for v and kept until an atom it depends
+    on is added, removed or rewritten: an x = f(ū) or x <= f(ū) on v, a
+    subsumption v <= r, or an x = f(ū) or x <= f(ū) on a base component
+    of such an r.  The list is shared by every caller until then and
+    must not be mutated.  Since it is recomputed whenever it could
+    differ, it is always the list a fresh computation gives, and the
+    rules that read it fire exactly as if nothing were kept.  The
+    `exclude` form, which Descend1 uses, is computed afresh each time
+    and not kept.
     """
     excl = set(exclude)
+    if not excl:
+        dets = store._dets.get(v)
+        if dets is None:
+            dets = store._dets[v] = _determine(store, v, excl)
+        return dets
+    return _determine(store, v, excl)
+
+
+def _determine(store: Store, v: Var, excl: set[int]) -> list[Determination]:
     out: list[Determination] = []
     for aid in store.eqapp_ids(lhs=v) + store.subapp_ids(lhs=v):
         if aid in excl:
@@ -382,7 +468,7 @@ def determinations(store: Store, v: Var, exclude: Iterable[int] = ()) -> list[De
             continue
         r = store.atom(sid).rhs
         for y in r.parts:
-            yv = Var((y,))
+            yv = store.base_var(y)
             for aid in store.eqapp_ids(lhs=yv) + store.subapp_ids(lhs=yv):
                 if aid in excl:
                     continue

@@ -1,11 +1,23 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Eight rewrite rules act on a Store.  Each rule function inspects the
-store, and either fires once — mutating the store in place and
-returning the firing as (on, removed, added) atom tuples — or returns
-None when it is inapplicable.  Rules scan atoms in ascending id order
-(and variable components in sorted order), so every firing is
-deterministic.
+Eight rewrite rules act on a Store.  Each rule function either fires
+once — mutating the store in place and returning the firing as (on,
+removed, added) atom tuples — or returns None when it is inapplicable.
+Every rule fires its first instance in a fixed order: ascending atom
+id (ascending variable for Clash and Descend2), then components in
+sorted order.  So every firing is deterministic.
+
+Clash and Propagate2, the rules that read determinations, do not scan
+the store.  Each keeps an Agenda with the store: the keys (variables
+for Clash, x <= f(ū) atom ids for Propagate2) of the instances that
+may be enabled.  The store reports every variable whose
+determinations change; the rule adds the keys whose instances depend
+on those variables, checks keys in ascending order and drops each one
+that does not fire.  A key that fires stays, so the agenda never lacks
+an enabled instance, and the smallest key that fires is the instance
+the ascending scan would have found first: traces are the same as
+with a whole-store scan.  The other rules still scan, reading
+determinations from the store's index (see constraints.determinations).
 
 The rules:
 
@@ -44,9 +56,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .constraints import (
+    Agenda,
     Atom,
     Determination,
     Eq,
@@ -112,33 +125,71 @@ def _sources(store: Store, d: Determination) -> tuple[Atom, ...]:
     return (at,) if d.via is None else (store.atom(d.via), at)
 
 
+def _fire_enabled(
+    store: Store,
+    rule: RuleId,
+    seed: Callable[[Store], Iterable],
+    keys: Callable[[Store, Var], Iterable],
+    fire_at: Callable[[Store, Any], Firing | None],
+) -> Firing | None:
+    """Fire `rule` at the smallest key of its agenda that fires.
+
+    On the rule's first look every instance in the store (`seed`) is a
+    candidate; after that, only the keys of the variables whose
+    determinations changed since it last looked are added.  The keys
+    checked before the one that fires do not fire and leave the agenda.
+    Ascending order is the order of the whole-store scan the agenda
+    replaces, so the same instance fires."""
+    agenda = store.agendas.get(rule.value)
+    if agenda is None:
+        agenda = store.agendas[rule.value] = Agenda(seed(store))
+    for v in agenda.changed:
+        agenda.enabled.update(keys(store, v))
+    agenda.changed.clear()
+    for k in sorted(agenda.enabled):
+        fired = fire_at(store, k)
+        if fired is not None:
+            return fired
+        agenda.enabled.discard(k)
+    return None
+
+
+def _clash_keys(store: Store, v: Var) -> Iterable[Var]:
+    """The variables whose Clash status depends on v's determinations:
+    v itself, and for a base v every left side with v as a component
+    (only a left side can have determinations)."""
+    if not v.is_base:
+        return (v,)
+    return {store.atom(i).lhs for i in store.lhs_ids(v.parts[0])}
+
+
+def _clash_at(store: Store, w: Var) -> Firing | None:
+    dw = determinations(store, w)
+    if not dw:
+        return None
+    syms_w = {d.sym for d in dw}
+    for xname in w.parts:
+        xv = store.base_var(xname)
+        dx = dw if xv == w else determinations(store, xv)
+        if not dx:
+            continue
+        if len({d.sym for d in dx} | syms_w) < 2:
+            continue
+        d1, d2 = next((p, q) for p in dx for q in dw if p.sym != q.sym)
+        store.contradiction = True
+        on = _sources(store, d1) + _sources(store, d2)
+        return tuple(dict.fromkeys(on)), (), ()
+    return None
+
+
 def rule_clash(store: Store) -> Firing | None:
     """Fire when some variable w and a component x of w carry two
     different determined constructors (w = x included: a doubly
-    determined variable clashes with itself)."""
+    determined variable clashes with itself).  The smallest such w
+    fires."""
     if store.contradiction:
         return None
-    cands = {
-        store.atom(i).lhs
-        for i in store.eqapp_ids() + store.subapp_ids() + store.sub_ids()
-    }
-    for w in sorted(cands):
-        dw = determinations(store, w)
-        if not dw:
-            continue
-        syms_w = {d.sym for d in dw}
-        for xname in w.parts:
-            xv = Var((xname,))
-            dx = dw if xv == w else determinations(store, xv)
-            if not dx:
-                continue
-            if len({d.sym for d in dx} | syms_w) < 2:
-                continue
-            d1, d2 = next((p, q) for p in dx for q in dw if p.sym != q.sym)
-            store.contradiction = True
-            on = _sources(store, d1) + _sources(store, d2)
-            return tuple(dict.fromkeys(on)), (), ()
-    return None
+    return _fire_enabled(store, RuleId.CLASH, Store.variables, _clash_keys, _clash_at)
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -197,36 +248,52 @@ def rule_propagate1(store: Store) -> Firing | None:
     for aid in store.sub_ids():
         a = store.atom(aid)
         for xname in a.lhs.parts:
-            for bid in store.sub_ids(lhs=Var((xname,))):
-                u = store.atom(bid).rhs
-                nz = intersect(a.rhs, u)
-                if nz != a.rhs:
-                    b = store.atom(bid)
-                    na = Sub(a.lhs, nz)
-                    store.rewrite(aid, na)
-                    return (a, b), (a,), (na,)
+            for bid in store.sub_ids(lhs=store.base_var(xname)):
+                b = store.atom(bid)
+                if components(b.rhs) <= components(a.rhs):
+                    continue
+                na = Sub(a.lhs, intersect(a.rhs, b.rhs))
+                store.rewrite(aid, na)
+                return (a, b), (a,), (na,)
+    return None
+
+
+def _propagate2_keys(store: Store, v: Var) -> Iterable[int]:
+    """The x <= f(ū) atoms whose Propagate2 status depends on v's
+    determinations: those on v itself, and for a base v those whose
+    left side has v as a component."""
+    if not v.is_base:
+        return store.subapp_ids(lhs=v)
+    return (i for i in store.lhs_ids(v.parts[0]) if isinstance(store.atom(i), SubApp))
+
+
+def _propagate2_at(store: Store, aid: int) -> Firing | None:
+    a = store.get(aid)
+    if a is None:
+        return None
+    for xname in a.lhs.parts:
+        for d in determinations(store, store.base_var(xname)):
+            if d.sym != a.sym or all(
+                components(v) <= components(u) for u, v in zip(a.args, d.args)
+            ):
+                continue
+            nargs = tuple(intersect(u, v) for u, v in zip(a.args, d.args))
+            na = SubApp(a.lhs, a.sym, nargs)
+            on = tuple(dict.fromkeys((a,) + _sources(store, d)))
+            store.rewrite(aid, na)
+            return on, (a,), (na,)
     return None
 
 
 def rule_propagate2(store: Store) -> Firing | None:
     """w <= f(ū) and a determination f(v̄) of a component x of w:
-    intersect the arguments, position by position."""
+    intersect the arguments, position by position.  The atom with the
+    smallest id fires."""
     if store.contradiction:
         return None
-    for aid in store.subapp_ids():
-        a = store.atom(aid)
-        for xname in a.lhs.parts:
-            for d in determinations(store, Var((xname,))):
-                if d.sym != a.sym:
-                    continue
-                nargs = tuple(intersect(u, v) for u, v in zip(a.args, d.args))
-                if nargs == a.args:
-                    continue
-                na = SubApp(a.lhs, a.sym, nargs)
-                on = tuple(dict.fromkeys((a,) + _sources(store, d)))
-                store.rewrite(aid, na)
-                return on, (a,), (na,)
-    return None
+    return _fire_enabled(
+        store, RuleId.PROPAGATE2, Store.subapp_ids, _propagate2_keys, _propagate2_at
+    )
 
 
 def rule_collapse(store: Store) -> Firing | None:
@@ -236,14 +303,13 @@ def rule_collapse(store: Store) -> Firing | None:
     for aid in store.sub_ids():
         a = store.atom(aid)
         for yname in a.rhs.parts:
-            for bid in store.sub_ids(lhs=Var((yname,))):
-                z = store.atom(bid).rhs
-                nr = intersect(a.rhs, z)
-                if nr != a.rhs:
-                    b = store.atom(bid)
-                    na = Sub(a.lhs, nr)
-                    store.rewrite(aid, na)
-                    return (a, b), (a,), (na,)
+            for bid in store.sub_ids(lhs=store.base_var(yname)):
+                b = store.atom(bid)
+                if components(b.rhs) <= components(a.rhs):
+                    continue
+                na = Sub(a.lhs, intersect(a.rhs, b.rhs))
+                store.rewrite(aid, na)
+                return (a, b), (a,), (na,)
     return None
 
 
@@ -256,7 +322,7 @@ def rule_descend2(store: Store) -> Firing | None:
         if store.eqapp_ids(lhs=w) or store.subapp_ids(lhs=w):
             continue
         for xname in w.parts:
-            dets = determinations(store, Var((xname,)))
+            dets = determinations(store, store.base_var(xname))
             if not dets:
                 continue
             d = dets[0]
@@ -374,7 +440,7 @@ class Solver:
 
     def _normalize(self, a: Atom) -> Atom:
         def norm(v: Var) -> Var:
-            return Var((self._resolve(v.parts[0]),))
+            return self.store.base_var(self._resolve(v.parts[0]))
 
         if isinstance(a, Eq):
             return Eq(norm(a.lhs), norm(a.rhs))

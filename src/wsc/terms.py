@@ -183,8 +183,29 @@ def weak_subsumes(s: TermGraph, t: TermGraph) -> bool:
 
 def graph_equal(s: TermGraph, t: TermGraph) -> bool:
     """True iff s and t denote the same tree: same labels, and same hole
-    names, along every path."""
-    return (s.root, t.root) in bisimulation_relation(s, t)
+    names, along every path.
+
+    A node's children are fixed by its label, so the roots are
+    bisimilar iff every pair of nodes reached from them along the same
+    child positions matches.  Only those pairs are visited, not all of
+    nodes(s) x nodes(t) as bisimulation_relation() does.
+    """
+    seen = {(s.root, t.root)}
+    stack = [(s.root, t.root)]
+    while stack:
+        p, q = stack.pop()
+        lp, lq = s.labels.get(p), t.labels.get(q)
+        if lp is None and lq is None:
+            if s.holes[p] != t.holes[q]:
+                return False
+            continue
+        if lp is None or lp != lq:
+            return False
+        for pair in zip(s.children[p], t.children[q]):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:
@@ -270,50 +291,73 @@ class _Parser:
         self.i += 1
         return tok
 
-    def term(self, env: dict[str, int], into: int | None = None) -> int:
-        tok = self.take()
-        if tok == "rec":
-            name = self.take()
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "rec":
-                raise TermSyntaxError(f"bad rec binder name {name!r}")
-            self.take(".")
-            if self.peek() == "rec" or (self.peek() is not None and self.toks[self.i + 1 : self.i + 2] == ["("]):
+    def term(self) -> int:
+        """Parse one term; returns its node.  Iterative, so nesting depth
+        is not bounded by the interpreter's recursion limit."""
+        # Applications whose arguments are being parsed: node, symbol
+        # name, the argument nodes so far, and the binders in scope.
+        open_apps: list[tuple[int, str, list[int], dict[str, int]]] = []
+        env: dict[str, int] = {}
+        into: int | None = None  # the node a rec binder names
+        while True:
+            tok = self.take()
+            if tok == "rec":
+                name = self.take()
+                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "rec":
+                    raise TermSyntaxError(f"bad rec binder name {name!r}")
+                self.take(".")
+                if self.peek() == "rec" or (self.peek() is not None and self.toks[self.i + 1 : self.i + 2] == ["("]):
+                    nid = self.fresh() if into is None else into
+                    env, into = {**env, name: nid}, nid
+                    continue
+                raise TermSyntaxError("rec body must be an application")
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+                raise TermSyntaxError(f"expected a term, found {tok!r}")
+            if self.peek() == "(":
+                self.take("(")
                 nid = self.fresh() if into is None else into
-                return self.term({**env, name: nid}, into=nid)
-            raise TermSyntaxError("rec body must be an application")
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise TermSyntaxError(f"expected a term, found {tok!r}")
-        if self.peek() == "(":
-            self.take("(")
-            nid = self.fresh() if into is None else into
-            args: list[int] = []
-            if self.peek() != ")":
-                args.append(self.term(env))
-                while self.peek() == ",":
+                into = None
+                if self.peek() != ")":
+                    open_apps.append((nid, tok, [], env))
+                    continue
+                self.take(")")
+                self.labels[nid] = Symbol(tok, 0)
+                self.children[nid] = ()
+                done = nid
+            else:
+                # bare name: back-reference if bound, hole otherwise
+                if into is not None:
+                    raise TermSyntaxError("rec body must be an application")
+                if tok in env:
+                    done = env[tok]
+                else:
+                    if tok not in self.hole_ids:
+                        nid = self.fresh()
+                        self.hole_ids[tok] = nid
+                        self.holes[nid] = tok
+                    done = self.hole_ids[tok]
+            # Hand the finished term to the application it is an argument
+            # of, closing every application that it completes.
+            while open_apps:
+                nid, sym, args, app_env = open_apps[-1]
+                args.append(done)
+                if self.peek() == ",":
                     self.take(",")
-                    args.append(self.term(env))
-            self.take(")")
-            self.labels[nid] = Symbol(tok, len(args))
-            self.children[nid] = tuple(args)
-            return nid
-        # bare name: back-reference if bound, hole otherwise
-        if into is not None:
-            raise TermSyntaxError("rec body must be an application")
-        if tok in env:
-            return env[tok]
-        if tok == "rec":
-            raise TermSyntaxError("'rec' is reserved")
-        if tok not in self.hole_ids:
-            nid = self.fresh()
-            self.hole_ids[tok] = nid
-            self.holes[nid] = tok
-        return self.hole_ids[tok]
+                    env = app_env
+                    break
+                self.take(")")
+                open_apps.pop()
+                self.labels[nid] = Symbol(sym, len(args))
+                self.children[nid] = tuple(args)
+                done = nid
+            else:
+                return done
 
 
 def parse_term(text: str) -> TermGraph:
     """Parse the textual term syntax into a graph."""
     p = _Parser(_tokenize(text))
-    root = p.term({})
+    root = p.term()
     if p.peek() is not None:
         raise TermSyntaxError(f"trailing input after term: {p.peek()!r}")
     # drop hole nodes never reached (possible via shared-hole bookkeeping)
@@ -348,17 +392,38 @@ def format_term(g: TermGraph) -> str:
             if name not in used and name != "rec":
                 return name
 
-    def emit(n: int, on_path: frozenset[int]) -> str:
+    # Depth-first, without recursion: each open node keeps the texts of
+    # its children so far; on_path holds the open nodes, so an edge
+    # back to one of them is a cycle and prints its binder.
+    on_path: set[int] = set()
+    open_nodes: list[tuple[int, list[str]]] = []
+
+    def enter(n: int) -> str | None:
+        """The text of n if it is a hole or a back edge; else open it."""
         if n in g.holes:
             return g.holes[n]
         if n in on_path:
             if n not in binder:
                 binder[n] = fresh_binder()
             return binder[n]
-        parts = [emit(k, on_path | {n}) for k in g.children[n]]
-        s = f"{g.labels[n].name}({', '.join(parts)})"
-        if n in binder:
-            s = f"rec {binder[n]}. {s}"
-        return s
+        on_path.add(n)
+        open_nodes.append((n, []))
+        return None
 
-    return emit(g.root, frozenset())
+    text = enter(g.root)
+    while open_nodes:
+        n, parts = open_nodes[-1]
+        kids = g.children[n]
+        if len(parts) < len(kids):
+            kid = enter(kids[len(parts)])
+            if kid is not None:
+                parts.append(kid)
+            continue
+        open_nodes.pop()
+        on_path.discard(n)
+        text = f"{g.labels[n].name}({', '.join(parts)})"
+        if n in binder:
+            text = f"rec {binder[n]}. {text}"
+        if open_nodes:
+            open_nodes[-1][1].append(text)
+    return text

@@ -4,6 +4,7 @@ assertion, traces, and input validation."""
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -127,6 +128,60 @@ def test_solved_stores_keep_equations_base_only():
         for a in res.store.atom_list():
             if isinstance(a, (Eq, EqApp)):
                 assert all(len(q.parts) == 1 for q in (a.lhs,) + (a.args if isinstance(a, EqApp) else (a.rhs,)))
+
+
+def chain(n):
+    """C(n) = {x_i <= x_(i+1)} + {x_i = f(x_((i+1) mod n))}, in this order."""
+    xs = [var(f"x{i}") for i in range(n)]
+    return [Sub(xs[i], xs[i + 1]) for i in range(n - 1)] + [
+        EqApp(xs[i], F1, (xs[(i + 1) % n],)) for i in range(n)
+    ]
+
+
+C3_TRACE = """\
+step 1: Collapse on x0 <= x1, x1 <= x2 => x0 <= x1&x2
+step 2: Descend2 on x1 <= x2, x2 = f(x0) => x1&x2 <= f(x0)
+step 3: Propagate2 on x1&x2 <= f(x0), x1 = f(x2) => x1&x2 <= f(x0&x2)
+step 4: Descend2 on x0 <= x1&x2, x2 = f(x0) => x0&x2 <= f(x0)
+step 5: Propagate2 on x0&x2 <= f(x0), x0 = f(x1) => x0&x2 <= f(x0&x1)
+step 6: Propagate2 on x0&x2 <= f(x0&x1), x0 <= x1&x2, x1 = f(x2) => x0&x2 <= f(x0&x1&x2)
+step 7: Descend2 on x0 <= x1&x2, x2 = f(x0) => x0&x1&x2 <= f(x0)
+step 8: Propagate2 on x0&x1&x2 <= f(x0), x0 = f(x1) => x0&x1&x2 <= f(x0&x1)
+step 9: Propagate2 on x0&x1&x2 <= f(x0&x1), x0 <= x1&x2, x1 = f(x2) => x0&x1&x2 <= f(x0&x1&x2)
+step 10: Descend1 on x0 = f(x1), x0 <= x1&x2, x2 = f(x0) => x1 <= x0
+step 11: Propagate1 on x1 <= x2, x1 <= x0 => x1 <= x0&x2
+step 12: Propagate1 on x1 <= x0, x1 <= x0&x2 => x1 <= x0&x2
+step 13: Propagate2 on x1&x2 <= f(x0&x2), x1 <= x0&x2, x0 = f(x1) => x1&x2 <= f(x0&x1&x2)
+step 14: Collapse on x0 <= x1&x2, x1 <= x0&x2 => x0 <= x0&x1&x2
+step 15: Collapse on x1 <= x0&x2, x0 <= x0&x1&x2 => x1 <= x0&x1&x2
+step 16: Descend1 on x1 = f(x2), x1 <= x0&x1&x2, x2 = f(x0) => x2 <= x0
+step 17: Collapse on x2 <= x0, x0 <= x0&x1&x2 => x2 <= x0&x1&x2"""
+
+
+# Steps and firings per rule (Collapse, Descend1, Descend2, Propagate1,
+# Propagate2) of C(n).  A change that alters the firing order must
+# update these on purpose.
+CHAIN_FIRINGS = {
+    3: (17, (4, 2, 3, 2, 6)),
+    4: (34, (7, 3, 5, 4, 15)),
+    5: (56, (11, 4, 7, 6, 28)),
+    6: (83, (16, 5, 9, 8, 45)),
+    7: (115, (22, 6, 11, 10, 66)),
+    8: (152, (29, 7, 13, 12, 91)),
+}
+
+
+def test_chain_firing_order_is_pinned():
+    assert format_trace(solve(chain(3)).trace) == C3_TRACE
+    rules = (RuleId.COLLAPSE, RuleId.DESCEND1, RuleId.DESCEND2, RuleId.PROPAGATE1,
+             RuleId.PROPAGATE2)
+    for n, (steps, fired) in CHAIN_FIRINGS.items():
+        res = solve(chain(n))
+        assert res.verdict == Verdict.SAT
+        assert res.steps == steps
+        counts = Counter(e.rule for e in res.trace)
+        assert tuple(counts[r] for r in rules) == fired
+        assert sum(fired) == steps
 
 
 # --- stepping ----------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Property tests over seeded random instances: the verdict does not
-depend on the rule priority or on variable names, and a solved store
-holds every atom once."""
+depend on the rule priority or on variable names, a solved store holds
+every atom once, no rule is enabled on a sat store rebuilt from
+scratch, and solving the solved atoms again gives the same verdict."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsc.constraints import Eq, Sub, Var
-from wsc.engine import RuleId, solve
+from wsc.constraints import Eq, Store, Sub, Var
+from wsc.engine import _RULES, RuleId, Solver, Verdict, solve
 from wsc.frontend import random_atoms
 
 N_VARS = 6
@@ -52,3 +53,34 @@ def test_renaming_base_variables_keeps_the_verdict(atoms, perm):
 def test_solved_store_holds_each_atom_once(atoms):
     store = solve(atoms).store
     assert len(store) == len(set(store.atom_list()))
+
+
+def incremental(atoms):
+    solver = Solver()
+    for a in atoms:
+        solver.assert_atom(a)
+    return solver
+
+
+@checked
+@given(instances)
+def test_no_rule_is_enabled_on_a_solved_store(atoms):
+    for solved in (solve(atoms).solver, incremental(atoms)):
+        if solved.verdict is not Verdict.SAT:
+            continue
+        store = solved.store
+        for rule in _RULES.values():
+            fresh = Store(store.atom_list())
+            fresh.solved_eqs = {fresh.add(store.atom(k)) for k in store.solved_eqs}
+            assert rule(fresh) is None
+
+
+@checked
+@given(instances)
+def test_resolving_the_solved_atoms_keeps_the_verdict(atoms):
+    result = solve(atoms)
+    again = Solver()
+    # The solved atoms may hold intersection variables, which solve()
+    # rejects as input; the rules accept them.
+    again.store = Store(result.store.atom_list())
+    assert again.run() == result.verdict

@@ -367,3 +367,11 @@ def test_format_binder_names_avoid_hole_names():
     text = format_term(g)
     back = parse_term(text)
     assert graph_equal(back, g)
+
+
+def test_deep_terms_parse_and_round_trip():
+    # Nesting deeper than the interpreter's default recursion limit.
+    g = parse_term("f(" * 3000 + "x" + ")" * 3000)
+    assert len(g.nodes()) == 3001
+    deep = parse_term("rec X. " + "g(X, " * 1500 + "x" + ")" * 1500)
+    assert graph_equal(parse_term(format_term(deep)), deep)
