@@ -21,14 +21,14 @@ change to an atom keeps up to date.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .terms import Symbol
 
 BaseVar = str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Var:
     """A variable: a canonical nonempty tuple of base-variable names.
 
@@ -70,7 +70,7 @@ def components(x: Var) -> frozenset[str]:
     return frozenset(x.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     """x = y.  Stored with the sides sorted, since x = y and y = x have
     identical solutions: rule matching treats the pair as unordered."""
@@ -88,7 +88,7 @@ class Eq:
         return format_atom(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EqApp:
     """x = f(y1, ..., yn)."""
 
@@ -105,7 +105,7 @@ class EqApp:
         return format_atom(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sub:
     """x <= y: every instance of x is an instance of y."""
 
@@ -116,7 +116,7 @@ class Sub:
         return format_atom(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubApp:
     """x <= f(y1, ..., yn): x is below some tree rooted f with these children."""
 
@@ -196,8 +196,8 @@ class Store:
     it.  Subsumption atoms may freely mention intersection variables.
 
     The store also keeps what determinations() computed for each
-    variable, and feeds the variables whose determinations change to
-    every Agenda in `agendas` (see determinations() and engine.py).
+    variable, and feeds the id of every atom it indexes to every Agenda
+    in `agendas` (see determinations() and engine.py).
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -210,6 +210,7 @@ class Store:
         self._eq_ids: set[int] = set()
         self._eqapp_lhs: dict[Var, set[int]] = {}
         self._sub_lhs: dict[Var, set[int]] = {}
+        self._sub_rhs: dict[str, set[int]] = {}
         self._subapp_lhs: dict[Var, set[int]] = {}
         self.solved_eqs: set[int] = set()
         self.elim: dict[str, str] = {}
@@ -303,7 +304,8 @@ class Store:
 
     def occurs_elsewhere(self, x: str, excl: int) -> bool:
         """Does base variable x occur as a component outside atom excl?"""
-        return bool(self._occ.get(x, set()) - {excl})
+        occ = self._occ.get(x, ())
+        return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
     def lhs_ids(self, x: str) -> list[int]:
         """The ids of the x = f(ū), x <= y and x <= f(ū) atoms whose left
@@ -314,6 +316,21 @@ class Store:
             if not isinstance(a := self._atoms[i], Eq) and x in a.lhs.parts
         ]
 
+    def routing_ids(self, y: str) -> list[int]:
+        """The ids of the x <= r atoms whose right side has base variable
+        y as a component."""
+        return list(self._sub_rhs.get(y, ()))
+
+    def determined_vars(self, a: Atom) -> list[Var]:
+        """The variables whose determinations atom a takes part in: its
+        left side, and, when a determines a base y, the left side of
+        every x <= r routing through y."""
+        if isinstance(a, Eq):
+            return []
+        if isinstance(a, Sub) or not a.lhs.is_base:
+            return [a.lhs]
+        return [a.lhs] + [self._atoms[i].lhs for i in self.routing_ids(a.lhs.parts[0])]
+
     def eq_ids(self) -> list[int]:
         return sorted(self._eq_ids)
 
@@ -321,6 +338,11 @@ class Store:
         if lhs is None:
             return sorted(i for ids in self._eqapp_lhs.values() for i in ids)
         return sorted(self._eqapp_lhs.get(lhs, ()))
+
+    def eqapp_groups(self) -> Iterator[set[int]]:
+        """The ids of the x = f(ū) atoms on each left side that has two
+        or more of them."""
+        return (ids for ids in self._eqapp_lhs.values() if len(ids) > 1)
 
     def sub_ids(self, lhs: Var | None = None) -> list[int]:
         if lhs is None:
@@ -340,27 +362,15 @@ class Store:
 
     # -- index plumbing -----------------------------------------------------
 
-    def _changed(self, a: Atom) -> None:
-        """Drop the determinations atom a takes part in, and pass each
-        variable they belong to on to the agendas: a's own left side,
-        and, when a determines a base y, the left side of every x <= r
-        routing through y."""
-        if isinstance(a, Eq):
-            return
-        touched = [a.lhs]
-        if not isinstance(a, Sub) and a.lhs.is_base:
-            y = a.lhs.parts[0]
-            for i in self._occ.get(y, ()):
-                b = self._atoms[i]
-                if isinstance(b, Sub) and y in b.rhs.parts:
-                    touched.append(b.lhs)
-        for v in touched:
+    def _forget_dets(self, a: Atom) -> None:
+        """Drop the kept determinations that atom a takes part in."""
+        for v in self.determined_vars(a):
             self._dets.pop(v, None)
-            for agenda in self.agendas.values():
-                agenda.changed.add(v)
 
     def _index(self, aid: int, a: Atom) -> None:
-        self._changed(a)
+        self._forget_dets(a)
+        for agenda in self.agendas.values():
+            agenda.changed.add(aid)
         self._locs[a] = aid
         for v in set(atom_vars(a)):
             self._vocc.setdefault(v, set()).add(aid)
@@ -372,6 +382,8 @@ class Store:
             self._eqapp_lhs.setdefault(a.lhs, set()).add(aid)
         elif isinstance(a, Sub):
             self._sub_lhs.setdefault(a.lhs, set()).add(aid)
+            for y in a.rhs.parts:
+                self._sub_rhs.setdefault(y, set()).add(aid)
         else:
             self._subapp_lhs.setdefault(a.lhs, set()).add(aid)
 
@@ -385,10 +397,15 @@ class Store:
             self._occ[b].discard(aid)
             if not self._occ[b]:
                 del self._occ[b]
-        self._changed(a)
+        self._forget_dets(a)
         if isinstance(a, Eq):
             self._eq_ids.discard(aid)
         else:
+            if isinstance(a, Sub):
+                for y in a.rhs.parts:
+                    self._sub_rhs[y].discard(aid)
+                    if not self._sub_rhs[y]:
+                        del self._sub_rhs[y]
             table = (
                 self._eqapp_lhs
                 if isinstance(a, EqApp)
@@ -416,16 +433,18 @@ class Determination(NamedTuple):
 class Agenda:
     """The instances of one rule that may be enabled in a store.
 
-    The store adds to `changed` every variable whose determinations
-    change.  The rule that keeps the agenda turns those variables into
-    the keys of the instances they can enable, in `enabled`, before it
-    looks for an instance to fire.  `enabled` may hold keys that do not
-    fire, which the rule drops once it has checked them, but it never
-    lacks a key that does.
+    The store adds to `changed` the id of every atom it indexes: each
+    atom added, and each atom rewritten in place.  The rule that keeps
+    the agenda turns those ids into the keys of the instances the atoms
+    can enable, in `enabled`, before it looks for an instance to fire.
+    Removals are not reported: taking an atom away enables no instance
+    of any rule that keeps an agenda.  `enabled` may hold keys that do
+    not fire, which the rule drops once it has checked them, but it
+    never lacks a key that does.
     """
 
     def __init__(self, enabled: Iterable):
-        self.changed: set[Var] = set()
+        self.changed: set[int] = set()
         self.enabled = set(enabled)
 
 

@@ -7,17 +7,27 @@ Every rule fires its first instance in a fixed order: ascending atom
 id (ascending variable for Clash and Descend2), then components in
 sorted order.  So every firing is deterministic.
 
-Clash and Propagate2, the rules that read determinations, do not scan
-the store.  Each keeps an Agenda with the store: the keys (variables
-for Clash, x <= f(ū) atom ids for Propagate2) of the instances that
-may be enabled.  The store reports every variable whose
-determinations change; the rule adds the keys whose instances depend
-on those variables, checks keys in ascending order and drops each one
-that does not fire.  A key that fires stays, so the agenda never lacks
-an enabled instance, and the smallest key that fires is the instance
-the ascending scan would have found first: traces are the same as
-with a whole-store scan.  The other rules still scan, reading
-determinations from the store's index (see constraints.determinations).
+Only Elim and Descend2 scan the store.  Clash, Propagate1, Propagate2,
+Collapse and Descend1 each keep an Agenda with the store: the keys
+(variables for Clash, atom ids for the others) of the instances that
+may be enabled.  The store reports the id of every atom it adds or
+rewrites; on its next look the rule adds the keys whose instances that
+atom can enable (through the determinations it takes part in for
+Clash, Propagate2 and Descend1, as an x <= u on a base x for
+Propagate1 and Collapse), checks keys in ascending order and drops
+each one that does not fire.  Removals need not be reported: they only
+shrink determinations and the subsumptions Propagate1 and Collapse
+read, and the subsumptions whose absence Descend1 needs are never
+taken away, only grown, renamed along with the rest of the store, or
+merged into an equal atom.  A key that fires stays, so the agenda
+never lacks an enabled instance, and the smallest key that fires is
+the instance the ascending scan would have found first: traces are the
+same as with a whole-store scan.  Decom reads its candidates from the
+left sides that carry two or more x = f(ū).  Elim scans the unused
+equations.  Descend2 scans the intersection variables in use: an
+agenda would have to map every determination change on a base x to
+each intersection variable with x as a component, which costs more
+than the scan.
 
 The rules:
 
@@ -68,7 +78,6 @@ from .constraints import (
     Sub,
     SubApp,
     Var,
-    atom_vars,
     components,
     determinations,
     format_atom,
@@ -129,22 +138,26 @@ def _fire_enabled(
     store: Store,
     rule: RuleId,
     seed: Callable[[Store], Iterable],
-    keys: Callable[[Store, Var], Iterable],
+    keys: Callable[[Store, int, Atom], Iterable],
     fire_at: Callable[[Store, Any], Firing | None],
 ) -> Firing | None:
     """Fire `rule` at the smallest key of its agenda that fires.
 
     On the rule's first look every instance in the store (`seed`) is a
-    candidate; after that, only the keys of the variables whose
-    determinations changed since it last looked are added.  The keys
-    checked before the one that fires do not fire and leave the agenda.
+    candidate; after that, only the keys that the atoms indexed since
+    it last looked can enable are added (an atom gone since is skipped:
+    whatever it enabled that is still enabled rests on atoms that are
+    present, and so on keys already kept or added).  The keys checked
+    before the one that fires do not fire and leave the agenda.
     Ascending order is the order of the whole-store scan the agenda
     replaces, so the same instance fires."""
     agenda = store.agendas.get(rule.value)
     if agenda is None:
         agenda = store.agendas[rule.value] = Agenda(seed(store))
-    for v in agenda.changed:
-        agenda.enabled.update(keys(store, v))
+    for aid in agenda.changed:
+        a = store.get(aid)
+        if a is not None:
+            agenda.enabled.update(keys(store, aid, a))
     agenda.changed.clear()
     for k in sorted(agenda.enabled):
         fired = fire_at(store, k)
@@ -154,26 +167,32 @@ def _fire_enabled(
     return None
 
 
-def _clash_keys(store: Store, v: Var) -> Iterable[Var]:
-    """The variables whose Clash status depends on v's determinations:
-    v itself, and for a base v every left side with v as a component
-    (only a left side can have determinations)."""
-    if not v.is_base:
-        return (v,)
-    return {store.atom(i).lhs for i in store.lhs_ids(v.parts[0])}
+def _clash_keys(store: Store, aid: int, a: Atom) -> Iterable[Var]:
+    """The variables whose Clash status depends on the determinations
+    atom a takes part in: each variable v they belong to, and for a
+    base v every left side with v as a component (only a left side can
+    have determinations)."""
+    out: set[Var] = set()
+    for v in store.determined_vars(a):
+        if v.is_base:
+            out.update(store.atom(i).lhs for i in store.lhs_ids(v.parts[0]))
+        else:
+            out.add(v)
+    return out
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
     dw = determinations(store, w)
     if not dw:
         return None
-    syms_w = {d.sym for d in dw}
+    # determinations() sorts by symbol first, so the first and the last
+    # of each list span all of its symbols: x and w carry two symbols
+    # unless these four are one.
+    first_w, last_w = dw[0].sym, dw[-1].sym
+    base = w.is_base
     for xname in w.parts:
-        xv = store.base_var(xname)
-        dx = dw if xv == w else determinations(store, xv)
-        if not dx:
-            continue
-        if len({d.sym for d in dx} | syms_w) < 2:
+        dx = dw if base else determinations(store, store.base_var(xname))
+        if not dx or first_w == last_w == dx[0].sym == dx[-1].sym:
             continue
         d1, d2 = next((p, q) for p in dx for q in dw if p.sym != q.sym)
         store.contradiction = True
@@ -220,62 +239,103 @@ def rule_elim(store: Store) -> Firing | None:
 
 def rule_decom(store: Store) -> Firing | None:
     """Two equations x = f(ū) and x = f(v̄): drop the first, add the
-    argumentwise equations ū = v̄."""
+    argumentwise equations ū = v̄.  The first is the smallest id that
+    has such a partner, the second its smallest partner."""
     if store.contradiction:
         return None
-    for aid in store.eqapp_ids():
-        a = store.atom(aid)
-        partners = [
-            b
-            for b in store.eqapp_ids(lhs=a.lhs)
-            if b != aid and store.atom(b).sym == a.sym
-        ]
-        if not partners:
-            continue
-        b = store.atom(min(partners))
-        store.remove(aid)
-        added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
-        for na in added:
-            store.add(na)
-        return (a, b), (a,), added
+    pair = None
+    for ids in store.eqapp_groups():
+        ordered = sorted(ids)
+        syms = [store.atom(i).sym for i in ordered]
+        # In ascending order, the first id whose symbol comes again has
+        # the smallest partner there.
+        for k, i in enumerate(ordered):
+            if pair is not None and i > pair[0]:
+                break
+            if syms[k] in syms[k + 1 :]:
+                pair = (i, ordered[syms.index(syms[k], k + 1)])
+                break
+    if pair is None:
+        return None
+    a, b = store.atom(pair[0]), store.atom(pair[1])
+    store.remove(pair[0])
+    added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
+    for na in added:
+        store.add(na)
+    return (a, b), (a,), added
+
+
+def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]) -> Firing | None:
+    """Grow the right side of the x <= r at aid by the right side of
+    the first y <= z, y a base variable in names(x <= r), that adds a
+    component to it."""
+    a = store.get(aid)
+    if a is None:
+        return None
+    for name in names(a):
+        for bid in store.sub_ids(lhs=store.base_var(name)):
+            b = store.atom(bid)
+            if components(b.rhs) <= components(a.rhs):
+                continue
+            na = Sub(a.lhs, intersect(a.rhs, b.rhs))
+            store.rewrite(aid, na)
+            return (a, b), (a,), (na,)
     return None
+
+
+def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+    """The w <= z atoms whose Propagate1 status a new or rewritten atom
+    can change: a itself, and for an x <= u on a base x each w <= z
+    with x a component of w (a among them)."""
+    if not isinstance(a, Sub):
+        return ()
+    if not a.lhs.is_base:
+        return (aid,)
+    return (i for i in store.lhs_ids(a.lhs.parts[0]) if isinstance(store.atom(i), Sub))
+
+
+def _propagate1_at(store: Store, aid: int) -> Firing | None:
+    return _grow_rhs_at(store, aid, lambda a: a.lhs.parts)
 
 
 def rule_propagate1(store: Store) -> Firing | None:
-    """w <= z and x <= u for a component x of w: grow z to z & u."""
+    """w <= z and x <= u for a component x of w: grow z to z & u.  The
+    atom with the smallest id fires."""
     if store.contradiction:
         return None
-    for aid in store.sub_ids():
-        a = store.atom(aid)
-        for xname in a.lhs.parts:
-            for bid in store.sub_ids(lhs=store.base_var(xname)):
-                b = store.atom(bid)
-                if components(b.rhs) <= components(a.rhs):
-                    continue
-                na = Sub(a.lhs, intersect(a.rhs, b.rhs))
-                store.rewrite(aid, na)
-                return (a, b), (a,), (na,)
-    return None
+    return _fire_enabled(
+        store, RuleId.PROPAGATE1, Store.sub_ids, _propagate1_keys, _propagate1_at
+    )
 
 
-def _propagate2_keys(store: Store, v: Var) -> Iterable[int]:
-    """The x <= f(ū) atoms whose Propagate2 status depends on v's
-    determinations: those on v itself, and for a base v those whose
-    left side has v as a component."""
-    if not v.is_base:
-        return store.subapp_ids(lhs=v)
-    return (i for i in store.lhs_ids(v.parts[0]) if isinstance(store.atom(i), SubApp))
+def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+    """The x <= f(ū) atoms whose Propagate2 status depends on the
+    determinations atom a takes part in: for each variable v they
+    belong to, those on v itself, and for a base v those whose left
+    side has v as a component."""
+    for v in store.determined_vars(a):
+        if v.is_base:
+            yield from (
+                i for i in store.lhs_ids(v.parts[0]) if isinstance(store.atom(i), SubApp)
+            )
+        else:
+            yield from store.subapp_ids(lhs=v)
 
 
 def _propagate2_at(store: Store, aid: int) -> Firing | None:
     a = store.get(aid)
     if a is None:
         return None
+    # The same determining atom reached again, through another component
+    # or routing atom, brings the same arguments: if they did not grow
+    # the intersection the first time, they do not now.
+    tested = set()
     for xname in a.lhs.parts:
         for d in determinations(store, store.base_var(xname)):
-            if d.sym != a.sym or all(
-                components(v) <= components(u) for u, v in zip(a.args, d.args)
-            ):
+            if d.at in tested or d.sym != a.sym:
+                continue
+            tested.add(d.at)
+            if all(components(v) <= components(u) for u, v in zip(a.args, d.args)):
                 continue
             nargs = tuple(intersect(u, v) for u, v in zip(a.args, d.args))
             na = SubApp(a.lhs, a.sym, nargs)
@@ -296,21 +356,27 @@ def rule_propagate2(store: Store) -> Firing | None:
     )
 
 
+def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+    """The x <= r atoms whose Collapse status a new or rewritten atom
+    can change: a itself, and for a y <= z on a base y each x <= r
+    with y a component of r."""
+    if not isinstance(a, Sub):
+        return ()
+    if not a.lhs.is_base:
+        return (aid,)
+    return [aid] + store.routing_ids(a.lhs.parts[0])
+
+
+def _collapse_at(store: Store, aid: int) -> Firing | None:
+    return _grow_rhs_at(store, aid, lambda a: a.rhs.parts)
+
+
 def rule_collapse(store: Store) -> Firing | None:
-    """x <= r and y <= z for a component y of r: grow r to r & z."""
+    """x <= r and y <= z for a component y of r: grow r to r & z.  The
+    atom with the smallest id fires."""
     if store.contradiction:
         return None
-    for aid in store.sub_ids():
-        a = store.atom(aid)
-        for yname in a.rhs.parts:
-            for bid in store.sub_ids(lhs=store.base_var(yname)):
-                b = store.atom(bid)
-                if components(b.rhs) <= components(a.rhs):
-                    continue
-                na = Sub(a.lhs, intersect(a.rhs, b.rhs))
-                store.rewrite(aid, na)
-                return (a, b), (a,), (na,)
-    return None
+    return _fire_enabled(store, RuleId.COLLAPSE, Store.sub_ids, _collapse_keys, _collapse_at)
 
 
 def rule_descend2(store: Store) -> Firing | None:
@@ -332,36 +398,49 @@ def rule_descend2(store: Store) -> Firing | None:
     return None
 
 
+def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+    """The x = f(ū) atoms whose Descend1 status depends on the
+    determinations atom a takes part in: those on each base variable
+    they belong to."""
+    return [i for v in store.determined_vars(a) if v.is_base for i in store.eqapp_ids(lhs=v)]
+
+
+def _descend1_at(store: Store, aid: int) -> Firing | None:
+    a = store.get(aid)
+    if a is None:
+        return None
+    for d in determinations(store, a.lhs, exclude={aid}):
+        if d.sym != a.sym:
+            continue
+        missing = []
+        for u, v in zip(a.args, d.args):
+            covered = any(
+                components(v) <= components(store.atom(bid).rhs)
+                for bid in store.sub_ids(lhs=u)
+            )
+            if not covered:
+                missing.append((u, v))
+        if not missing:
+            continue
+        added = tuple(Sub(u, v) for u, v in missing)
+        for na in added:
+            store.add(na)
+        return tuple(dict.fromkeys((a,) + _sources(store, d))), (), added
+    return None
+
+
 def rule_descend1(store: Store) -> Firing | None:
     """x = f(ū) where the rest of the store also determines x as f(v̄):
     push subsumption down to the arguments, adding ū_i <= v̄_i for every
     position not already covered by a subsumption on ū_i whose right
-    side includes all components of v̄_i.
+    side includes all components of v̄_i.  The atom with the smallest
+    id fires.
 
     The determination is computed on the store minus this equation, so
     an equation never descends on account of itself."""
     if store.contradiction:
         return None
-    for aid in store.eqapp_ids():
-        a = store.atom(aid)
-        for d in determinations(store, a.lhs, exclude={aid}):
-            if d.sym != a.sym:
-                continue
-            missing = []
-            for u, v in zip(a.args, d.args):
-                covered = any(
-                    components(v) <= components(store.atom(bid).rhs)
-                    for bid in store.sub_ids(lhs=u)
-                )
-                if not covered:
-                    missing.append((u, v))
-            if not missing:
-                continue
-            added = tuple(Sub(u, v) for u, v in missing)
-            for na in added:
-                store.add(na)
-            return tuple(dict.fromkeys((a,) + _sources(store, d))), (), added
-    return None
+    return _fire_enabled(store, RuleId.DESCEND1, Store.eqapp_ids, _descend1_keys, _descend1_at)
 
 
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
@@ -379,7 +458,7 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 # --- solver -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One rule firing: which rule, the atoms it looked at, and what
     it removed and added."""

@@ -254,51 +254,61 @@ def merge_graphs(s: TermGraph, t: TermGraph) -> TermGraph | None:
 
     Product construction: paired nodes must agree wherever both are
     labeled; a hole on one side surrenders to the other side's subgraph.
+    Nodes are numbered depth first, parent before children; the walk
+    keeps its own stack, so depth is not bounded by recursion.
     """
     labels: dict[int, Symbol] = {}
     children: dict[int, tuple[int, ...]] = {}
     holes: dict[int, str] = {}
+    # ("p", ps, pt) pairs a node of s with one of t; ("s", n) and
+    # ("t", n) copy a node of one side.
     memo: dict[tuple, int] = {}
     counter = itertools.count()
+    # Labeled nodes whose children are being built: the node, the keys
+    # of its children, and the child nodes so far.
+    open_nodes: list[tuple[int, list[tuple], list[int]]] = []
 
-    def copy_side(g: TermGraph, gn: int, side: str) -> int:
-        key = (side, gn)
+    def enter(key: tuple) -> int:
+        """The node for key; a new labeled one is opened."""
         if key in memo:
             return memo[key]
         nid = next(counter)
         memo[key] = nid
-        lab = g.labels.get(gn)
+        kids: list[tuple] = []
+        if key[0] == "p":
+            _, ps, pt = key
+            ls, lt = s.labels.get(ps), t.labels.get(pt)
+            if ls is None and lt is None:
+                lab = None
+            elif ls is None:
+                lab, kids = lt, [("t", k) for k in t.children[pt]]
+            elif lt is None:
+                lab, kids = ls, [("s", k) for k in s.children[ps]]
+            elif ls == lt:
+                lab, kids = ls, [("p", a, b) for a, b in zip(s.children[ps], t.children[pt])]
+            else:
+                raise _MergeClash
+        else:
+            side, gn = key
+            g = s if side == "s" else t
+            lab = g.labels.get(gn)
+            kids = [(side, k) for k in g.children.get(gn, ())]
         if lab is None:
             holes[nid] = f"h{nid}"
         else:
             labels[nid] = lab
-            children[nid] = tuple(copy_side(g, k, side) for k in g.children[gn])
-        return nid
-
-    def pair(ps: int, pt: int) -> int:
-        key = ("p", ps, pt)
-        if key in memo:
-            return memo[key]
-        nid = next(counter)
-        memo[key] = nid
-        ls, lt = s.labels.get(ps), t.labels.get(pt)
-        if ls is None and lt is None:
-            holes[nid] = f"h{nid}"
-        elif ls is None:
-            labels[nid] = lt
-            children[nid] = tuple(copy_side(t, k, "t") for k in t.children[pt])
-        elif lt is None:
-            labels[nid] = ls
-            children[nid] = tuple(copy_side(s, k, "s") for k in s.children[ps])
-        elif ls == lt:
-            labels[nid] = ls
-            children[nid] = tuple(pair(a, b) for a, b in zip(s.children[ps], t.children[pt]))
-        else:
-            raise _MergeClash
+            open_nodes.append((nid, kids, []))
         return nid
 
     try:
-        root = pair(s.root, t.root)
+        root = enter(("p", s.root, t.root))
+        while open_nodes:
+            nid, kids, done = open_nodes[-1]
+            if len(done) < len(kids):
+                done.append(enter(kids[len(done)]))
+                continue
+            open_nodes.pop()
+            children[nid] = tuple(done)
     except _MergeClash:
         return None
     return TermGraph(root, labels, children, holes)

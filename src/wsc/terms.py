@@ -13,10 +13,13 @@ same constructor on top and permitted children below.  Note this is the
 f(a, b) is an instance of f(x, x).
 
 ``weak_subsumes(s, t)`` decides "every instance of t is an instance of
-s" by computing the greatest simulation between the two graphs:
-wherever s is labeled, t must carry the same symbol and the child pairs
-must simulate in turn.  ``graph_equal`` is the analogous bisimulation
-(equality of denoted trees, hole names respected).
+s": the roots must be related by the greatest simulation between the
+two graphs, under which, wherever s is labeled, t carries the same
+symbol and the child pairs simulate in turn.  ``graph_equal`` is the
+analogous bisimulation (equality of denoted trees, hole names
+respected).  Both walk only the node pairs reachable from the roots;
+``simulation_relation`` and ``bisimulation_relation`` give the whole
+relations.
 
 All values here are immutable after construction and all operations are
 pure, so everything is safe to share between threads.
@@ -177,8 +180,24 @@ def weak_subsumes(s: TermGraph, t: TermGraph) -> bool:
     """True iff every instance of t is an instance of s (t is below s).
 
     Holes in s constrain nothing; hole identity plays no role here.
+    The roots are in simulation_relation() iff every pair of nodes
+    reached from them along the same child positions, below labeled
+    nodes of s only, matches: only those pairs are visited.
     """
-    return (s.root, t.root) in simulation_relation(s, t)
+    seen = {(s.root, t.root)}
+    stack = [(s.root, t.root)]
+    while stack:
+        p, q = stack.pop()
+        lab = s.labels.get(p)
+        if lab is None:
+            continue
+        if t.labels.get(q) != lab:
+            return False
+        for pair in zip(s.children[p], t.children[q]):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def graph_equal(s: TermGraph, t: TermGraph) -> bool:

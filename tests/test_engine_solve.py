@@ -1,6 +1,7 @@
 """Tests for the solver driver: batch solving, stepping, incremental
 assertion, traces, and input validation."""
 
+import hashlib
 import itertools
 import random
 import re
@@ -17,6 +18,7 @@ from wsc.engine import (
     format_trace,
     solve,
 )
+from wsc.frontend import random_atoms
 from wsc.terms import Symbol
 
 A = Symbol("a", 0)
@@ -182,6 +184,38 @@ def test_chain_firing_order_is_pinned():
         counts = Counter(e.rule for e in res.trace)
         assert tuple(counts[r] for r in rules) == fired
         assert sum(fired) == steps
+
+
+def route_digest():
+    """sha256 over verdict, store and trace of 300 random conjunctions,
+    each solved batch and then asserted one atom at a time, and of
+    C(3..9)."""
+    h = hashlib.sha256()
+
+    def feed(verdicts, store, trace):
+        h.update(f"{verdicts}|{store}|{format_trace(trace)}\n".encode())
+
+    for i in range(300):
+        atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=12)
+        res = solve(atoms)
+        feed(res.verdict, res.store, res.trace)
+        s = Solver()
+        verdicts = [s.assert_atom(a).value for a in atoms]
+        feed(",".join(verdicts), s.store, s.trace)
+    for n in range(3, 10):
+        res = solve(chain(n))
+        feed(res.verdict, res.store, res.trace)
+    return h.hexdigest()
+
+
+# The rule agendas and indexes find the same first instance as a scan
+# of the whole store would: a change that alters a verdict, a solved
+# store or the route to it must update this digest on purpose.
+ROUTE_DIGEST = "f2892b4b4507ca1f1d053f33860a0d9b920e6fee6cd901f16296bac32c5bb5c5"
+
+
+def test_routes_are_pinned():
+    assert route_digest() == ROUTE_DIGEST
 
 
 # --- stepping ----------------------------------------------------------------------

@@ -217,6 +217,17 @@ def test_merge_with_a_cycle():
     assert graph_equal(m, parse_term("rec X. f(X)"))
 
 
+def test_merge_and_witness_check_deep_terms():
+    # Nesting deeper than the interpreter's default recursion limit.
+    deep = parse_term("f(" * 1500 + "x" + ")" * 1500)
+    m = merge_graphs(deep, parse_term("y"))
+    assert len(m.nodes()) == 1501
+    assert weak_subsumes(m, deep) and weak_subsumes(deep, m)
+    sigma = {"x": deep, "y": hole("y")}
+    assert check_witness(sigma, [Sub(x, var("x", "y")), Sub(x, y)])
+    assert not check_witness(sigma, [Sub(y, x)])
+
+
 def test_merge_matches_instance_intersection():
     """On random graph pairs, the merge admits exactly the ground trees
     that both inputs admit (checked over an exhaustive small universe)."""

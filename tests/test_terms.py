@@ -9,6 +9,7 @@ refinement) so the two can disagree if either is wrong.
 """
 
 import random
+import time
 
 import pytest
 
@@ -185,6 +186,22 @@ def test_weak_subsumes_matches_unroll_oracle():
         s = random_graph(rng)
         t = random_graph(rng)
         assert weak_subsumes(s, t) == unroll_forces(s, t, exact_depth(s, t))
+
+
+def test_weak_subsumes_agrees_with_simulation_relation():
+    rng = random.Random(4208)
+    for _ in range(3000):
+        s = random_graph(rng)
+        t = random_graph(rng)
+        assert weak_subsumes(s, t) == ((s.root, t.root) in simulation_relation(s, t))
+
+
+def test_weak_subsumes_deep_chain_is_fast():
+    g = parse_term("f(" * 1500 + "x" + ")" * 1500)
+    start = time.perf_counter()
+    assert weak_subsumes(g, g)
+    assert not weak_subsumes(g, parse_term("f(" * 1499 + "a()" + ")" * 1499))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_weak_subsumes_transitive_sampled():
