@@ -21,7 +21,7 @@ change to an atom keeps up to date.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .terms import Symbol
 
@@ -155,6 +155,16 @@ def is_base_only(a: Atom) -> bool:
     return all(v.is_base for v in atom_vars(a))
 
 
+def map_vars(a: Atom, f: Callable[[Var], Var]) -> Atom:
+    """The atom of the same kind and symbol with f applied to each of
+    its variables."""
+    if isinstance(a, Eq):
+        return Eq(f(a.lhs), f(a.rhs))
+    if isinstance(a, Sub):
+        return Sub(f(a.lhs), f(a.rhs))
+    return type(a)(f(a.lhs), a.sym, tuple(map(f, a.args)))
+
+
 def subst_atom(a: Atom, x: str, y: str) -> Atom:
     """Deep substitution [y/x] on one atom: componentwise inside every
     variable, re-canonicalizing (so {x,y}[y/x] collapses to {y})."""
@@ -164,13 +174,7 @@ def subst_atom(a: Atom, x: str, y: str) -> Atom:
             return v
         return Var(tuple(y if p == x else p for p in v.parts))
 
-    if isinstance(a, Eq):
-        return Eq(sub(a.lhs), sub(a.rhs))
-    if isinstance(a, Sub):
-        return Sub(sub(a.lhs), sub(a.rhs))
-    if isinstance(a, EqApp):
-        return EqApp(sub(a.lhs), a.sym, tuple(sub(u) for u in a.args))
-    return SubApp(sub(a.lhs), a.sym, tuple(sub(u) for u in a.args))
+    return map_vars(a, sub)
 
 
 def format_atom(a: Atom) -> str:
@@ -196,8 +200,9 @@ class Store:
     it.  Subsumption atoms may freely mention intersection variables.
 
     The store also keeps what determinations() computed for each
-    variable, and feeds the id of every atom it indexes to every Agenda
-    in `agendas` (see determinations() and engine.py).
+    variable, and adds the id of every atom it indexes to the `changed`
+    set of each (changed, enabled) pair in `agendas`, one pair per rule
+    that keeps an agenda (see determinations() and engine.py).
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -216,7 +221,7 @@ class Store:
         self.elim: dict[str, str] = {}
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
-        self.agendas: dict[str, Agenda] = {}
+        self.agendas: dict[str, tuple[set[int], set]] = {}
         for a in atoms:
             self.add(a)
 
@@ -369,8 +374,8 @@ class Store:
 
     def _index(self, aid: int, a: Atom) -> None:
         self._forget_dets(a)
-        for agenda in self.agendas.values():
-            agenda.changed.add(aid)
+        for changed, _ in self.agendas.values():
+            changed.add(aid)
         self._locs[a] = aid
         for v in set(atom_vars(a)):
             self._vocc.setdefault(v, set()).add(aid)
@@ -430,68 +435,31 @@ class Determination(NamedTuple):
     via: int | None
 
 
-class Agenda:
-    """The instances of one rule that may be enabled in a store.
-
-    The store adds to `changed` the id of every atom it indexes: each
-    atom added, and each atom rewritten in place.  The rule that keeps
-    the agenda turns those ids into the keys of the instances the atoms
-    can enable, in `enabled`, before it looks for an instance to fire.
-    Removals are not reported: taking an atom away enables no instance
-    of any rule that keeps an agenda.  `enabled` may hold keys that do
-    not fire, which the rule drops once it has checked them, but it
-    never lacks a key that does.
-    """
-
-    def __init__(self, enabled: Iterable):
-        self.changed: set[int] = set()
-        self.enabled = set(enabled)
-
-
-def determinations(store: Store, v: Var, exclude: Iterable[int] = ()) -> list[Determination]:
+def determinations(store: Store, v: Var) -> list[Determination]:
     """All determinations of v, immediate and routed, in a stable order.
 
-    `exclude` drops the given atom ids from every role — both as the
-    determining atom and as the routing atom — so callers can ask what
-    the store minus one atom still determines.
-
-    Without `exclude` the result comes from the store's index.  It is
-    computed on the first call for v and kept until an atom it depends
-    on is added, removed or rewritten: an x = f(ū) or x <= f(ū) on v, a
-    subsumption v <= r, or an x = f(ū) or x <= f(ū) on a base component
-    of such an r.  The list is shared by every caller until then and
-    must not be mutated.  Since it is recomputed whenever it could
-    differ, it is always the list a fresh computation gives, and the
-    rules that read it fire exactly as if nothing were kept.  The
-    `exclude` form, which Descend1 uses, is computed afresh each time
-    and not kept.
+    The result comes from the store's index.  It is computed on the
+    first call for v and kept until an atom it depends on is added,
+    removed or rewritten: an x = f(ū) or x <= f(ū) on v, a subsumption
+    v <= r, or an x = f(ū) or x <= f(ū) on a base component of such an
+    r.  The list is shared by every caller until then and must not be
+    mutated.  Since it is recomputed whenever it could differ, it is
+    always the list a fresh computation gives, and the rules that read
+    it fire exactly as if nothing were kept.
     """
-    excl = set(exclude)
-    if not excl:
-        dets = store._dets.get(v)
-        if dets is None:
-            dets = store._dets[v] = _determine(store, v, excl)
-        return dets
-    return _determine(store, v, excl)
-
-
-def _determine(store: Store, v: Var, excl: set[int]) -> list[Determination]:
-    out: list[Determination] = []
+    out = store._dets.get(v)
+    if out is not None:
+        return out
+    out = []
     for aid in store.eqapp_ids(lhs=v) + store.subapp_ids(lhs=v):
-        if aid in excl:
-            continue
         a = store.atom(aid)
         out.append(Determination(a.sym, a.args, aid, None))
     for sid in store.sub_ids(lhs=v):
-        if sid in excl:
-            continue
-        r = store.atom(sid).rhs
-        for y in r.parts:
+        for y in store.atom(sid).rhs.parts:
             yv = store.base_var(y)
             for aid in store.eqapp_ids(lhs=yv) + store.subapp_ids(lhs=yv):
-                if aid in excl:
-                    continue
                 a = store.atom(aid)
                 out.append(Determination(a.sym, a.args, aid, sid))
     out.sort(key=lambda d: (d.sym, d.args, d.at, -1 if d.via is None else d.via))
+    store._dets[v] = out
     return out

@@ -8,26 +8,28 @@ id (ascending variable for Clash and Descend2), then components in
 sorted order.  So every firing is deterministic.
 
 Only Elim and Descend2 scan the store.  Clash, Propagate1, Propagate2,
-Collapse and Descend1 each keep an Agenda with the store: the keys
-(variables for Clash, atom ids for the others) of the instances that
-may be enabled.  The store reports the id of every atom it adds or
-rewrites; on its next look the rule adds the keys whose instances that
-atom can enable (through the determinations it takes part in for
-Clash, Propagate2 and Descend1, as an x <= u on a base x for
-Propagate1 and Collapse), checks keys in ascending order and drops
-each one that does not fire.  Removals need not be reported: they only
-shrink determinations and the subsumptions Propagate1 and Collapse
-read, and the subsumptions whose absence Descend1 needs are never
-taken away, only grown, renamed along with the rest of the store, or
-merged into an equal atom.  A key that fires stays, so the agenda
-never lacks an enabled instance, and the smallest key that fires is
-the instance the ascending scan would have found first: traces are the
-same as with a whole-store scan.  Decom reads its candidates from the
-left sides that carry two or more x = f(ū).  Elim scans the unused
-equations.  Descend2 scans the intersection variables in use: an
-agenda would have to map every determination change on a base x to
-each intersection variable with x as a component, which costs more
-than the scan.
+Collapse and Descend1 each keep an agenda in the store: a pair of sets,
+the ids of the atoms the store added or rewrote since the rule last
+looked, and the keys (variables for Clash, atom ids for the others) of
+the instances that may be enabled.  On its next look the rule adds the
+keys whose instances those atoms can enable, checks keys in ascending
+order and drops each one that does not fire.  Clash, Propagate2 and
+Descend1 share one map from an atom to the left sides whose
+determinations it takes part in: Clash keys those left sides,
+Propagate2 the x <= f(ū) on them and Descend1 the x = f(ū) on the base
+ones.  Propagate1 and Collapse key the x <= r atoms an x <= u on a base
+x reaches.  Removals need not be reported: they only shrink
+determinations and the subsumptions Propagate1 and Collapse read, and
+the subsumptions whose absence Descend1 needs are never taken away,
+only grown, renamed along with the rest of the store, or merged into an
+equal atom.  A key that fires stays, so the agenda never lacks an
+enabled instance, and the smallest key that fires is the instance the
+ascending scan would have found first: traces are the same as with a
+whole-store scan.  Decom reads its candidates from the left sides that
+carry two or more x = f(ū).  Elim scans the unused equations.  Descend2
+scans the intersection variables in use: an agenda would have to map
+every determination change on a base x to each intersection variable
+with x as a component, which costs more than the scan.
 
 The rules:
 
@@ -48,9 +50,10 @@ The rules:
   Descend2    an intersection variable occurring anywhere whose
               component is determined gets its own applied constraint.
   Descend1    an equation x = f(ū) whose left side is also determined
-              as f(v̄) by the *rest* of the store pushes subsumptions
-              ū <= v̄ down to the arguments (positions already covered
-              by an existing subsumption are skipped).
+              as f(v̄) by the *rest* of the store (a determination whose
+              determining atom is the equation itself is skipped) pushes
+              subsumptions ū <= v̄ down to the arguments (positions
+              already covered by an existing subsumption are skipped).
 
 A Solver owns a store and drives the rules to a fixpoint under a
 total rule priority; the default order fires Clash first and the
@@ -69,11 +72,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .constraints import (
-    Agenda,
     Atom,
     Determination,
     Eq,
-    EqApp,
     Store,
     Sub,
     SubApp,
@@ -83,6 +84,7 @@ from .constraints import (
     format_atom,
     intersect,
     is_base_only,
+    map_vars,
 )
 
 
@@ -143,35 +145,41 @@ def _fire_enabled(
 ) -> Firing | None:
     """Fire `rule` at the smallest key of its agenda that fires.
 
-    On the rule's first look every instance in the store (`seed`) is a
-    candidate; after that, only the keys that the atoms indexed since
-    it last looked can enable are added (an atom gone since is skipped:
-    whatever it enabled that is still enabled rests on atoms that are
-    present, and so on keys already kept or added).  The keys checked
-    before the one that fires do not fire and leave the agenda.
-    Ascending order is the order of the whole-store scan the agenda
-    replaces, so the same instance fires."""
+    The agenda is the rule's (changed, enabled) pair in store.agendas:
+    the ids of the atoms indexed since the rule last looked, and the
+    keys of the instances that may be enabled.  On the rule's first
+    look every instance in the store (`seed`) is a candidate; after
+    that, only the keys that the changed atoms can enable are added (an
+    atom gone since is skipped: whatever it enabled that is still
+    enabled rests on atoms that are present, and so on keys already
+    kept or added).  The keys checked before the one that fires do not
+    fire and leave the agenda.  Ascending order is the order of the
+    whole-store scan the agenda replaces, so the same instance fires."""
+    if store.contradiction:
+        return None
     agenda = store.agendas.get(rule.value)
     if agenda is None:
-        agenda = store.agendas[rule.value] = Agenda(seed(store))
-    for aid in agenda.changed:
+        agenda = store.agendas[rule.value] = (set(), set(seed(store)))
+    changed, enabled = agenda
+    for aid in changed:
         a = store.get(aid)
         if a is not None:
-            agenda.enabled.update(keys(store, aid, a))
-    agenda.changed.clear()
-    for k in sorted(agenda.enabled):
+            enabled.update(keys(store, aid, a))
+    changed.clear()
+    for k in sorted(enabled):
         fired = fire_at(store, k)
         if fired is not None:
             return fired
-        agenda.enabled.discard(k)
+        enabled.discard(k)
     return None
 
 
-def _clash_keys(store: Store, aid: int, a: Atom) -> Iterable[Var]:
-    """The variables whose Clash status depends on the determinations
-    atom a takes part in: each variable v they belong to, and for a
-    base v every left side with v as a component (only a left side can
-    have determinations)."""
+def _lhs_determined_by(store: Store, aid: int, a: Atom) -> set[Var]:
+    """The left sides whose determinations atom a takes part in, itself
+    or through a component: each variable v whose own determinations it
+    is in, and for a base v every left side with v as a component (only
+    a left side can have determinations).  These are the variables
+    whose Clash status a can change."""
     out: set[Var] = set()
     for v in store.determined_vars(a):
         if v.is_base:
@@ -206,9 +214,7 @@ def rule_clash(store: Store) -> Firing | None:
     different determined constructors (w = x included: a doubly
     determined variable clashes with itself).  The smallest such w
     fires."""
-    if store.contradiction:
-        return None
-    return _fire_enabled(store, RuleId.CLASH, Store.variables, _clash_keys, _clash_at)
+    return _fire_enabled(store, RuleId.CLASH, Store.variables, _lhs_determined_by, _clash_at)
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -301,25 +307,16 @@ def _propagate1_at(store: Store, aid: int) -> Firing | None:
 def rule_propagate1(store: Store) -> Firing | None:
     """w <= z and x <= u for a component x of w: grow z to z & u.  The
     atom with the smallest id fires."""
-    if store.contradiction:
-        return None
     return _fire_enabled(
         store, RuleId.PROPAGATE1, Store.sub_ids, _propagate1_keys, _propagate1_at
     )
 
 
 def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= f(ū) atoms whose Propagate2 status depends on the
-    determinations atom a takes part in: for each variable v they
-    belong to, those on v itself, and for a base v those whose left
-    side has v as a component."""
-    for v in store.determined_vars(a):
-        if v.is_base:
-            yield from (
-                i for i in store.lhs_ids(v.parts[0]) if isinstance(store.atom(i), SubApp)
-            )
-        else:
-            yield from store.subapp_ids(lhs=v)
+    """The x <= f(ū) atoms whose Propagate2 status a new or rewritten
+    atom can change: those on a left side whose determinations it takes
+    part in, itself or through a component."""
+    return [i for w in _lhs_determined_by(store, aid, a) for i in store.subapp_ids(lhs=w)]
 
 
 def _propagate2_at(store: Store, aid: int) -> Firing | None:
@@ -349,8 +346,6 @@ def rule_propagate2(store: Store) -> Firing | None:
     """w <= f(ū) and a determination f(v̄) of a component x of w:
     intersect the arguments, position by position.  The atom with the
     smallest id fires."""
-    if store.contradiction:
-        return None
     return _fire_enabled(
         store, RuleId.PROPAGATE2, Store.subapp_ids, _propagate2_keys, _propagate2_at
     )
@@ -374,8 +369,6 @@ def _collapse_at(store: Store, aid: int) -> Firing | None:
 def rule_collapse(store: Store) -> Firing | None:
     """x <= r and y <= z for a component y of r: grow r to r & z.  The
     atom with the smallest id fires."""
-    if store.contradiction:
-        return None
     return _fire_enabled(store, RuleId.COLLAPSE, Store.sub_ids, _collapse_keys, _collapse_at)
 
 
@@ -385,7 +378,7 @@ def rule_descend2(store: Store) -> Firing | None:
     if store.contradiction:
         return None
     for w in sorted(v for v in store.variables() if not v.is_base):
-        if store.eqapp_ids(lhs=w) or store.subapp_ids(lhs=w):
+        if store.subapp_ids(lhs=w):
             continue
         for xname in w.parts:
             dets = determinations(store, store.base_var(xname))
@@ -399,18 +392,20 @@ def rule_descend2(store: Store) -> Firing | None:
 
 
 def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x = f(ū) atoms whose Descend1 status depends on the
-    determinations atom a takes part in: those on each base variable
-    they belong to."""
-    return [i for v in store.determined_vars(a) if v.is_base for i in store.eqapp_ids(lhs=v)]
+    """The x = f(ū) atoms whose Descend1 status a new or rewritten atom
+    can change: those on a base left side whose determinations it takes
+    part in."""
+    return [
+        i for w in _lhs_determined_by(store, aid, a) if w.is_base for i in store.eqapp_ids(lhs=w)
+    ]
 
 
 def _descend1_at(store: Store, aid: int) -> Firing | None:
     a = store.get(aid)
     if a is None:
         return None
-    for d in determinations(store, a.lhs, exclude={aid}):
-        if d.sym != a.sym:
+    for d in determinations(store, a.lhs):
+        if d.at == aid or d.sym != a.sym:
             continue
         missing = []
         for u, v in zip(a.args, d.args):
@@ -436,10 +431,9 @@ def rule_descend1(store: Store) -> Firing | None:
     side includes all components of v̄_i.  The atom with the smallest
     id fires.
 
-    The determination is computed on the store minus this equation, so
-    an equation never descends on account of itself."""
-    if store.contradiction:
-        return None
+    Determinations made by this equation itself, immediate or routed
+    back to x through some x <= r, are skipped, so an equation never
+    descends on account of itself."""
     return _fire_enabled(store, RuleId.DESCEND1, Store.eqapp_ids, _descend1_keys, _descend1_at)
 
 
@@ -502,11 +496,6 @@ class Solver:
         self.step_count = 0
         self.verdict = Verdict.SAT  # the empty conjunction is satisfiable
 
-    @property
-    def elim_record(self) -> dict[str, str]:
-        """The applied substitutions, fully path-compressed."""
-        return {name: self._resolve(name) for name in self.store.elim}
-
     def _resolve(self, name: str) -> str:
         chain = []
         elim = self.store.elim
@@ -518,16 +507,7 @@ class Solver:
         return name
 
     def _normalize(self, a: Atom) -> Atom:
-        def norm(v: Var) -> Var:
-            return self.store.base_var(self._resolve(v.parts[0]))
-
-        if isinstance(a, Eq):
-            return Eq(norm(a.lhs), norm(a.rhs))
-        if isinstance(a, Sub):
-            return Sub(norm(a.lhs), norm(a.rhs))
-        if isinstance(a, EqApp):
-            return EqApp(norm(a.lhs), a.sym, tuple(norm(u) for u in a.args))
-        return SubApp(norm(a.lhs), a.sym, tuple(norm(u) for u in a.args))
+        return map_vars(a, lambda v: self.store.base_var(self._resolve(v.parts[0])))
 
     def insert(self, a: Atom) -> None:
         """Add one atom without running rules (input validation applies)."""

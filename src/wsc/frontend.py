@@ -320,6 +320,10 @@ def _solve_command(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+              file=sys.stderr)
+        return 2
     try:
         problem = parse(text, name=name)
     except ParseError as exc:
@@ -347,6 +351,9 @@ def _solve_command(args: argparse.Namespace) -> int:
 
 
 def _random_command(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        print("error: --count must not be negative", file=sys.stderr)
+        return 2
     kinds = ATOM_KINDS if not args.no_sub else ("eq", "eqapp")
     for i in range(args.count):
         rng = random.Random(f"{args.seed}-{i}")

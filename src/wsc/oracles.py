@@ -431,10 +431,6 @@ class SearchResult:
     checked: int
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 def witness_search(
     atoms: Union[Iterable[Atom], Store],
     max_depth: int = 2,
@@ -508,30 +504,31 @@ def witness_search(
             for kid, v in zip(kids, a.args)
         )
 
+    # Depth first over the variables in sorted order, without recursion:
+    # its[i] yields the candidates for names[i] not tried yet.
     checked = 0
     env: dict[str, TermGraph] = {}
-
-    def descend(i: int) -> dict[str, TermGraph] | None:
-        nonlocal checked
-        if i == len(names):
-            return dict(env)
-        for g in pools[i]:
+    if not names:
+        return SearchResult({}, False, 0)
+    its = [iter(pools[0])]
+    while its:
+        i = len(its) - 1
+        name, atoms_i = names[i], ready[i]
+        for g in its[i]:
             checked += 1
             if checked > budget:
-                raise _OutOfBudget
-            env[names[i]] = g
-            if all(holds(a, env) for a in ready[i]):
-                found = descend(i + 1)
-                if found is not None:
-                    return found
-        env.pop(names[i], None)
-        return None
-
-    try:
-        found = descend(0)
-    except _OutOfBudget:
-        return SearchResult(None, True, checked)
-    return SearchResult(found, False, checked)
+                return SearchResult(None, True, checked)
+            env[name] = g
+            if all(holds(a, env) for a in atoms_i):
+                break
+        else:
+            env.pop(name, None)
+            its.pop()
+            continue
+        if i + 1 == len(names):
+            return SearchResult(dict(env), False, checked)
+        its.append(iter(pools[i + 1]))
+    return SearchResult(None, False, checked)
 
 
 # --- witness files -------------------------------------------------------------------

@@ -295,21 +295,6 @@ def test_determined_routes_through_subapp_too():
     assert determined(s, x) == {(F1, (u,))}
 
 
-def test_determinations_exclude_drops_both_roles():
-    s = Store([EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, F1, (z,))])
-    ids = {a: i for i, a in ((i, a) for i, a in s.atoms())}
-    eq_id = ids[EqApp(x, F1, (u,))]
-    sub_id = ids[Sub(x, y)]
-    # full view: the immediate determination and the routed one
-    assert determined(s, x) == {(F1, (u,)), (F1, (z,))}
-    # excluding the equation removes it as a determiner
-    rest = determinations(s, x, exclude={eq_id})
-    assert [(d.sym, d.args) for d in rest] == [(F1, (z,))]
-    # excluding the routing atom removes the routed determination
-    rest = determinations(s, x, exclude={sub_id})
-    assert [(d.sym, d.args) for d in rest] == [(F1, (u,))]
-
-
 def test_determinations_report_sources():
     s = Store([Sub(x, var("y", "z")), EqApp(y, F1, (u,))])
     (sub_id, _), (eq_id, _) = s.atoms()

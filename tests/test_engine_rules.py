@@ -277,6 +277,12 @@ def test_descend1_never_descends_on_its_own_account():
     assert rule_descend1(store_of(EqApp(x, F1, (u,)))) is None
 
 
+def test_descend1_skips_its_own_equation_routed_back():
+    # x <= x routes x's own equation to x a second time; that routed
+    # determination is still the equation itself, so nothing descends
+    assert rule_descend1(store_of(EqApp(x, F1, (u,)), Sub(x, x))) is None
+
+
 def test_descend1_self_loop_does_not_duplicate():
     # x = f(y) alone must not spawn y <= y
     assert rule_descend1(store_of(EqApp(x, F1, (y,)))) is None

@@ -286,17 +286,6 @@ def test_incremental_matches_batch_on_random_inputs():
         assert last == batch
 
 
-def test_elim_record_is_path_compressed():
-    s = Solver()
-    s.assert_atom(Eq(x, y))
-    s.assert_atom(Sub(z, x))  # forces the elimination to have happened
-    s.assert_atom(Eq(y, w))
-    s.assert_atom(Sub(z, y))
-    rec = s.elim_record
-    for src, dst in rec.items():
-        assert dst not in rec or rec[dst] == dst
-
-
 def test_assertions_are_normalized_through_eliminations():
     s = Solver()
     s.assert_atom(Eq(x, y))

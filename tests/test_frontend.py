@@ -236,6 +236,21 @@ def test_cli_parse_error_location(tmp_path, capsys):
     assert f"{f}:2:7:" in err
 
 
+def test_cli_non_utf8_input_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    data = b"x = f(y)\n\xff\xfe = a()\n"
+    f = tmp_path / "bad.wsc"
+    f.write_bytes(data)
+    assert run_cli(["solve", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {f}: not UTF-8") and err.count("\n") == 1
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run_cli(["solve", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: -: not UTF-8") and err.count("\n") == 1
+
+
 def test_cli_expectation_mismatch(tmp_path, capsys):
     f = tmp_path / "wrong.wsc"
     f.write_text("# expect: unsat\nx = a()\n")
@@ -304,6 +319,15 @@ def test_cli_random_rejects_empty_sizes(flag, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_random_rejects_negative_count(capsys):
+    assert run_cli(["random", "--count", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_cli(["random", "--count", "0"]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_cli_usage_errors(capsys):

@@ -410,6 +410,21 @@ def test_search_intersection_clash_space_is_empty():
     assert not res.exhausted
 
 
+def test_search_is_not_limited_by_recursion_depth():
+    # 1,201 variables: one level of a recursive search per variable
+    ys = [var(f"y{i:04d}") for i in range(1200)]
+    chain = [Sub(a, b) for a, b in zip(ys, ys[1:])]
+    found = witness_search(chain, max_depth=2, max_holes=1, budget=20_000)
+    assert found.witness is not None and not found.exhausted
+    assert found.checked == 1200
+    assert check_witness(found.witness, chain)
+    z = var("z")
+    res = witness_search(chain + [EqApp(z, A, ()), EqApp(z, F1, (z,))],
+                         max_depth=2, max_holes=1, budget=20_000)
+    assert res.witness is None and res.exhausted
+    assert res.checked == 20_001
+
+
 def test_search_empty_constraint():
     res = witness_search([])
     assert res.witness == {}
