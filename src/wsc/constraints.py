@@ -11,17 +11,17 @@ Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 (the last meaning: x is below some tree rooted f with the given
 children, i.e. there is a u with x <= u and u = f(ȳ)).
 
-A Store holds the current conjunction as an indexed set of atoms,
-plus the bookkeeping a solver needs: a contradiction flag, the record
-of eliminated variables, which equations have already been used for
-elimination, and an index of each variable's determinations that every
-change to an atom keeps up to date.
+A Store holds the current conjunction as a set of atoms indexed by
+kind and left side, plus the bookkeeping a solver needs: a
+contradiction flag, the record of eliminated variables, which equations
+have already been used for elimination, and an index of each variable's
+determinations that every change to an atom keeps up to date.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .terms import Symbol
 
@@ -199,10 +199,14 @@ class Store:
     is the shape every reachable solver state has, and add() enforces
     it.  Subsumption atoms may freely mention intersection variables.
 
-    The store also keeps what determinations() computed for each
-    variable, and adds the id of every atom it indexes to the `changed`
-    set of each (changed, enabled) pair in `agendas`, one pair per rule
-    that keeps an agenda (see determinations() and engine.py).
+    One table maps each kind of atom and each left side to the ids of
+    those atoms (ids()).  Beside it the store indexes the atoms by base
+    variable, the x <= r atoms by the base components of r, and counts
+    the occurrences of each intersection variable.  It also keeps what
+    determinations() computed for each variable, and adds the id of
+    every atom it indexes to the `changed` set of each (changed,
+    enabled) pair in `agendas`, one pair per rule that keeps an agenda
+    (see determinations() and engine.py).
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -211,12 +215,9 @@ class Store:
         self._next_id = 0
         self._locs: dict[Atom, int] = {}
         self._occ: dict[str, set[int]] = {}
-        self._vocc: dict[Var, set[int]] = {}
-        self._eq_ids: set[int] = set()
-        self._eqapp_lhs: dict[Var, set[int]] = {}
-        self._sub_lhs: dict[Var, set[int]] = {}
+        self._lhs: dict[type, dict[Var, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
-        self._subapp_lhs: dict[Var, set[int]] = {}
+        self._inter: dict[Var, int] = {}
         self.solved_eqs: set[int] = set()
         self.elim: dict[str, str] = {}
         self._base: dict[str, Var] = {}
@@ -299,10 +300,6 @@ class Store:
     def __contains__(self, a: Atom) -> bool:
         return a in self._locs
 
-    def variables(self) -> set[Var]:
-        """All variables (base and intersection) occurring in some atom."""
-        return set(self._vocc)
-
     def base_vars(self) -> set[str]:
         """All base variables occurring as a component anywhere."""
         return set(self._occ)
@@ -336,28 +333,21 @@ class Store:
             return [a.lhs]
         return [a.lhs] + [self._atoms[i].lhs for i in self.routing_ids(a.lhs.parts[0])]
 
-    def eq_ids(self) -> list[int]:
-        return sorted(self._eq_ids)
-
-    def eqapp_ids(self, lhs: Var | None = None) -> list[int]:
+    def ids(self, kind: type, lhs: Var | None = None) -> list[int]:
+        """The ids of the atoms of this kind (Eq, EqApp, Sub or SubApp),
+        only those on left side lhs if it is given, in ascending order."""
+        table = self._lhs[kind]
         if lhs is None:
-            return sorted(i for ids in self._eqapp_lhs.values() for i in ids)
-        return sorted(self._eqapp_lhs.get(lhs, ()))
+            return sorted(i for ids in table.values() for i in ids)
+        return sorted(table.get(lhs, ()))
 
-    def eqapp_groups(self) -> Iterator[set[int]]:
-        """The ids of the x = f(ū) atoms on each left side that has two
-        or more of them."""
-        return (ids for ids in self._eqapp_lhs.values() if len(ids) > 1)
+    def left_sides(self) -> set[Var]:
+        """The variables that are the left side of some atom."""
+        return {v for table in self._lhs.values() for v in table}
 
-    def sub_ids(self, lhs: Var | None = None) -> list[int]:
-        if lhs is None:
-            return sorted(i for ids in self._sub_lhs.values() for i in ids)
-        return sorted(self._sub_lhs.get(lhs, ()))
-
-    def subapp_ids(self, lhs: Var | None = None) -> list[int]:
-        if lhs is None:
-            return sorted(i for ids in self._subapp_lhs.values() for i in ids)
-        return sorted(self._subapp_lhs.get(lhs, ()))
+    def intersection_vars(self) -> list[Var]:
+        """The intersection variables occurring in some atom, ascending."""
+        return sorted(self._inter)
 
     def __str__(self) -> str:
         body = ", ".join(format_atom(a) for a in self.atom_list())
@@ -377,48 +367,38 @@ class Store:
         for changed, _ in self.agendas.values():
             changed.add(aid)
         self._locs[a] = aid
-        for v in set(atom_vars(a)):
-            self._vocc.setdefault(v, set()).add(aid)
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
-        if isinstance(a, Eq):
-            self._eq_ids.add(aid)
-        elif isinstance(a, EqApp):
-            self._eqapp_lhs.setdefault(a.lhs, set()).add(aid)
-        elif isinstance(a, Sub):
-            self._sub_lhs.setdefault(a.lhs, set()).add(aid)
+        for v in atom_vars(a):
+            if not v.is_base:
+                self._inter[v] = self._inter.get(v, 0) + 1
+        self._lhs[type(a)].setdefault(a.lhs, set()).add(aid)
+        if isinstance(a, Sub):
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
-        else:
-            self._subapp_lhs.setdefault(a.lhs, set()).add(aid)
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]
-        for v in set(atom_vars(a)):
-            self._vocc[v].discard(aid)
-            if not self._vocc[v]:
-                del self._vocc[v]
         for b in atom_base_vars(a):
-            self._occ[b].discard(aid)
-            if not self._occ[b]:
-                del self._occ[b]
+            _drop(self._occ, b, aid)
+        for v in atom_vars(a):
+            if not v.is_base:
+                self._inter[v] -= 1
+                if not self._inter[v]:
+                    del self._inter[v]
         self._forget_dets(a)
-        if isinstance(a, Eq):
-            self._eq_ids.discard(aid)
-        else:
-            if isinstance(a, Sub):
-                for y in a.rhs.parts:
-                    self._sub_rhs[y].discard(aid)
-                    if not self._sub_rhs[y]:
-                        del self._sub_rhs[y]
-            table = (
-                self._eqapp_lhs
-                if isinstance(a, EqApp)
-                else self._sub_lhs if isinstance(a, Sub) else self._subapp_lhs
-            )
-            table[a.lhs].discard(aid)
-            if not table[a.lhs]:
-                del table[a.lhs]
+        _drop(self._lhs[type(a)], a.lhs, aid)
+        if isinstance(a, Sub):
+            for y in a.rhs.parts:
+                _drop(self._sub_rhs, y, aid)
+
+
+def _drop(table: dict, key, aid: int) -> None:
+    """Take aid out of table[key], and the key out once it has no ids."""
+    ids = table[key]
+    ids.discard(aid)
+    if not ids:
+        del table[key]
 
 
 class Determination(NamedTuple):
@@ -451,13 +431,13 @@ def determinations(store: Store, v: Var) -> list[Determination]:
     if out is not None:
         return out
     out = []
-    for aid in store.eqapp_ids(lhs=v) + store.subapp_ids(lhs=v):
+    for aid in store.ids(EqApp, v) + store.ids(SubApp, v):
         a = store.atom(aid)
         out.append(Determination(a.sym, a.args, aid, None))
-    for sid in store.sub_ids(lhs=v):
+    for sid in store.ids(Sub, v):
         for y in store.atom(sid).rhs.parts:
             yv = store.base_var(y)
-            for aid in store.eqapp_ids(lhs=yv) + store.subapp_ids(lhs=yv):
+            for aid in store.ids(EqApp, yv) + store.ids(SubApp, yv):
                 a = store.atom(aid)
                 out.append(Determination(a.sym, a.args, aid, sid))
     out.sort(key=lambda d: (d.sym, d.args, d.at, -1 if d.via is None else d.via))

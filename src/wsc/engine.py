@@ -7,29 +7,30 @@ Every rule fires its first instance in a fixed order: ascending atom
 id (ascending variable for Clash and Descend2), then components in
 sorted order.  So every firing is deterministic.
 
-Only Elim and Descend2 scan the store.  Clash, Propagate1, Propagate2,
-Collapse and Descend1 each keep an agenda in the store: a pair of sets,
-the ids of the atoms the store added or rewrote since the rule last
-looked, and the keys (variables for Clash, atom ids for the others) of
-the instances that may be enabled.  On its next look the rule adds the
-keys whose instances those atoms can enable, checks keys in ascending
-order and drops each one that does not fire.  Clash, Propagate2 and
-Descend1 share one map from an atom to the left sides whose
-determinations it takes part in: Clash keys those left sides,
+Only Elim and Descend2 scan the store.  Clash, Decom, Propagate1,
+Propagate2, Collapse and Descend1 each keep an agenda in the store: a
+pair of sets, the ids of the atoms the store added or rewrote since the
+rule last looked, and the keys (variables for Clash, atom ids for the
+others) of the instances that may be enabled.  On its next look the
+rule adds the keys whose instances those atoms can enable, checks keys
+in ascending order and drops each one that does not fire.  Clash,
+Propagate2 and Descend1 share one map from an atom to the left sides
+whose determinations it takes part in: Clash keys those left sides,
 Propagate2 the x <= f(ū) on them and Descend1 the x = f(ū) on the base
-ones.  Propagate1 and Collapse key the x <= r atoms an x <= u on a base
-x reaches.  Removals need not be reported: they only shrink
-determinations and the subsumptions Propagate1 and Collapse read, and
-the subsumptions whose absence Descend1 needs are never taken away,
-only grown, renamed along with the rest of the store, or merged into an
-equal atom.  A key that fires stays, so the agenda never lacks an
-enabled instance, and the smallest key that fires is the instance the
-ascending scan would have found first: traces are the same as with a
-whole-store scan.  Decom reads its candidates from the left sides that
-carry two or more x = f(ū).  Elim scans the unused equations.  Descend2
-scans the intersection variables in use: an agenda would have to map
-every determination change on a base x to each intersection variable
-with x as a component, which costs more than the scan.
+ones.  Decom keys the x = f(ū) on the left side of a new x = f(ū).
+Propagate1 and Collapse key the x <= r atoms an x <= u on a base x
+reaches.  Removals need not be reported: they only shrink
+determinations, the x = f(ū) partners Decom reads and the subsumptions
+Propagate1 and Collapse read, and the subsumptions whose absence
+Descend1 needs are never taken away, only grown, renamed along with the
+rest of the store, or merged into an equal atom.  A key that fires
+stays, so the agenda never lacks an enabled instance, and the smallest
+key that fires is the instance the ascending scan would have found
+first: traces are the same as with a whole-store scan.  Elim scans the
+unused equations.  Descend2 scans the intersection variables in use: an
+agenda would have to map every determination change on a base x to
+each intersection variable with x as a component, which costs more
+than the scan.
 
 The rules:
 
@@ -69,12 +70,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence
 
 from .constraints import (
     Atom,
     Determination,
     Eq,
+    EqApp,
     Store,
     Sub,
     SubApp,
@@ -214,7 +216,7 @@ def rule_clash(store: Store) -> Firing | None:
     different determined constructors (w = x included: a doubly
     determined variable clashes with itself).  The smallest such w
     fires."""
-    return _fire_enabled(store, RuleId.CLASH, Store.variables, _lhs_determined_by, _clash_at)
+    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, _lhs_determined_by, _clash_at)
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -223,7 +225,7 @@ def rule_elim(store: Store) -> Firing | None:
     recorded in store.elim.  Preference: eliminate the smaller name."""
     if store.contradiction:
         return None
-    for aid in store.eq_ids():
+    for aid in store.ids(Eq):
         if aid in store.solved_eqs:
             continue
         a = store.atom(aid)
@@ -243,32 +245,33 @@ def rule_elim(store: Store) -> Firing | None:
     return None
 
 
+def _decom_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+    """The x = f(ū) atoms whose Decom status a new or rewritten atom can
+    change: for an x = f(ū), those on its left side (a among them)."""
+    return store.ids(EqApp, a.lhs) if isinstance(a, EqApp) else ()
+
+
+def _decom_at(store: Store, aid: int) -> Firing | None:
+    a = store.get(aid)
+    if a is None:
+        return None
+    for bid in store.ids(EqApp, a.lhs):
+        b = store.atom(bid)
+        if bid == aid or b.sym != a.sym:
+            continue
+        store.remove(aid)
+        added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
+        for na in added:
+            store.add(na)
+        return (a, b), (a,), added
+    return None
+
+
 def rule_decom(store: Store) -> Firing | None:
     """Two equations x = f(ū) and x = f(v̄): drop the first, add the
     argumentwise equations ū = v̄.  The first is the smallest id that
     has such a partner, the second its smallest partner."""
-    if store.contradiction:
-        return None
-    pair = None
-    for ids in store.eqapp_groups():
-        ordered = sorted(ids)
-        syms = [store.atom(i).sym for i in ordered]
-        # In ascending order, the first id whose symbol comes again has
-        # the smallest partner there.
-        for k, i in enumerate(ordered):
-            if pair is not None and i > pair[0]:
-                break
-            if syms[k] in syms[k + 1 :]:
-                pair = (i, ordered[syms.index(syms[k], k + 1)])
-                break
-    if pair is None:
-        return None
-    a, b = store.atom(pair[0]), store.atom(pair[1])
-    store.remove(pair[0])
-    added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
-    for na in added:
-        store.add(na)
-    return (a, b), (a,), added
+    return _fire_enabled(store, RuleId.DECOM, lambda s: s.ids(EqApp), _decom_keys, _decom_at)
 
 
 def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]) -> Firing | None:
@@ -279,7 +282,7 @@ def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]
     if a is None:
         return None
     for name in names(a):
-        for bid in store.sub_ids(lhs=store.base_var(name)):
+        for bid in store.ids(Sub, store.base_var(name)):
             b = store.atom(bid)
             if components(b.rhs) <= components(a.rhs):
                 continue
@@ -308,7 +311,7 @@ def rule_propagate1(store: Store) -> Firing | None:
     """w <= z and x <= u for a component x of w: grow z to z & u.  The
     atom with the smallest id fires."""
     return _fire_enabled(
-        store, RuleId.PROPAGATE1, Store.sub_ids, _propagate1_keys, _propagate1_at
+        store, RuleId.PROPAGATE1, lambda s: s.ids(Sub), _propagate1_keys, _propagate1_at
     )
 
 
@@ -316,7 +319,7 @@ def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
     """The x <= f(ū) atoms whose Propagate2 status a new or rewritten
     atom can change: those on a left side whose determinations it takes
     part in, itself or through a component."""
-    return [i for w in _lhs_determined_by(store, aid, a) for i in store.subapp_ids(lhs=w)]
+    return [i for w in _lhs_determined_by(store, aid, a) for i in store.ids(SubApp, w)]
 
 
 def _propagate2_at(store: Store, aid: int) -> Firing | None:
@@ -347,7 +350,7 @@ def rule_propagate2(store: Store) -> Firing | None:
     intersect the arguments, position by position.  The atom with the
     smallest id fires."""
     return _fire_enabled(
-        store, RuleId.PROPAGATE2, Store.subapp_ids, _propagate2_keys, _propagate2_at
+        store, RuleId.PROPAGATE2, lambda s: s.ids(SubApp), _propagate2_keys, _propagate2_at
     )
 
 
@@ -369,7 +372,7 @@ def _collapse_at(store: Store, aid: int) -> Firing | None:
 def rule_collapse(store: Store) -> Firing | None:
     """x <= r and y <= z for a component y of r: grow r to r & z.  The
     atom with the smallest id fires."""
-    return _fire_enabled(store, RuleId.COLLAPSE, Store.sub_ids, _collapse_keys, _collapse_at)
+    return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
 
 
 def rule_descend2(store: Store) -> Firing | None:
@@ -377,8 +380,8 @@ def rule_descend2(store: Store) -> Firing | None:
     while w itself has no applied constraint yet: give it one."""
     if store.contradiction:
         return None
-    for w in sorted(v for v in store.variables() if not v.is_base):
-        if store.subapp_ids(lhs=w):
+    for w in store.intersection_vars():
+        if store.ids(SubApp, w):
             continue
         for xname in w.parts:
             dets = determinations(store, store.base_var(xname))
@@ -396,7 +399,7 @@ def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
     can change: those on a base left side whose determinations it takes
     part in."""
     return [
-        i for w in _lhs_determined_by(store, aid, a) if w.is_base for i in store.eqapp_ids(lhs=w)
+        i for w in _lhs_determined_by(store, aid, a) if w.is_base for i in store.ids(EqApp, w)
     ]
 
 
@@ -411,7 +414,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
         for u, v in zip(a.args, d.args):
             covered = any(
                 components(v) <= components(store.atom(bid).rhs)
-                for bid in store.sub_ids(lhs=u)
+                for bid in store.ids(Sub, u)
             )
             if not covered:
                 missing.append((u, v))
@@ -434,7 +437,9 @@ def rule_descend1(store: Store) -> Firing | None:
     Determinations made by this equation itself, immediate or routed
     back to x through some x <= r, are skipped, so an equation never
     descends on account of itself."""
-    return _fire_enabled(store, RuleId.DESCEND1, Store.eqapp_ids, _descend1_keys, _descend1_at)
+    return _fire_enabled(
+        store, RuleId.DESCEND1, lambda s: s.ids(EqApp), _descend1_keys, _descend1_at
+    )
 
 
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
@@ -566,15 +571,10 @@ class SolveResult:
     solver: Solver
 
 
-def solve(
-    atoms: Union[Iterable[Atom], Store],
-    *,
-    priority: Sequence[RuleId] = DEFAULT_PRIORITY,
-) -> SolveResult:
+def solve(atoms: Iterable[Atom], *, priority: Sequence[RuleId] = DEFAULT_PRIORITY) -> SolveResult:
     """Decide satisfiability of a conjunction of base-variable atoms."""
-    atom_list = atoms.atom_list() if isinstance(atoms, Store) else list(atoms)
     s = Solver(priority=priority)
-    for a in atom_list:
+    for a in atoms:
         s.insert(a)
     s.run()
     return SolveResult(s.verdict, s.store, s.step_count, list(s.trace), s)

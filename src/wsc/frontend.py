@@ -294,11 +294,12 @@ def oracle_check(atoms: Sequence[Atom], verdict: Verdict) -> Optional[str]:
 # --- command line ---------------------------------------------------------------------
 
 
-def _read_source(path: str) -> tuple[str, str]:
+def _read_source(path: str) -> str:
+    """The text of the file at path, or of stdin for "-", as strict UTF-8."""
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read(), path
+        return fh.read()
 
 
 def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool) -> None:
@@ -315,13 +316,14 @@ def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool) -> No
 
 
 def _solve_command(args: argparse.Namespace) -> int:
+    name = "<stdin>" if args.file == "-" else args.file
     try:
-        text, name = _read_source(args.file)
+        text = _read_source(args.file)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})",
+        print(f"error: {name}: not UTF-8 text ({exc.reason} at byte {exc.start})",
               file=sys.stderr)
         return 2
     try:

@@ -23,13 +23,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .constraints import (
     Atom,
     Eq,
     EqApp,
-    Store,
     Sub,
     SubApp,
     atom_base_vars,
@@ -52,10 +51,6 @@ from .terms import (
 )
 
 
-def _as_atoms(atoms: Union[Iterable[Atom], Store]) -> list[Atom]:
-    return atoms.atom_list() if isinstance(atoms, Store) else list(atoms)
-
-
 # --- the budgeted naive procedure ----------------------------------------------
 
 
@@ -64,7 +59,7 @@ class NaiveResult(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-def naive_solve(atoms: Union[Iterable[Atom], Store], budget: int = 200) -> NaiveResult:
+def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
     """Run the naive rewriting scheme for at most `budget` rule firings.
 
     State is a list of oriented facts; the rules, in priority order:
@@ -86,7 +81,7 @@ def naive_solve(atoms: Union[Iterable[Atom], Store], budget: int = 200) -> Naive
         raise ValueError("budget must be >= 0")
     fresh = itertools.count(1)
     state: list[tuple] = []
-    for a in _as_atoms(atoms):
+    for a in atoms:
         if not is_base_only(a):
             raise ValueError(f"input atoms must use base variables only: {format_atom(a)}")
         if isinstance(a, Eq):
@@ -186,7 +181,7 @@ def naive_solve(atoms: Union[Iterable[Atom], Store], budget: int = 200) -> Naive
 # --- rational-tree unification ----------------------------------------------------
 
 
-def rational_unify(atoms: Union[Iterable[Atom], Store]) -> Verdict:
+def rational_unify(atoms: Iterable[Atom]) -> Verdict:
     """Union-find unification over rational trees for equations only.
 
     There is no occurs check — x = f(x) simply binds the class of x to
@@ -205,7 +200,7 @@ def rational_unify(atoms: Union[Iterable[Atom], Store]) -> Verdict:
             parent[a], a = root, parent[a]
         return root
 
-    for a in _as_atoms(atoms):
+    for a in atoms:
         if isinstance(a, (Sub, SubApp)):
             raise ValueError("rational_unify handles equations only")
         if not is_base_only(a):
@@ -314,7 +309,7 @@ def merge_graphs(s: TermGraph, t: TermGraph) -> TermGraph | None:
     return TermGraph(root, labels, children, holes)
 
 
-def check_witness(sigma: Mapping[str, TermGraph], atoms: Union[Iterable[Atom], Store]) -> bool:
+def check_witness(sigma: Mapping[str, TermGraph], atoms: Iterable[Atom]) -> bool:
     """Does the assignment satisfy every atom?
 
     Equations ask for tree equality; x <= y asks that y's skeleton
@@ -323,7 +318,6 @@ def check_witness(sigma: Mapping[str, TermGraph], atoms: Union[Iterable[Atom], S
     variable evaluates to the merge of its components' graphs; when the
     components admit no common tree, no atom mentioning it can hold.
     """
-    atom_list = _as_atoms(atoms)
 
     def eval_var(v) -> TermGraph | None:
         g: TermGraph | None = None
@@ -335,7 +329,7 @@ def check_witness(sigma: Mapping[str, TermGraph], atoms: Union[Iterable[Atom], S
                 return None
         return g
 
-    for a in atom_list:
+    for a in atoms:
         vals = [eval_var(v) for v in atom_vars(a)]
         if any(v is None for v in vals):
             return False
@@ -432,7 +426,7 @@ class SearchResult:
 
 
 def witness_search(
-    atoms: Union[Iterable[Atom], Store],
+    atoms: Iterable[Atom],
     max_depth: int = 2,
     max_holes: int = 1,
     budget: int = 100_000,
@@ -446,7 +440,7 @@ def witness_search(
     variables are placed, with simulation/bisimulation relations cached
     per graph pair across the whole search.
     """
-    atom_list = _as_atoms(atoms)
+    atom_list = list(atoms)
     names = sorted({n for a in atom_list for n in atom_base_vars(a)})
     symbols = sorted({a.sym for a in atom_list if isinstance(a, (EqApp, SubApp))})
     pool = enumerate_graphs(symbols, max_depth, max_holes)
@@ -462,9 +456,10 @@ def witness_search(
     ]
 
     idx = {nm: i for i, nm in enumerate(names)}
-    ready: list[list[Atom]] = [[] for _ in names]
+    # Each atom with whether it is base-only, decided once for the search.
+    ready: list[list[tuple[Atom, bool]]] = [[] for _ in names]
     for a in atom_list:
-        ready[max(idx[n] for n in atom_base_vars(a))].append(a)
+        ready[max(idx[n] for n in atom_base_vars(a))].append((a, is_base_only(a)))
 
     sim_cache: dict[tuple[int, int], set] = {}
     bis_cache: dict[tuple[int, int], set] = {}
@@ -481,8 +476,8 @@ def witness_search(
             bis_cache[key] = bisimulation_relation(a, b)
         return bis_cache[key]
 
-    def holds(a: Atom, env: dict[str, TermGraph]) -> bool:
-        if not is_base_only(a):
+    def holds(a: Atom, base_only: bool, env: dict[str, TermGraph]) -> bool:
+        if not base_only:
             return check_witness(env, [a])
         if isinstance(a, Eq):
             gx, gy = env[a.lhs.parts[0]], env[a.rhs.parts[0]]
@@ -519,7 +514,7 @@ def witness_search(
             if checked > budget:
                 return SearchResult(None, True, checked)
             env[name] = g
-            if all(holds(a, env) for a in atoms_i):
+            if all(holds(a, base_only, env) for a, base_only in atoms_i):
                 break
         else:
             env.pop(name, None)

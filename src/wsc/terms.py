@@ -379,19 +379,7 @@ def parse_term(text: str) -> TermGraph:
     root = p.term()
     if p.peek() is not None:
         raise TermSyntaxError(f"trailing input after term: {p.peek()!r}")
-    # drop hole nodes never reached (possible via shared-hole bookkeeping)
-    reach = {root}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        for k in p.children.get(n, ()):
-            if k not in reach:
-                reach.add(k)
-                stack.append(k)
-    labels = {n: s for n, s in p.labels.items() if n in reach}
-    children = {n: ks for n, ks in p.children.items() if n in reach}
-    holes = {n: h for n, h in p.holes.items() if n in reach}
-    return TermGraph(root, labels, children, holes)
+    return TermGraph(root, p.labels, p.children, p.holes)
 
 
 def format_term(g: TermGraph) -> str:

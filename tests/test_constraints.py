@@ -157,13 +157,15 @@ def test_store_indices_track_removal():
     s = Store()
     i = s.add(Sub(x, var("y", "z")))
     j = s.add(EqApp(y, F1, (u,)))
-    assert s.variables() == {x, var("y", "z"), y, u}
+    assert s.left_sides() == {x, y}
+    assert s.intersection_vars() == [var("y", "z")]
     assert s.base_vars() == {"x", "y", "z", "u"}
     s.remove(i)
-    assert s.variables() == {y, u}
+    assert s.left_sides() == {y}
+    assert s.intersection_vars() == []
     assert s.base_vars() == {"y", "u"}
-    assert s.eqapp_ids(lhs=y) == [j]
-    assert s.sub_ids() == []
+    assert s.ids(EqApp, y) == [j]
+    assert s.ids(Sub) == []
 
 
 def test_store_occurs_elsewhere():
@@ -241,9 +243,9 @@ def test_deep_subst_does_not_preserve_variable_sets():
     atoms = [Eq(x, y), Sub(z, var("x", "y"))]
     before, after = Store(atoms), Store(atoms)
     after.subst_all("x", "y")
-    assert var("x", "y") in before.variables()
-    assert var("x", "y") not in after.variables()
-    assert before.variables() != after.variables()
+    assert var("x", "y") in before.intersection_vars()
+    assert var("x", "y") not in after.intersection_vars()
+    assert before.intersection_vars() != after.intersection_vars()
 
 
 # --- congruence (equal atom sets) ---------------------------------------------

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, var
+from wsc.constraints import Eq, EqApp, Sub, SubApp, var
 from wsc.engine import (
     DEFAULT_PRIORITY,
     RuleId,
@@ -109,11 +109,6 @@ def test_empty_conjunction_is_sat():
     res = solve([])
     assert res.verdict == Verdict.SAT
     assert res.steps == 0
-
-
-def test_solve_accepts_a_store():
-    res = solve(Store(ROUTED_CLASH))
-    assert res.verdict == Verdict.UNSAT
 
 
 def test_solve_is_deterministic():

@@ -205,7 +205,7 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
 
 
 def test_cli_solve_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("x = a()\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"x = a()\n")))
     assert run_cli(["solve", "-"]) == 0
     assert "sat" in capsys.readouterr().out
 
@@ -248,7 +248,24 @@ def test_cli_non_utf8_input_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert run_cli(["solve", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: -: not UTF-8") and err.count("\n") == 1
+    assert err.startswith("error: <stdin>: not UTF-8") and err.count("\n") == 1
+
+
+def test_cli_stdin_is_strict_utf8_whatever_its_error_handler(tmp_path, monkeypatch, capsys):
+    # A stdin that decodes with surrogateescape (as it does with no
+    # locale set) must not turn bad bytes into characters for the parser.
+    data = b"x = f(y)\n\xff\xfe = a()\n"
+    f = tmp_path / "bad.wsc"
+    f.write_bytes(data)
+    assert run_cli(["solve", str(f)]) == 2
+    from_file = capsys.readouterr().err
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(["solve", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == from_file.replace(str(f), "<stdin>")
+    assert err == "error: <stdin>: not UTF-8 text (invalid start byte at byte 9)\n"
 
 
 def test_cli_expectation_mismatch(tmp_path, capsys):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, var
+from wsc.constraints import Eq, EqApp, Sub, SubApp, var
 from wsc.engine import Verdict
 from wsc.oracles import (
     NaiveResult,
@@ -137,13 +137,6 @@ def test_naive_rejects_bad_input():
         naive_solve([Sub(x, var("y", "z"))])
     with pytest.raises(ValueError):
         naive_solve([EqApp(x, A, ())], budget=-1)
-
-
-def test_naive_accepts_a_store():
-    s = Store()
-    for a in ROUTED_CLASH:
-        s.add(a)
-    assert naive_solve(s, budget=200) == NaiveResult.UNSAT
 
 
 # --- rational-tree unification -------------------------------------------------

@@ -1,14 +1,16 @@
 """Property tests over seeded random instances: the verdict does not
 depend on the rule priority or on variable names, a solved store holds
 every atom once, no rule is enabled on a sat store rebuilt from
-scratch, and solving the solved atoms again gives the same verdict."""
+scratch, solving the solved atoms again gives the same verdict, every
+incremental verdict is the batch verdict of its prefix, and the
+indexes a store keeps through a run answer as a fresh store's do."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsc.constraints import Eq, Store, Sub, Var
+from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations
 from wsc.engine import _RULES, RuleId, Solver, Verdict, solve
 from wsc.frontend import random_atoms
 
@@ -84,3 +86,51 @@ def test_resolving_the_solved_atoms_keeps_the_verdict(atoms):
     # rejects as input; the rules accept them.
     again.store = Store(result.store.atom_list())
     assert again.run() == result.verdict
+
+
+def index_answers(store):
+    """What each index query of the store gives, in atoms rather than
+    ids, so that a fresh store of the same atoms gives the same."""
+    atoms = store.atom_list()
+    variables = {v for a in atoms for v in atom_vars(a)}
+    names = store.base_vars()
+
+    def at(ids):
+        return [store.atom(i) for i in ids]
+
+    def at_set(ids):
+        return sorted(map(str, at(ids)))
+
+    return {
+        "ids": {
+            (kind.__name__, v): at(store.ids(kind, v))
+            for kind in (Eq, EqApp, Sub, SubApp)
+            for v in variables | {None}
+        },
+        "left sides": store.left_sides(),
+        "intersection vars": store.intersection_vars(),
+        "base vars": names,
+        "routing": {y: at_set(store.routing_ids(y)) for y in names},
+        "lhs": {y: at_set(store.lhs_ids(y)) for y in names},
+        "determinations": {
+            v: [
+                (d.sym, d.args, store.atom(d.at), None if d.via is None else store.atom(d.via))
+                for d in determinations(store, v)
+            ]
+            for v in variables
+        },
+    }
+
+
+def assert_indexes_match_a_fresh_store(store):
+    assert index_answers(store) == index_answers(Store(store.atom_list()))
+
+
+@checked
+@given(instances)
+def test_indexes_and_incremental_verdicts_match_a_fresh_start(atoms):
+    assert_indexes_match_a_fresh_store(solve(atoms).store)
+    solver = Solver()
+    for k, a in enumerate(atoms, start=1):
+        assert solver.assert_atom(a) == solve(atoms[:k]).verdict
+        assert_indexes_match_a_fresh_store(solver.store)
