@@ -213,6 +213,37 @@ def test_routes_are_pinned():
     assert route_digest() == ROUTE_DIGEST
 
 
+def outcome_digest():
+    """sha256 over the verdicts and the solved stores, as sorted atom
+    strings, of the inputs of route_digest(): every per-assert verdict
+    of the incremental runs, and no trace."""
+    h = hashlib.sha256()
+
+    def feed(verdicts, store):
+        h.update(f"{verdicts}|{sorted(map(str, store.atom_list()))}\n".encode())
+
+    for i in range(300):
+        atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=12)
+        res = solve(atoms)
+        feed(res.verdict, res.store)
+        s = Solver()
+        verdicts = [s.assert_atom(a).value for a in atoms]
+        feed(",".join(verdicts), s.store)
+    for n in range(3, 10):
+        res = solve(chain(n))
+        feed(res.verdict, res.store)
+    return h.hexdigest()
+
+
+# What a solver decides and the store it ends with, whatever route it
+# takes there: a change of route alone leaves this digest as it is.
+OUTCOME_DIGEST = "b2972fcc238650f8f78b10d00515f40300d0e05bb8b9046bc71d0c3eedcbe2be"
+
+
+def test_verdicts_and_solved_stores_are_pinned():
+    assert outcome_digest() == OUTCOME_DIGEST
+
+
 # --- stepping ----------------------------------------------------------------------
 
 
