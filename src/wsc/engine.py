@@ -5,7 +5,12 @@ once — mutating the store in place and returning the firing as (on,
 removed, added) atom tuples — or returns None when it is inapplicable.
 Every rule fires its first instance in a fixed order: ascending atom
 id (ascending variable for Clash and Descend2), then components in
-sorted order.  So every firing is deterministic.
+sorted order.  So every firing is deterministic.  Propagate1,
+Propagate2 and Collapse grow one atom, and one firing takes every
+current partner of it: on is the atom, then each partner in the order
+it was joined.  Such a firing is the run of fine firings, one partner
+each, that the paper's rule would make on that atom in a row, so
+soundness and termination carry over.
 
 Only Elim and Descend2 scan the store.  Clash, Decom, Propagate1,
 Propagate2, Collapse and Descend1 each keep an agenda in the store: a
@@ -42,12 +47,16 @@ The rules:
   Decom       two equations x = f(ū), x = f(v̄): replace the first by
               the pairwise argument equations.
   Propagate1  x <= u propagates into the right side of w <= z when x
-              is a component of w: z grows to z & u.
+              is a component of w: z grows to z & u, for every current
+              such x <= u at once.
   Propagate2  like Propagate1 for the applied form: w <= f(ū) absorbs
               a determination x <= f(v̄) of a component x of w,
-              intersecting argumentwise.
+              intersecting argumentwise, for every current one that
+              grows ū at once.
   Collapse    w <= r absorbs y <= z for a component y of r: r grows to
-              r & z (chains of subsumptions collapse into the right side).
+              r & z, for every current such y <= z, and again for the
+              components that adds, until none adds more (chains of
+              subsumptions collapse into the right side in one firing).
   Descend2    an intersection variable occurring anywhere whose
               component is determined gets its own applied constraint.
   Descend1    an equation x = f(ū) whose left side is also determined
@@ -84,7 +93,6 @@ from .constraints import (
     components,
     determinations,
     format_atom,
-    intersect,
     is_base_only,
     map_vars,
 )
@@ -274,22 +282,32 @@ def rule_decom(store: Store) -> Firing | None:
     return _fire_enabled(store, RuleId.DECOM, lambda s: s.ids(EqApp), _decom_keys, _decom_at)
 
 
-def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]) -> Firing | None:
+def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]],
+                 follow: bool) -> Firing | None:
     """Grow the right side of the x <= r at aid by the right side of
-    the first y <= z, y a base variable in names(x <= r), that adds a
-    component to it."""
+    every y <= z, y a base variable in names(x <= r), that adds a
+    component to it, in one firing.  With `follow`, the components
+    added are names too, until none adds more."""
     a = store.get(aid)
     if a is None:
         return None
-    for name in names(a):
+    on = [a]
+    parts = set(a.rhs.parts)
+    todo = list(names(a))
+    for name in todo:  # grows while it is walked when `follow` is set
         for bid in store.ids(Sub, store.base_var(name)):
             b = store.atom(bid)
-            if components(b.rhs) <= components(a.rhs):
-                continue
-            na = Sub(a.lhs, intersect(a.rhs, b.rhs))
-            store.rewrite(aid, na)
-            return (a, b), (a,), (na,)
-    return None
+            new = [p for p in b.rhs.parts if p not in parts]
+            if new:
+                on.append(b)
+                parts.update(new)
+                if follow:
+                    todo.extend(new)
+    if len(on) == 1:
+        return None
+    na = Sub(a.lhs, Var(tuple(parts)))
+    store.rewrite(aid, na)
+    return tuple(on), (a,), (na,)
 
 
 def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
@@ -304,12 +322,13 @@ def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
 
 
 def _propagate1_at(store: Store, aid: int) -> Firing | None:
-    return _grow_rhs_at(store, aid, lambda a: a.lhs.parts)
+    return _grow_rhs_at(store, aid, lambda a: a.lhs.parts, follow=False)
 
 
 def rule_propagate1(store: Store) -> Firing | None:
-    """w <= z and x <= u for a component x of w: grow z to z & u.  The
-    atom with the smallest id fires."""
+    """w <= z and x <= u for a component x of w: grow z to z & u, for
+    every current partner x <= u in one firing.  The atom with the
+    smallest id fires."""
     return _fire_enabled(
         store, RuleId.PROPAGATE1, lambda s: s.ids(Sub), _propagate1_keys, _propagate1_at
     )
@@ -326,29 +345,34 @@ def _propagate2_at(store: Store, aid: int) -> Firing | None:
     a = store.get(aid)
     if a is None:
         return None
+    on = [a]
+    args = [set(u.parts) for u in a.args]
     # The same determining atom reached again, through another component
-    # or routing atom, brings the same arguments: if they did not grow
-    # the intersection the first time, they do not now.
+    # or routing atom, brings the same arguments: joined or not the
+    # first time, they add nothing now.
     tested = set()
     for xname in a.lhs.parts:
         for d in determinations(store, store.base_var(xname)):
             if d.at in tested or d.sym != a.sym:
                 continue
             tested.add(d.at)
-            if all(components(v) <= components(u) for u, v in zip(a.args, d.args)):
+            if all(parts.issuperset(v.parts) for parts, v in zip(args, d.args)):
                 continue
-            nargs = tuple(intersect(u, v) for u, v in zip(a.args, d.args))
-            na = SubApp(a.lhs, a.sym, nargs)
-            on = tuple(dict.fromkeys((a,) + _sources(store, d)))
-            store.rewrite(aid, na)
-            return on, (a,), (na,)
-    return None
+            for parts, v in zip(args, d.args):
+                parts.update(v.parts)
+            on.extend(_sources(store, d))
+    if len(on) == 1:
+        return None
+    na = SubApp(a.lhs, a.sym, tuple(Var(tuple(parts)) for parts in args))
+    store.rewrite(aid, na)
+    return tuple(dict.fromkeys(on)), (a,), (na,)
 
 
 def rule_propagate2(store: Store) -> Firing | None:
     """w <= f(ū) and a determination f(v̄) of a component x of w:
-    intersect the arguments, position by position.  The atom with the
-    smallest id fires."""
+    intersect the arguments, position by position, with every current
+    partner determination that grows them, in one firing.  The atom
+    with the smallest id fires."""
     return _fire_enabled(
         store, RuleId.PROPAGATE2, lambda s: s.ids(SubApp), _propagate2_keys, _propagate2_at
     )
@@ -366,12 +390,14 @@ def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
 
 
 def _collapse_at(store: Store, aid: int) -> Firing | None:
-    return _grow_rhs_at(store, aid, lambda a: a.rhs.parts)
+    return _grow_rhs_at(store, aid, lambda a: a.rhs.parts, follow=True)
 
 
 def rule_collapse(store: Store) -> Firing | None:
-    """x <= r and y <= z for a component y of r: grow r to r & z.  The
-    atom with the smallest id fires."""
+    """x <= r and y <= z for a component y of r: grow r to r & z, for
+    every current partner y <= z and then for those of the components
+    that adds, until none adds more: the transitive closure in one
+    firing.  The atom with the smallest id fires."""
     return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
 
 

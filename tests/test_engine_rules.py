@@ -177,6 +177,16 @@ def test_propagate1_applies_to_base_left_sides():
     assert atoms_of(s) == {Sub(x, var("z", "u")), Sub(x, u)}
 
 
+def test_propagate1_joins_every_component_in_one_firing():
+    s = store_of(Sub(var("x", "y"), z), Sub(x, u), Sub(y, v))
+    assert rule_propagate1(s) == (
+        (Sub(var("x", "y"), z), Sub(x, u), Sub(y, v)),
+        (Sub(var("x", "y"), z),),
+        (Sub(var("x", "y"), var("z", "u", "v")),),
+    )
+    assert rule_propagate1(s) is None
+
+
 def test_propagate1_guard():
     s = store_of(Sub(var("x", "y"), var("z", "u")), Sub(x, u))
     assert rule_propagate1(s) is None
@@ -194,6 +204,17 @@ def test_propagate2_intersects_arguments():
         (grown,),
     )
     assert atoms_of(s) == {grown, EqApp(x, F1, (v,))}
+
+
+def test_propagate2_joins_every_component_in_one_firing():
+    s = store_of(SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,)), EqApp(y, F1, (w,)))
+    grown = SubApp(var("x", "y"), F1, (var("u", "v", "w"),))
+    assert rule_propagate2(s) == (
+        (SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,)), EqApp(y, F1, (w,))),
+        (SubApp(var("x", "y"), F1, (u,)),),
+        (grown,),
+    )
+    assert rule_propagate2(s) is None
 
 
 def test_propagate2_guard():
@@ -227,6 +248,16 @@ def test_collapse_on_plain_chain():
     s = store_of(Sub(x, y), Sub(y, z))
     assert rule_collapse(s) is not None
     assert atoms_of(s) == {Sub(x, var("y", "z")), Sub(y, z)}
+
+
+def test_collapse_takes_the_transitive_closure_in_one_firing():
+    s = store_of(Sub(x, y), Sub(y, z), Sub(z, u))
+    assert rule_collapse(s) == (
+        (Sub(x, y), Sub(y, z), Sub(z, u)),
+        (Sub(x, y),),
+        (Sub(x, var("u", "y", "z")),),
+    )
+    assert atoms_of(s) == {Sub(x, var("u", "y", "z")), Sub(y, z), Sub(z, u)}
 
 
 def test_collapse_guard():
