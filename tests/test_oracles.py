@@ -7,12 +7,14 @@ explicit witnesses) or checked against small exhaustive enumerations of
 ground trees.  Nothing in this module consults the engine's answers.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from wsc.constraints import Eq, EqApp, Sub, SubApp, var
 from wsc.engine import Verdict
+from wsc.frontend import random_atoms
 from wsc.oracles import (
     NaiveResult,
     check_witness,
@@ -434,6 +436,35 @@ def test_enumerate_graphs_contains_the_loops():
     assert "f(f(a()))" in rendered
     # ... but nothing deeper
     assert "f(f(f(a())))" not in rendered
+
+
+def search_digest():
+    """sha256 over what witness_search returns on random_atoms inputs
+    at two budgets: exhausted, checked, and the witness with its key
+    order.  Every fifth input gets one atom on an intersection variable,
+    which the search hands to check_witness."""
+    h = hashlib.sha256()
+    names = ["x0", "x1", "x2", "x3"]
+    for i in range(600):
+        rng = random.Random(i)
+        atoms = random_atoms(rng, n_vars=4, n_symbols=3, n_atoms=6)
+        if i % 5 == 0:
+            a, b, c = rng.sample(names, 3)
+            atoms.append(Sub(var(a, b), var(c)) if i % 10 == 0 else SubApp(var(c), F1, (var(a, b),)))
+        for budget in (50, 3_000):
+            res = witness_search(atoms, max_depth=2, max_holes=1, budget=budget)
+            found = None if res.witness is None else (tuple(res.witness), dump_witness(res.witness))
+            h.update(repr((res.exhausted, res.checked, found)).encode())
+    return h.hexdigest()
+
+
+# Which candidates the search tries, in what order, and what it returns:
+# a change that alters any of these must update this digest on purpose.
+SEARCH_DIGEST = "2673726f1bce964a49ce0525a8f914c6c6a17417e6fca38a664d86cdcffc30e2"
+
+
+def test_witness_search_outcomes_are_pinned():
+    assert search_digest() == SEARCH_DIGEST
 
 
 def test_oracles_do_not_contradict_each_other():
