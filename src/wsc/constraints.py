@@ -60,11 +60,6 @@ def var(*names: str) -> Var:
     return Var(tuple(names))
 
 
-def intersect(x: Var, y: Var) -> Var:
-    """The intersection variable combining both component sets."""
-    return Var(x.parts + y.parts)
-
-
 def components(x: Var) -> frozenset[str]:
     """The base variables making up x; every base variable is its own."""
     return frozenset(x.parts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .constraints import (
     Atom,
@@ -41,14 +41,16 @@ from .terms import (
     Symbol,
     TermGraph,
     app,
-    bisimulation_relation,
+    bisimilar,
     format_term,
+    graph_equal,
     hole,
     parse_term,
-    simulation_relation,
+    simulates,
     weak_subsumes,
-    graph_equal,
 )
+# Unused here, but bench/tracing.py patches both names in this module.
+from .terms import bisimulation_relation, simulation_relation  # noqa: F401
 
 
 # --- the budgeted naive procedure ----------------------------------------------
@@ -437,8 +439,8 @@ def witness_search(
     constraint's own symbols, filtered by the root constructors the
     variable's applied atoms force on it.  Assignment proceeds variable
     by variable in sorted order, checking each atom as soon as all its
-    variables are placed, with simulation/bisimulation relations cached
-    per graph pair across the whole search.
+    variables are placed, with simulation/bisimulation yes/no answers
+    cached per graph pair and start pair across the whole search.
     """
     atom_list = list(atoms)
     names = sorted({n for a in atom_list for n in atom_base_vars(a)})
@@ -455,49 +457,46 @@ def witness_search(
         for nm in names
     ]
 
-    idx = {nm: i for i, nm in enumerate(names)}
-    # Each atom with whether it is base-only, decided once for the search.
-    ready: list[list[tuple[Atom, bool]]] = [[] for _ in names]
-    for a in atom_list:
-        ready[max(idx[n] for n in atom_base_vars(a))].append((a, is_base_only(a)))
+    # The walks' yes/no answers, keyed by walk, graph pair and start
+    # pair; every graph in the pool lives as long as the search.
+    answers: dict[tuple, bool] = {}
 
-    sim_cache: dict[tuple[int, int], set] = {}
-    bis_cache: dict[tuple[int, int], set] = {}
+    def ask(walk: Callable[..., bool], a: TermGraph, b: TermGraph, p: int, q: int) -> bool:
+        key = (walk, id(a), id(b), p, q)
+        ok = answers.get(key)
+        if ok is None:
+            ok = answers[key] = walk(a, b, p, q)
+        return ok
 
-    def sim(a: TermGraph, b: TermGraph) -> set:
-        key = (id(a), id(b))
-        if key not in sim_cache:
-            sim_cache[key] = simulation_relation(a, b)
-        return sim_cache[key]
+    def test(a: Atom) -> Callable[[dict[str, TermGraph]], bool]:
+        """Whether a holds once its variables are placed in env.
 
-    def bis(a: TermGraph, b: TermGraph) -> set:
-        key = (id(a), id(b))
-        if key not in bis_cache:
-            bis_cache[key] = bisimulation_relation(a, b)
-        return bis_cache[key]
+        x <= y asks whether y's graph simulates x's from the roots;
+        x <= f(ys) asks it of each y against the matching child of x's
+        root.  Equations ask bisimilar the same way round.
+        """
+        if not is_base_only(a):
+            return lambda env: check_witness(env, [a])
+        x = a.lhs.parts[0]
+        walk = bisimilar if isinstance(a, (Eq, EqApp)) else simulates
+        if isinstance(a, (Eq, Sub)):
+            y = a.rhs.parts[0]
+            return lambda env: ask(walk, env[y], env[x], env[y].root, env[x].root)
+        sym, ys = a.sym, [v.parts[0] for v in a.args]
 
-    def holds(a: Atom, base_only: bool, env: dict[str, TermGraph]) -> bool:
-        if not base_only:
-            return check_witness(env, [a])
-        if isinstance(a, Eq):
-            gx, gy = env[a.lhs.parts[0]], env[a.rhs.parts[0]]
-            return (gx.root, gy.root) in bis(gx, gy)
-        if isinstance(a, Sub):
-            gx, gy = env[a.lhs.parts[0]], env[a.rhs.parts[0]]
-            return (gy.root, gx.root) in sim(gy, gx)
-        gx = env[a.lhs.parts[0]]
-        if gx.labels.get(gx.root) != a.sym:
-            return False
-        kids = gx.children[gx.root]
-        if isinstance(a, EqApp):
-            return all(
-                (kid, env[v.parts[0]].root) in bis(gx, env[v.parts[0]])
-                for kid, v in zip(kids, a.args)
+        def holds(env: dict[str, TermGraph]) -> bool:
+            gx = env[x]
+            return gx.labels.get(gx.root) == sym and all(
+                ask(walk, env[y], gx, env[y].root, kid) for kid, y in zip(gx.children[gx.root], ys)
             )
-        return all(
-            (env[v.parts[0]].root, kid) in sim(env[v.parts[0]], gx)
-            for kid, v in zip(kids, a.args)
-        )
+
+        return holds
+
+    # Each atom is tested when the last of its variables is placed.
+    idx = {nm: i for i, nm in enumerate(names)}
+    tests: list[list[Callable[[dict[str, TermGraph]], bool]]] = [[] for _ in names]
+    for a in atom_list:
+        tests[max(idx[n] for n in atom_base_vars(a))].append(test(a))
 
     # Depth first over the variables in sorted order, without recursion:
     # its[i] yields the candidates for names[i] not tried yet.
@@ -508,13 +507,13 @@ def witness_search(
     its = [iter(pools[0])]
     while its:
         i = len(its) - 1
-        name, atoms_i = names[i], ready[i]
+        name, tests_i = names[i], tests[i]
         for g in its[i]:
             checked += 1
             if checked > budget:
                 return SearchResult(None, True, checked)
             env[name] = g
-            if all(holds(a, base_only, env) for a, base_only in atoms_i):
+            if all(t(env) for t in tests_i):
                 break
         else:
             env.pop(name, None)

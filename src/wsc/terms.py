@@ -17,9 +17,12 @@ s": the roots must be related by the greatest simulation between the
 two graphs, under which, wherever s is labeled, t carries the same
 symbol and the child pairs simulate in turn.  ``graph_equal`` is the
 analogous bisimulation (equality of denoted trees, hole names
-respected).  Both walk only the node pairs reachable from the roots;
-``simulation_relation`` and ``bisimulation_relation`` give the whole
-relations.
+respected).  ``simulates`` and ``bisimilar`` answer the same questions
+for any start pair of nodes; all four walk only the node pairs
+reachable from the start pair.  ``simulation_relation`` and
+``bisimulation_relation`` build the whole greatest relations over
+nodes(s) x nodes(t): they are reference definitions that library code
+no longer calls.
 
 All values here are immutable after construction and all operations are
 pure, so everything is safe to share between threads.
@@ -176,55 +179,69 @@ def bisimulation_relation(s: TermGraph, t: TermGraph) -> set[tuple[int, int]]:
     return rel
 
 
+def simulates(s: TermGraph, t: TermGraph, p: int, q: int) -> bool:
+    """True iff (p, q) is in simulation_relation(s, t): every instance
+    of t's subgraph at q is an instance of s's subgraph at p.
+
+    The pair is in the relation iff every pair of nodes reached from it
+    along the same child positions, below labeled nodes of s only,
+    matches: only those pairs are visited.
+    """
+    seen = {(p, q)}
+    stack = [(p, q)]
+    while stack:
+        m, n = stack.pop()
+        lab = s.labels.get(m)
+        if lab is None:
+            continue
+        if t.labels.get(n) != lab:
+            return False
+        for pair in zip(s.children[m], t.children[n]):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
+def bisimilar(s: TermGraph, t: TermGraph, p: int, q: int) -> bool:
+    """True iff (p, q) is in bisimulation_relation(s, t): the subgraphs
+    at p and q denote the same tree, hole names included.
+
+    A node's children are fixed by its label, so the pair is bisimilar
+    iff every pair of nodes reached from it along the same child
+    positions matches.  Only those pairs are visited, not all of
+    nodes(s) x nodes(t).
+    """
+    seen = {(p, q)}
+    stack = [(p, q)]
+    while stack:
+        m, n = stack.pop()
+        lm, ln = s.labels.get(m), t.labels.get(n)
+        if lm is None and ln is None:
+            if s.holes[m] != t.holes[n]:
+                return False
+            continue
+        if lm is None or lm != ln:
+            return False
+        for pair in zip(s.children[m], t.children[n]):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
+
+
 def weak_subsumes(s: TermGraph, t: TermGraph) -> bool:
     """True iff every instance of t is an instance of s (t is below s).
 
     Holes in s constrain nothing; hole identity plays no role here.
-    The roots are in simulation_relation() iff every pair of nodes
-    reached from them along the same child positions, below labeled
-    nodes of s only, matches: only those pairs are visited.
     """
-    seen = {(s.root, t.root)}
-    stack = [(s.root, t.root)]
-    while stack:
-        p, q = stack.pop()
-        lab = s.labels.get(p)
-        if lab is None:
-            continue
-        if t.labels.get(q) != lab:
-            return False
-        for pair in zip(s.children[p], t.children[q]):
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+    return simulates(s, t, s.root, t.root)
 
 
 def graph_equal(s: TermGraph, t: TermGraph) -> bool:
     """True iff s and t denote the same tree: same labels, and same hole
-    names, along every path.
-
-    A node's children are fixed by its label, so the roots are
-    bisimilar iff every pair of nodes reached from them along the same
-    child positions matches.  Only those pairs are visited, not all of
-    nodes(s) x nodes(t) as bisimulation_relation() does.
-    """
-    seen = {(s.root, t.root)}
-    stack = [(s.root, t.root)]
-    while stack:
-        p, q = stack.pop()
-        lp, lq = s.labels.get(p), t.labels.get(q)
-        if lp is None and lq is None:
-            if s.holes[p] != t.holes[q]:
-                return False
-            continue
-        if lp is None or lp != lq:
-            return False
-        for pair in zip(s.children[p], t.children[q]):
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+    names, along every path."""
+    return bisimilar(s, t, s.root, t.root)
 
 
 def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:

@@ -17,7 +17,6 @@ from wsc.constraints import (
     components,
     determinations,
     format_atom,
-    intersect,
     is_base_only,
     subst_atom,
     var,
@@ -72,28 +71,13 @@ def test_var_rejects_empty():
         Var(())
 
 
-def test_intersect_examples():
-    assert intersect(var("x"), var("y")) == var("x", "y")
-    assert intersect(var("x", "y"), var("y", "z")) == var("x", "y", "z")
-    assert intersect(var("x"), var("x")) == var("x")
-
-
-def test_intersect_is_aci():
-    rng = random.Random(301)
-    for _ in range(300):
-        a, b, c = (random_var(rng) for _ in range(3))
-        assert intersect(a, b) == intersect(b, a)
-        assert intersect(intersect(a, b), c) == intersect(a, intersect(b, c))
-        assert intersect(a, a) == a
-
-
 def test_components():
     assert components(var("x", "y")) == {"x", "y"}
     assert components(var("x")) == {"x"}
     rng = random.Random(302)
     for _ in range(100):
         v = random_var(rng)
-        assert "x" in components(intersect(var("x"), v))
+        assert "x" in components(var("x", *v.parts))
 
 
 # --- atoms -------------------------------------------------------------------

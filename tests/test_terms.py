@@ -18,12 +18,14 @@ from wsc.terms import (
     TermGraph,
     TermSyntaxError,
     app,
+    bisimilar,
     bisimulation_relation,
     format_term,
     graph_equal,
     hole,
     instance_member,
     parse_term,
+    simulates,
     simulation_relation,
     weak_subsumes,
 )
@@ -312,7 +314,25 @@ def test_instance_member_consistent_with_weak_subsumes():
     assert instance_member(fab, s, 3)
 
 
-# --- relations exposed for callers that need node-level queries ---------------
+# --- whole relations: the reference for the start-pair walks ------------------
+
+
+def test_start_pair_walks_agree_with_the_whole_relations():
+    rng = random.Random(4212)
+    answers = set()
+    for _ in range(600):
+        s = random_graph(rng)
+        t = random_graph(rng)
+        sim = simulation_relation(s, t)
+        bis = bisimulation_relation(s, t)
+        for p in s.nodes():
+            for q in t.nodes():
+                in_sim = simulates(s, t, p, q)
+                in_bis = bisimilar(s, t, p, q)
+                assert in_sim == ((p, q) in sim)
+                assert in_bis == ((p, q) in bis)
+                answers.add((in_sim, in_bis))
+    assert answers == {(False, False), (True, False), (True, True)}
 
 
 def test_relation_functions_expose_node_pairs():
