@@ -5,6 +5,7 @@ output: 0 satisfiable, 1 unsatisfiable, 2 usage or parse problems, 3
 when a recorded expectation or an oracle disagrees with the engine.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, format_atom, var
-from wsc.engine import Verdict, solve
+from wsc.engine import Solver, Verdict, solve
 from wsc.frontend import (
     ATOM_KINDS,
     ParseError,
@@ -166,6 +167,39 @@ def test_solved_classes_include_eliminated_variables():
     assert {"vars": ["x", "y"], "constructor": "f/1"} in classes
     assert {"vars": ["z"], "constructor": None} in classes
     assert len(classes) == 2
+
+
+# Random instances weighted towards x = y, so that unused equations and
+# the elimination record both feed the classes.
+EQ_HEAVY_KINDS = ("eq", "eq", "eq") + ATOM_KINDS
+
+
+def classes_digest():
+    """sha256 over solved_classes() of 300 random stores: each batch
+    solve, and the incremental store after every assert."""
+    h = hashlib.sha256()
+
+    def feed(store):
+        h.update(json.dumps(solved_classes(store), sort_keys=True).encode() + b"\n")
+
+    for i in range(300):
+        atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=14,
+                             kinds=EQ_HEAVY_KINDS)
+        feed(solve(atoms).store)
+        s = Solver()
+        for a in atoms:
+            s.assert_atom(a)
+            feed(s.store)
+    return h.hexdigest()
+
+
+# The classes that type diagnosis reports: a change that alters any of
+# them must update this digest on purpose.
+CLASSES_DIGEST = "a3930fb79c437a96854467b39a578fb7d8bab43de60f11a8089f22165cc83cb3"
+
+
+def test_solved_classes_are_pinned():
+    assert classes_digest() == CLASSES_DIGEST
 
 
 def test_report_schema_and_stability():
