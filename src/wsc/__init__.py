@@ -4,12 +4,12 @@ over rational constructor trees.
 The public API in one place:
 
   terms        Symbol, TermGraph, hole, app, parse_term, format_term,
-               weak_subsumes, graph_equal, instance_member
+               weak_subsumes, graph_equal
   constraints  Var, var, components, Eq, EqApp, Sub, SubApp,
                Store, determinations, format_atom
   engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces
   oracles      naive_solve, rational_unify, check_witness,
-               witness_search, merge_graphs, witness files
+               witness_search, witness files
   frontend     parse, random_atoms, report, run_cli
 """
 
@@ -42,9 +42,7 @@ from .oracles import (
     SearchResult,
     check_witness,
     dump_witness,
-    enumerate_graphs,
     load_witness,
-    merge_graphs,
     naive_solve,
     rational_unify,
     witness_search,
@@ -54,13 +52,10 @@ from .terms import (
     TermGraph,
     TermSyntaxError,
     app,
-    bisimulation_relation,
     format_term,
     graph_equal,
     hole,
-    instance_member,
     parse_term,
-    simulation_relation,
     weak_subsumes,
 )
 
@@ -73,10 +68,8 @@ __all__ = [
     "Verdict", "format_trace", "solve",
     "ParseError", "ProblemFile", "parse", "random_atoms", "report", "run_cli",
     "NaiveResult", "SearchResult", "check_witness", "dump_witness",
-    "enumerate_graphs", "load_witness", "merge_graphs", "naive_solve",
-    "rational_unify", "witness_search",
-    "Symbol", "TermGraph", "TermSyntaxError", "app", "bisimulation_relation",
-    "format_term", "graph_equal", "hole", "instance_member", "parse_term",
-    "simulation_relation", "weak_subsumes",
+    "load_witness", "naive_solve", "rational_unify", "witness_search",
+    "Symbol", "TermGraph", "TermSyntaxError", "app", "format_term",
+    "graph_equal", "hole", "parse_term", "weak_subsumes",
     "__version__",
 ]

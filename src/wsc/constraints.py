@@ -83,6 +83,14 @@ class Eq:
         return format_atom(self)
 
 
+def _check_args(self) -> None:
+    """The __post_init__ of EqApp and SubApp: tuple the arguments and
+    check their number against the symbol's arity."""
+    object.__setattr__(self, "args", tuple(self.args))
+    if len(self.args) != self.sym.arity:
+        raise ValueError(f"{self.sym} expects {self.sym.arity} arguments, got {len(self.args)}")
+
+
 @dataclass(frozen=True, slots=True)
 class EqApp:
     """x = f(y1, ..., yn)."""
@@ -91,10 +99,7 @@ class EqApp:
     sym: Symbol
     args: tuple[Var, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.sym.arity:
-            raise ValueError(f"{self.sym} expects {self.sym.arity} arguments, got {len(self.args)}")
+    __post_init__ = _check_args
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -119,10 +124,7 @@ class SubApp:
     sym: Symbol
     args: tuple[Var, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.sym.arity:
-            raise ValueError(f"{self.sym} expects {self.sym.arity} arguments, got {len(self.args)}")
+    __post_init__ = _check_args
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -181,6 +183,19 @@ def format_atom(a: Atom) -> str:
     if isinstance(a, Sub):
         return f"{a.lhs} <= {a.rhs}"
     return f"{a.lhs} <= {a.sym.name}({', '.join(map(str, a.args))})"
+
+
+def resolve(parent: dict[str, str], name: str) -> str:
+    """The root of name under the parent links, where a name without a
+    link is a root.  Every name passed on the way is pointed straight
+    at the root."""
+    passed = []
+    while name in parent:
+        passed.append(name)
+        name = parent[name]
+    for p in passed:
+        parent[p] = name
+    return name
 
 
 class Store:

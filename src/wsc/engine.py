@@ -95,6 +95,7 @@ from .constraints import (
     format_atom,
     is_base_only,
     map_vars,
+    resolve,
 )
 
 
@@ -527,18 +528,8 @@ class Solver:
         self.step_count = 0
         self.verdict = Verdict.SAT  # the empty conjunction is satisfiable
 
-    def _resolve(self, name: str) -> str:
-        chain = []
-        elim = self.store.elim
-        while name in elim:
-            chain.append(name)
-            name = elim[name]
-        for c in chain:
-            elim[c] = name
-        return name
-
     def _normalize(self, a: Atom) -> Atom:
-        return map_vars(a, lambda v: self.store.base_var(self._resolve(v.parts[0])))
+        return map_vars(a, lambda v: self.store.base_var(resolve(self.store.elim, v.parts[0])))
 
     def insert(self, a: Atom) -> None:
         """Add one atom without running rules (input validation applies)."""

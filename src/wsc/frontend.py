@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
-from .engine import Solver, SolveResult, Verdict, solve
+from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, resolve, var
+from .engine import Solver, SolveResult, Verdict, format_trace, solve
 from .oracles import NaiveResult, naive_solve, rational_unify, witness_search
 from .terms import Symbol
 
@@ -228,33 +228,23 @@ def random_atoms(
 
 
 def solved_classes(store: Store) -> list[dict]:
-    """Variable classes implied by the store's equations (including the
-    solved ones) and its elimination record, each with the constructor
-    the class is bound to, if any."""
-    parent: dict[str, str] = {}
-
-    def find(a: str) -> str:
-        parent.setdefault(a, a)
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
+    """Variable classes implied by the store's elimination record and
+    its equations (including the solved ones), each with the
+    constructor the class is bound to, if any."""
     names = set(store.base_vars()) | set(store.elim) | set(store.elim.values())
+    parent = dict(store.elim)  # a copy: the store's own record is not touched
     for aid, a in store.atoms():
         if isinstance(a, Eq):
-            parent[find(a.lhs.parts[0])] = find(a.rhs.parts[0])
-    for gone, kept in store.elim.items():
-        parent[find(gone)] = find(kept)
+            lhs, rhs = resolve(parent, a.lhs.parts[0]), resolve(parent, a.rhs.parts[0])
+            if lhs != rhs:
+                parent[lhs] = rhs
 
     classes: dict[str, dict] = {}
     for n in sorted(names):
-        classes.setdefault(find(n), {"vars": [], "constructor": None})["vars"].append(n)
+        classes.setdefault(resolve(parent, n), {"vars": [], "constructor": None})["vars"].append(n)
     for aid, a in sorted(store.atoms()):
         if isinstance(a, EqApp) and a.lhs.is_base:
-            cls = classes.get(find(a.lhs.parts[0]))
+            cls = classes.get(resolve(parent, a.lhs.parts[0]))
             if cls is not None and cls["constructor"] is None:
                 cls["constructor"] = str(a.sym)
     return sorted(classes.values(), key=lambda c: c["vars"][0])
@@ -306,9 +296,8 @@ def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool) -> No
     if as_json:
         print(json.dumps(report(result, include_trace=with_trace), indent=2, sort_keys=True))
         return
-    if with_trace:
-        for entry in result.trace:
-            print(str(entry))
+    if with_trace and result.trace:
+        print(format_trace(result.trace))
     print(f"{result.verdict.value} after {result.steps} step(s)")
     if result.verdict == Verdict.SAT:
         for _, a in result.store.atoms():

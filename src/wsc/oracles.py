@@ -357,7 +357,9 @@ def enumerate_graphs(
     """All trees over the symbols up to the depth, with up to max_holes
     distinct holes — plus every single-back-edge variant of those trees
     (each hole occurrence redirected to each of its ancestors).  That is
-    the precise space searched: richer cyclic shapes are out of it."""
+    the precise space searched: richer cyclic shapes are out of it.
+    The list is in search order: fewest nodes first, then by the
+    format_term text."""
     syms = sorted(set(symbols))
     base: dict[str, TermGraph] = {}
     for i in range(max_holes):
@@ -378,14 +380,10 @@ def enumerate_graphs(
                 key = format_term(g)
                 if key not in seen:
                     seen[key] = g
-    out = list(seen.values())
     for g in list(seen.values()):
         for variant in _loop_variants(g):
-            key = format_term(variant)
-            if key not in seen:
-                seen[key] = variant
-                out.append(variant)
-    return out
+            seen.setdefault(format_term(variant), variant)
+    return [seen[key] for key in sorted(seen, key=lambda k: (len(seen[k].nodes()), k))]
 
 
 def _loop_variants(g: TermGraph) -> list[TermGraph]:
@@ -446,7 +444,6 @@ def witness_search(
     names = sorted({n for a in atom_list for n in atom_base_vars(a)})
     symbols = sorted({a.sym for a in atom_list if isinstance(a, (EqApp, SubApp))})
     pool = enumerate_graphs(symbols, max_depth, max_holes)
-    pool.sort(key=lambda g: (len(g.nodes()), format_term(g)))
 
     forced: dict[str, set[Symbol]] = {}
     for a in atom_list:

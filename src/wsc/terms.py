@@ -97,9 +97,6 @@ class TermGraph:
     def nodes(self) -> set[int]:
         return set(self.labels) | set(self.holes)
 
-    def label(self, n: int) -> Symbol | None:
-        return self.labels.get(n)
-
     def __str__(self) -> str:
         return format_term(self)
 
@@ -242,28 +239,6 @@ def graph_equal(s: TermGraph, t: TermGraph) -> bool:
     """True iff s and t denote the same tree: same labels, and same hole
     names, along every path."""
     return bisimilar(s, t, s.root, t.root)
-
-
-def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:
-    """Bounded probe: does t agree with s's labeled skeleton down to `depth`?
-
-    Checks the pair currently in view before descending, so a root
-    mismatch is caught even at depth 0.  `depth` counts edges descended.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-
-    def go(tn: int, sn: int, d: int) -> bool:
-        lab = s.labels.get(sn)
-        if lab is None:
-            return True
-        if t.labels.get(tn) != lab:
-            return False
-        if d == 0:
-            return True
-        return all(go(ti, si, d - 1) for ti, si in zip(t.children[tn], s.children[sn]))
-
-    return go(t.root, s.root, depth)
 
 
 # ---------------------------------------------------------------------------

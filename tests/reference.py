@@ -1,0 +1,29 @@
+"""Reference definitions that only the tests use.
+
+`instance_member` is the bounded membership probe that the term and
+oracle tests check the deciders against.
+"""
+
+from wsc.terms import TermGraph
+
+
+def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:
+    """Bounded probe: does t agree with s's labeled skeleton down to `depth`?
+
+    Checks the pair currently in view before descending, so a root
+    mismatch is caught even at depth 0.  `depth` counts edges descended.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+
+    def go(tn: int, sn: int, d: int) -> bool:
+        lab = s.labels.get(sn)
+        if lab is None:
+            return True
+        if t.labels.get(tn) != lab:
+            return False
+        if d == 0:
+            return True
+        return all(go(ti, si, d - 1) for ti, si in zip(t.children[tn], s.children[sn]))
+
+    return go(t.root, s.root, depth)

@@ -169,6 +169,23 @@ def test_solved_classes_include_eliminated_variables():
     assert len(classes) == 2
 
 
+def test_late_atom_and_classes_read_the_one_elimination_record():
+    """A chain x0 = x1, ..., x5 = x6 asserted one atom at a time leaves
+    x6 as the surviving name.  A later atom on x0 lands on x6, and
+    solved_classes reads the store's record without writing to it."""
+    xs = [var(f"x{i}") for i in range(7)]
+    s = Solver()
+    for a, b in zip(xs, xs[1:]):
+        s.assert_atom(Eq(a, b))
+    assert set(s.store.elim) == {f"x{i}" for i in range(6)}
+    assert s.assert_atom(EqApp(xs[0], F1, (y,))) == Verdict.SAT
+    assert EqApp(xs[6], F1, (y,)) in s.store.atom_list()
+    record = dict(s.store.elim)
+    classes = solved_classes(s.store)
+    assert {"vars": [f"x{i}" for i in range(7)], "constructor": "f/1"} in classes
+    assert s.store.elim == record
+
+
 # Random instances weighted towards x = y, so that unused equations and
 # the elimination record both feed the classes.
 EQ_HEAVY_KINDS = ("eq", "eq", "eq") + ATOM_KINDS

