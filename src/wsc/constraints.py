@@ -13,8 +13,8 @@ children, i.e. there is a u with x <= u and u = f(ȳ)).
 
 A Store holds the current conjunction as a set of atoms indexed by
 kind and left side, plus the bookkeeping a solver needs: a
-contradiction flag, the record of eliminated variables, which equations
-have already been used for elimination, and an index of each variable's
+contradiction flag, the record of the equations used for elimination
+and the name each one eliminated, and an index of each variable's
 determinations that every change to an atom keeps up to date.
 """
 
@@ -185,19 +185,6 @@ def format_atom(a: Atom) -> str:
     return f"{a.lhs} <= {a.sym.name}({', '.join(map(str, a.args))})"
 
 
-def resolve(parent: dict[str, str], name: str) -> str:
-    """The root of name under the parent links, where a name without a
-    link is a root.  Every name passed on the way is pointed straight
-    at the root."""
-    passed = []
-    while name in parent:
-        passed.append(name)
-        name = parent[name]
-    for p in passed:
-        parent[p] = name
-    return name
-
-
 class Store:
     """A conjunction as an indexed set of atoms, with solver bookkeeping.
 
@@ -217,6 +204,12 @@ class Store:
     every atom it indexes to the `changed` set of each (changed,
     enabled) pair in `agendas`, one pair per rule that keeps an agenda
     (see determinations() and engine.py).
+
+    `elim` maps the id of each x = y that Elim used to the name it
+    eliminated.  That name occurs in no other atom, so the equation is
+    never removed or merged.  subst_all rewrites it whenever its other
+    side is eliminated in turn, so current() finds the live name in one
+    hop.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -228,8 +221,7 @@ class Store:
         self._lhs: dict[type, dict[Var, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
         self._inter: dict[Var, int] = {}
-        self.solved_eqs: set[int] = set()
-        self.elim: dict[str, str] = {}
+        self.elim: dict[int, str] = {}
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
         self.agendas: dict[str, tuple[set[int], set]] = {}
@@ -253,7 +245,6 @@ class Store:
     def remove(self, aid: int) -> Atom:
         a = self._atoms.pop(aid)
         self._unindex(aid, a)
-        self.solved_eqs.discard(aid)
         return a
 
     def rewrite(self, aid: int, a: Atom) -> int:
@@ -265,8 +256,6 @@ class Store:
             return aid
         if a in self._locs:
             keep = self._locs[a]
-            if aid in self.solved_eqs:
-                self.solved_eqs.add(keep)
             self.remove(aid)
             return keep
         self._unindex(aid, old)
@@ -297,6 +286,17 @@ class Store:
         if v is None:
             v = self._base[name] = Var((name,))
         return v
+
+    def current(self, name: str) -> str:
+        """The name that stands for base variable `name` now: the other
+        side of the equation that eliminated it, else name itself."""
+        occ = self._occ.get(name, ())
+        if len(occ) == 1:
+            (aid,) = occ
+            if self.elim.get(aid) == name:
+                a = self._atoms[aid]
+                return a.rhs.parts[0] if a.lhs.parts[0] == name else a.lhs.parts[0]
+        return name
 
     def atoms(self) -> list[tuple[int, Atom]]:
         return sorted(self._atoms.items())

@@ -95,7 +95,6 @@ from .constraints import (
     format_atom,
     is_base_only,
     map_vars,
-    resolve,
 )
 
 
@@ -230,12 +229,13 @@ def rule_clash(store: Store) -> Firing | None:
 
 def rule_elim(store: Store) -> Firing | None:
     """Use an equation to substitute one side away from the rest of the
-    store.  The equation is kept but marked used; the substitution is
-    recorded in store.elim.  Preference: eliminate the smaller name."""
+    store.  The equation is kept, and store.elim records its id with
+    the name it eliminated; a recorded equation is not used again.
+    Preference: eliminate the smaller name."""
     if store.contradiction:
         return None
     for aid in store.ids(Eq):
-        if aid in store.solved_eqs:
+        if aid in store.elim:
             continue
         a = store.atom(aid)
         if a.lhs == a.rhs:
@@ -248,8 +248,7 @@ def rule_elim(store: Store) -> Firing | None:
         else:
             continue
         store.subst_all(gone, kept, skip={aid})
-        store.solved_eqs.add(aid)
-        store.elim[gone] = kept
+        store.elim[aid] = gone
         return (a,), (), ()
     return None
 
@@ -487,18 +486,18 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One rule firing: which rule, the atoms it looked at, and what
-    it removed and added."""
+    it removed and added.  Only Clash derives bottom, so a Clash entry
+    prints `=> bottom`."""
 
     step: int
     rule: RuleId
     on: tuple[Atom, ...]
     removed: tuple[Atom, ...]
     added: tuple[Atom, ...]
-    contradiction: bool = False
 
     def __str__(self) -> str:
         ons = ", ".join(format_atom(a) for a in self.on)
-        if self.contradiction:
+        if self.rule is RuleId.CLASH:
             outs = "bottom"
         elif self.added:
             outs = ", ".join(format_atom(a) for a in self.added)
@@ -514,8 +513,9 @@ def format_trace(trace: Sequence[TraceEntry]) -> str:
 class Solver:
     """Incremental solver: assert atoms one at a time, read the verdict.
 
-    Asserted atoms are normalized through the record of already-eliminated variables so that stale names in
-    later assertions land on their current representatives.
+    Each variable of an asserted atom is mapped through
+    Store.current(), so that a name already eliminated lands on the
+    name that stands for it now.
     """
 
     def __init__(self, *, priority: Sequence[RuleId] = DEFAULT_PRIORITY):
@@ -529,7 +529,7 @@ class Solver:
         self.verdict = Verdict.SAT  # the empty conjunction is satisfiable
 
     def _normalize(self, a: Atom) -> Atom:
-        return map_vars(a, lambda v: self.store.base_var(resolve(self.store.elim, v.parts[0])))
+        return map_vars(a, lambda v: self.store.base_var(self.store.current(v.parts[0])))
 
     def insert(self, a: Atom) -> None:
         """Add one atom without running rules (input validation applies)."""
@@ -550,14 +550,7 @@ class Solver:
             fired = _RULES[rule](self.store)
             if fired is not None:
                 self.step_count += 1
-                self.trace.append(
-                    TraceEntry(
-                        self.step_count,
-                        rule,
-                        *fired,
-                        contradiction=self.store.contradiction,
-                    )
-                )
+                self.trace.append(TraceEntry(self.step_count, rule, *fired))
                 if self.store.contradiction:
                     self.verdict = Verdict.UNSAT
                 return True
@@ -585,7 +578,6 @@ class SolveResult:
     store: Store
     steps: int
     trace: list[TraceEntry]
-    solver: Solver
 
 
 def solve(atoms: Iterable[Atom], *, priority: Sequence[RuleId] = DEFAULT_PRIORITY) -> SolveResult:
@@ -594,4 +586,4 @@ def solve(atoms: Iterable[Atom], *, priority: Sequence[RuleId] = DEFAULT_PRIORIT
     for a in atoms:
         s.insert(a)
     s.run()
-    return SolveResult(s.verdict, s.store, s.step_count, list(s.trace), s)
+    return SolveResult(s.verdict, s.store, s.step_count, list(s.trace))

@@ -12,9 +12,8 @@ separated by newlines or `.`, comments from `#` to end of line.  Atoms:
 A `# expect: sat` or `# expect: unsat` comment records the intended
 verdict; the solve and corpus commands verify it when present.
 
-Intersection variables (`x&y`) appear in solver output; they are only
-accepted on input under allow_intersection=True, which exists so that
-printed stores can be read back.
+Intersection variables (`x&y`) appear in solver output only; in input
+a `&` is a parse error.
 
 Exit codes of run_cli: 0 satisfiable (or command succeeded), 1
 unsatisfiable, 2 usage or parse error, 3 a recorded expectation or an
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Sequence
 
-from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, resolve, var
+from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
 from .engine import Solver, SolveResult, Verdict, format_trace, solve
 from .oracles import NaiveResult, naive_solve, rational_unify, witness_search
 from .terms import Symbol
@@ -73,7 +72,7 @@ def _tokenize_line(text: str, lineno: int) -> list[tuple[str, int]]:
     return out
 
 
-def parse(text: str, *, name: str = "<input>", allow_intersection: bool = False) -> ProblemFile:
+def parse(text: str, *, name: str = "<input>") -> ProblemFile:
     """Parse constraint text into an ordered atom list plus the
     optional expected verdict."""
     atoms: list[Atom] = []
@@ -96,7 +95,7 @@ def parse(text: str, *, name: str = "<input>", allow_intersection: bool = False)
         for tok in tokens + [(".", len(line) + 1)]:
             if tok[0] == ".":
                 if group:
-                    atoms.append(_parse_atom(group, lineno, arities, allow_intersection))
+                    atoms.append(_parse_atom(group, lineno, arities))
                     group = []
             else:
                 group.append(tok)
@@ -107,7 +106,6 @@ def _parse_atom(
     tokens: list[tuple[str, int]],
     lineno: int,
     arities: dict[str, tuple[int, int, int]],
-    allow_intersection: bool,
 ) -> Atom:
     pos = 0
 
@@ -132,21 +130,13 @@ def _parse_atom(
         return s is not None and (s[0].isalpha() or s[0] == "_")
 
     def parse_var() -> Var:
-        names = []
         tok, col = take()
         if not is_name(tok):
             raise ParseError(f"expected a variable, found {tok!r}", lineno, col)
-        names.append(tok)
-        while peek() == "&":
-            amp_col = take("&")[1]
-            if not allow_intersection:
-                raise ParseError("intersection variables are not allowed in input",
-                                 lineno, amp_col)
-            tok, col = take()
-            if not is_name(tok):
-                raise ParseError(f"expected a variable, found {tok!r}", lineno, col)
-            names.append(tok)
-        return var(*names)
+        if peek() == "&":
+            raise ParseError("intersection variables are not allowed in input",
+                             lineno, tokens[pos][1])
+        return var(tok)
 
     def parse_application() -> tuple[Symbol, tuple[Var, ...]]:
         fname, fcol = take()
@@ -228,24 +218,30 @@ def random_atoms(
 
 
 def solved_classes(store: Store) -> list[dict]:
-    """Variable classes implied by the store's elimination record and
-    its equations (including the solved ones), each with the
+    """Variable classes implied by the store's equations (the solved
+    ones, which keep each eliminated name, among them), each with the
     constructor the class is bound to, if any."""
-    names = set(store.base_vars()) | set(store.elim) | set(store.elim.values())
-    parent = dict(store.elim)  # a copy: the store's own record is not touched
-    for aid, a in store.atoms():
+    parent: dict[str, str] = {}
+
+    def find(n: str) -> str:
+        while n in parent:  # path halving
+            parent[n] = parent.get(parent[n], parent[n])
+            n = parent[n]
+        return n
+
+    for _, a in store.atoms():
         if isinstance(a, Eq):
-            lhs, rhs = resolve(parent, a.lhs.parts[0]), resolve(parent, a.rhs.parts[0])
+            lhs, rhs = find(a.lhs.parts[0]), find(a.rhs.parts[0])
             if lhs != rhs:
                 parent[lhs] = rhs
 
     classes: dict[str, dict] = {}
-    for n in sorted(names):
-        classes.setdefault(resolve(parent, n), {"vars": [], "constructor": None})["vars"].append(n)
-    for aid, a in sorted(store.atoms()):
-        if isinstance(a, EqApp) and a.lhs.is_base:
-            cls = classes.get(resolve(parent, a.lhs.parts[0]))
-            if cls is not None and cls["constructor"] is None:
+    for n in sorted(store.base_vars()):
+        classes.setdefault(find(n), {"vars": [], "constructor": None})["vars"].append(n)
+    for _, a in store.atoms():
+        if isinstance(a, EqApp):
+            cls = classes[find(a.lhs.parts[0])]
+            if cls["constructor"] is None:
                 cls["constructor"] = str(a.sym)
     return sorted(classes.values(), key=lambda c: c["vars"][0])
 
@@ -324,8 +320,7 @@ def _solve_command(args: argparse.Namespace) -> int:
         solver = Solver()
         for a in problem.atoms:
             solver.assert_atom(a)
-        result = SolveResult(solver.verdict, solver.store, solver.step_count,
-                             list(solver.trace), solver)
+        result = SolveResult(solver.verdict, solver.store, solver.step_count, list(solver.trace))
     else:
         result = solve(problem.atoms)
     _print_result(result, as_json=args.json, with_trace=args.trace)

@@ -124,7 +124,8 @@ def test_elim_substitutes_inside_intersection_variables():
     s = store_of(Eq(x, y), Sub(z, var("x", "w")))
     assert rule_elim(s) == ((Eq(x, y),), (), ())
     assert atoms_of(s) == {Eq(x, y), Sub(z, var("y", "w"))}
-    assert s.elim == {"x": "y"}
+    assert s.elim == {0: "x"}
+    assert s.current("x") == "y"
 
 
 def test_elim_rewrites_equations():
@@ -151,7 +152,8 @@ def test_elim_can_eliminate_the_right_side():
     s = store_of(Eq(x, y), Sub(z, y))
     assert rule_elim(s) is not None
     assert atoms_of(s) == {Eq(x, y), Sub(z, x)}
-    assert s.elim == {"y": "x"}
+    assert s.elim == {0: "y"}
+    assert s.current("y") == "x"
 
 
 def test_elim_skips_reflexive_equations():

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, format_atom, var
+from wsc.constraints import Eq, EqApp, Sub, SubApp, var
 from wsc.engine import Solver, Verdict, solve
 from wsc.frontend import (
     ATOM_KINDS,
@@ -84,7 +84,7 @@ def test_parse_errors_carry_positions():
         ("x == y", 1, 4),           # doubled operator
         ("f() = x", 1, 2),          # application on the left
         ("x = f(y))", 1, 9),        # trailing token
-        ("x <= y & z", 1, 8),       # intersection without the flag
+        ("x <= y & z", 1, 8),       # intersection variable in input
         ("x @ y", 1, 3),            # stray character
         ("x = a()\ny = f(", 2, 7),  # error on a later line
     ]
@@ -102,18 +102,6 @@ def test_parse_arity_conflict_is_rejected():
     # consistent reuse across operators is fine
     problem = parse("x = f(y)\nz <= f(u)\n")
     assert problem.atoms == (EqApp(x, F1, (y,)), SubApp(z, F1, (u,)))
-
-
-def test_parse_reads_back_printed_stores():
-    """Solver output can contain intersection variables; printing a
-    store and re-parsing it under allow_intersection is lossless."""
-    atoms = [Sub(z, var("x", "y")), SubApp(var("u", "v"), F1, (var("q"),))]
-    text = "\n".join(format_atom(a) for a in atoms) + "\n"
-    with pytest.raises(ParseError):
-        parse(text)
-    back = parse(text, allow_intersection=True)
-    assert list(back.atoms) == atoms
-    assert [format_atom(a) for a in back.atoms] == text.strip().split("\n")
 
 
 def test_parse_empty_input():
@@ -177,7 +165,7 @@ def test_late_atom_and_classes_read_the_one_elimination_record():
     s = Solver()
     for a, b in zip(xs, xs[1:]):
         s.assert_atom(Eq(a, b))
-    assert set(s.store.elim) == {f"x{i}" for i in range(6)}
+    assert set(s.store.elim.values()) == {f"x{i}" for i in range(6)}
     assert s.assert_atom(EqApp(xs[0], F1, (y,))) == Verdict.SAT
     assert EqApp(xs[6], F1, (y,)) in s.store.atom_list()
     record = dict(s.store.elim)

@@ -2,8 +2,9 @@
 depend on the rule priority or on variable names, a solved store holds
 every atom once, no rule is enabled on a sat store rebuilt from
 scratch, solving the solved atoms again gives the same verdict, every
-incremental verdict is the batch verdict of its prefix, and the
-indexes a store keeps through a run answer as a fresh store's do."""
+incremental verdict is the batch verdict of its prefix, the indexes a
+store keeps through a run answer as a fresh store's do, and each
+elimination is kept once, as its solved equation."""
 
 import random
 
@@ -12,17 +13,24 @@ from hypothesis import strategies as st
 
 from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations
 from wsc.engine import _RULES, RuleId, Solver, Verdict, solve
-from wsc.frontend import random_atoms
+from wsc.frontend import ATOM_KINDS, random_atoms
 
 N_VARS = 6
 
-instances = st.builds(
-    lambda seed, n_atoms: random_atoms(
-        random.Random(seed), n_vars=N_VARS, n_symbols=3, n_atoms=n_atoms
-    ),
-    st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=1, max_value=12),
-)
+
+def instances_of(kinds):
+    return st.builds(
+        lambda seed, n_atoms: random_atoms(
+            random.Random(seed), n_vars=N_VARS, n_symbols=3, n_atoms=n_atoms, kinds=kinds
+        ),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=12),
+    )
+
+
+instances = instances_of(ATOM_KINDS)
+# Weighted towards x = y, so that Elim fires often and in chains.
+eq_heavy_instances = instances_of(("eq", "eq", "eq") + ATOM_KINDS)
 
 checked = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -67,13 +75,13 @@ def incremental(atoms):
 @checked
 @given(instances)
 def test_no_rule_is_enabled_on_a_solved_store(atoms):
-    for solved in (solve(atoms).solver, incremental(atoms)):
+    for solved in (solve(atoms), incremental(atoms)):
         if solved.verdict is not Verdict.SAT:
             continue
         store = solved.store
         for rule in _RULES.values():
             fresh = Store(store.atom_list())
-            fresh.solved_eqs = {fresh.add(store.atom(k)) for k in store.solved_eqs}
+            fresh.elim = {fresh.add(store.atom(k)): gone for k, gone in store.elim.items()}
             assert rule(fresh) is None
 
 
@@ -134,3 +142,33 @@ def test_indexes_and_incremental_verdicts_match_a_fresh_start(atoms):
     for k, a in enumerate(atoms, start=1):
         assert solver.assert_atom(a) == solve(atoms[:k]).verdict
         assert_indexes_match_a_fresh_store(solver.store)
+
+
+def assert_each_elimination_is_its_equation(store):
+    """store.elim maps present x = y atoms to a side that occurs in that
+    atom only, current() gives the other side, and no equation Elim
+    has not used mentions an eliminated name."""
+    for aid, gone in store.elim.items():
+        a = store.get(aid)
+        assert isinstance(a, Eq) and a.lhs != a.rhs
+        sides = (a.lhs.parts[0], a.rhs.parts[0])
+        assert gone in sides and not store.occurs_elsewhere(gone, aid)
+        assert store.current(gone) == (sides[1] if sides[0] == gone else sides[0])
+    gone_names = set(store.elim.values())
+    for aid in store.ids(Eq):
+        if aid not in store.elim:
+            a = store.atom(aid)
+            assert gone_names.isdisjoint(a.lhs.parts + a.rhs.parts)
+
+
+@checked
+@given(st.one_of(instances, eq_heavy_instances))
+def test_each_elimination_is_kept_once_as_its_solved_equation(atoms):
+    result = solve(atoms)
+    if not result.store.contradiction:
+        assert_each_elimination_is_its_equation(result.store)
+    solver = Solver()
+    for a in atoms:
+        solver.assert_atom(a)
+        if not solver.store.contradiction:
+            assert_each_elimination_is_its_equation(solver.store)
