@@ -1,6 +1,7 @@
 """Property tests over seeded random instances: the verdict does not
 depend on the rule priority or on variable names, a solved store holds
 every atom once, no rule is enabled on a sat store rebuilt from
+scratch, every step fires what it would fire on a store rebuilt from
 scratch, solving the solved atoms again gives the same verdict, every
 incremental verdict is the batch verdict of its prefix, the indexes a
 store keeps through a run answer as a fresh store's do, and each
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations
-from wsc.engine import _RULES, RuleId, Solver, Verdict, solve
+from wsc.engine import _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, solve
 from wsc.frontend import ATOM_KINDS, random_atoms
 
 N_VARS = 6
@@ -72,17 +73,58 @@ def incremental(atoms):
     return solver
 
 
+def fresh_copy(store):
+    """A new store of the same atoms, in the same order, with the same
+    eliminations recorded."""
+    fresh = Store(store.atom_list())
+    fresh.elim = {fresh.add(store.atom(k)): gone for k, gone in store.elim.items()}
+    return fresh
+
+
 @checked
 @given(instances)
 def test_no_rule_is_enabled_on_a_solved_store(atoms):
     for solved in (solve(atoms), incremental(atoms)):
         if solved.verdict is not Verdict.SAT:
             continue
-        store = solved.store
         for rule in _RULES.values():
-            fresh = Store(store.atom_list())
-            fresh.elim = {fresh.add(store.atom(k)): gone for k, gone in store.elim.items()}
-            assert rule(fresh) is None
+            assert rule(fresh_copy(solved.store)) is None
+
+
+def firings(trace):
+    return [(e.rule, e.on, e.removed, e.added) for e in trace]
+
+
+def run_against_fresh_stores(solver):
+    """Step solver to a fixpoint.  Before each step, and until the store
+    has a contradiction (a fresh store has no such flag), a solver on a
+    fresh copy of the store fires what solver fires, or nothing when it
+    fires nothing."""
+    while not solver.store.contradiction:
+        fresh = Solver(priority=solver.priority)
+        fresh.store = fresh_copy(solver.store)
+        fresh.step()
+        done = len(solver.trace)
+        stepped = solver.step()
+        assert firings(fresh.trace) == firings(solver.trace[done:])
+        if not stepped:
+            break
+
+
+@checked
+@given(instances)
+def test_every_step_fires_as_on_a_fresh_store(atoms):
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        batch = Solver(priority=priority)
+        for a in atoms:
+            batch.insert(a)
+        run_against_fresh_stores(batch)
+        one_by_one = Solver(priority=priority)
+        for a in atoms:
+            if one_by_one.store.contradiction:
+                break
+            one_by_one.insert(a)
+            run_against_fresh_stores(one_by_one)
 
 
 @checked
