@@ -5,7 +5,7 @@ The public API in one place:
 
   terms        Symbol, TermGraph, hole, app, parse_term, format_term,
                weak_subsumes, graph_equal
-  constraints  Var, var, components, Eq, EqApp, Sub, SubApp,
+  constraints  Var, var, Eq, EqApp, Sub, SubApp,
                Store, determinations, format_atom
   engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces
   oracles      naive_solve, rational_unify, check_witness,
@@ -21,7 +21,6 @@ from .constraints import (
     Sub,
     SubApp,
     Var,
-    components,
     determinations,
     format_atom,
     var,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Eq", "EqApp", "Store", "Sub", "SubApp", "Var",
-    "components", "determinations", "format_atom", "var",
+    "determinations", "format_atom", "var",
     "DEFAULT_PRIORITY", "RuleId", "SolveResult", "Solver", "TraceEntry",
     "Verdict", "format_trace", "solve",
     "ParseError", "ProblemFile", "parse", "random_atoms", "report", "run_cli",

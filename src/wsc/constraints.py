@@ -60,11 +60,6 @@ def var(*names: str) -> Var:
     return Var(tuple(names))
 
 
-def components(x: Var) -> frozenset[str]:
-    """The base variables making up x; every base variable is its own."""
-    return frozenset(x.parts)
-
-
 @dataclass(frozen=True, slots=True)
 class Eq:
     """x = y.  Stored with the sides sorted, since x = y and y = x have

@@ -90,7 +90,6 @@ from .constraints import (
     Sub,
     SubApp,
     Var,
-    components,
     determinations,
     format_atom,
     is_base_only,
@@ -439,7 +438,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
         missing = []
         for u, v in zip(a.args, d.args):
             covered = any(
-                components(v) <= components(store.atom(bid).rhs)
+                set(v.parts).issubset(store.atom(bid).rhs.parts)
                 for bid in store.ids(Sub, u)
             )
             if not covered:

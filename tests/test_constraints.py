@@ -14,7 +14,6 @@ from wsc.constraints import (
     Var,
     atom_base_vars,
     atom_vars,
-    components,
     determinations,
     format_atom,
     is_base_only,
@@ -64,20 +63,15 @@ def test_var_canonical_form():
     assert str(var("z", "x", "y")) == "x&y&z"
     assert var("x").is_base
     assert not var("x", "y").is_base
+    rng = random.Random(302)
+    for _ in range(100):
+        v = random_var(rng)
+        assert "x" in var("x", *v.parts).parts
 
 
 def test_var_rejects_empty():
     with pytest.raises(ValueError):
         Var(())
-
-
-def test_components():
-    assert components(var("x", "y")) == {"x", "y"}
-    assert components(var("x")) == {"x"}
-    rng = random.Random(302)
-    for _ in range(100):
-        v = random_var(rng)
-        assert "x" in components(var("x", *v.parts))
 
 
 # --- atoms -------------------------------------------------------------------

@@ -8,11 +8,15 @@ when a recorded expectation or an oracle disagrees with the engine.
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wsc
 from wsc.constraints import Eq, EqApp, Sub, SubApp, var
 from wsc.engine import Solver, Verdict, solve
 from wsc.frontend import (
@@ -353,6 +357,19 @@ def test_cli_corpus_all_ok(capsys):
     assert len(lines) == len(problems) >= 9
     assert all(line.endswith(" ok") for line in lines)
     assert all(p.expect in ("sat", "unsat") for p in problems)
+
+
+def test_python_m_wsc_runs_the_cli():
+    """`python -m wsc corpus` runs the command line as `wsc corpus`
+    does, with nothing on stderr."""
+    src = str(Path(wsc.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "wsc", "corpus"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(done.stdout.strip().split("\n")) == len(corpus_problems())
 
 
 def test_cli_random_deterministic(capsys):
