@@ -69,6 +69,15 @@ def test_var_canonical_form():
         assert "x" in var("x", *v.parts).parts
 
 
+def test_components():
+    # The components of a variable are its parts: each base variable is its
+    # own, and Descend1's covered check compares these sets directly.
+    assert set(var("x", "y").parts) == {"x", "y"}
+    assert set(var("x").parts) == {"x"}
+    assert set(var("x").parts).issubset(var("y", "x").parts)
+    assert not set(var("x", "z").parts).issubset(var("x", "y").parts)
+
+
 def test_var_rejects_empty():
     with pytest.raises(ValueError):
         Var(())
