@@ -20,6 +20,7 @@ from wsc.constraints import (
     subst_atom,
     var,
 )
+from wsc.engine import rule_descend1
 from wsc.terms import Symbol
 
 A = Symbol("a", 0)
@@ -70,12 +71,15 @@ def test_var_canonical_form():
 
 
 def test_components():
-    # The components of a variable are its parts: each base variable is its
-    # own, and Descend1's covered check compares these sets directly.
-    assert set(var("x", "y").parts) == {"x", "y"}
-    assert set(var("x").parts) == {"x"}
-    assert set(var("x").parts).issubset(var("y", "x").parts)
-    assert not set(var("x", "z").parts).issubset(var("x", "y").parts)
+    # Descend1's covered check compares components: a position whose
+    # argument is z&w is covered by u <= r exactly when {z, w} is a subset
+    # of r's parts.
+    zw = var("z", "w")
+    eq, sub_app = EqApp(x, F1, (u,)), SubApp(x, F1, (zw,))
+    assert rule_descend1(Store([eq, sub_app, Sub(u, var("w", "y", "z"))])) is None
+    s = Store([eq, sub_app, Sub(u, var("w", "y"))])
+    assert rule_descend1(s) == ((eq, sub_app), (), (Sub(u, zw),))
+    assert Sub(u, zw) in s
 
 
 def test_var_rejects_empty():
