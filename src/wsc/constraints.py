@@ -193,12 +193,13 @@ class Store:
 
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
-    variable, the x <= r atoms by the base components of r, and counts
+    variable, the atoms other than x = y by the base components of their
+    left side, the x <= r atoms by the base components of r, and counts
     the occurrences of each intersection variable.  It also keeps what
-    determinations() computed for each variable, and adds the id of
-    every atom it indexes to the `changed` set of each (changed,
-    enabled) pair in `agendas`, one pair per rule that keeps an agenda
-    (see determinations() and engine.py).
+    determinations() computed for each variable.  `agendas` holds a
+    (keys, enabled) pair for each rule that keeps an agenda: once the
+    store has indexed an atom a at aid, it adds keys(store, aid, a) to
+    the enabled set (see determinations() and engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -215,11 +216,12 @@ class Store:
         self._occ: dict[str, set[int]] = {}
         self._lhs: dict[type, dict[Var, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
+        self._lhs_part: dict[str, set[int]] = {}
         self._inter: dict[Var, int] = {}
         self.elim: dict[int, str] = {}
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
-        self.agendas: dict[str, tuple[set[int], set]] = {}
+        self.agendas: dict[str, tuple[Callable[[Store, int, Atom], Iterable], set]] = {}
         for a in atoms:
             self.add(a)
 
@@ -317,11 +319,7 @@ class Store:
     def lhs_ids(self, x: str) -> list[int]:
         """The ids of the x = f(ū), x <= y and x <= f(ū) atoms whose left
         side has base variable x as a component."""
-        return [
-            i
-            for i in self._occ.get(x, ())
-            if not isinstance(a := self._atoms[i], Eq) and x in a.lhs.parts
-        ]
+        return list(self._lhs_part.get(x, ()))
 
     def routing_ids(self, y: str) -> list[int]:
         """The ids of the x <= r atoms whose right side has base variable
@@ -369,8 +367,6 @@ class Store:
 
     def _index(self, aid: int, a: Atom) -> None:
         self._forget_dets(a)
-        for changed, _ in self.agendas.values():
-            changed.add(aid)
         self._locs[a] = aid
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
@@ -378,9 +374,14 @@ class Store:
             if not v.is_base:
                 self._inter[v] = self._inter.get(v, 0) + 1
         self._lhs[type(a)].setdefault(a.lhs, set()).add(aid)
+        if not isinstance(a, Eq):
+            for x in a.lhs.parts:
+                self._lhs_part.setdefault(x, set()).add(aid)
         if isinstance(a, Sub):
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
+        for keys, enabled in self.agendas.values():
+            enabled.update(keys(self, aid, a))
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]
@@ -393,6 +394,9 @@ class Store:
                     del self._inter[v]
         self._forget_dets(a)
         _drop(self._lhs[type(a)], a.lhs, aid)
+        if not isinstance(a, Eq):
+            for x in a.lhs.parts:
+                _drop(self._lhs_part, x, aid)
         if isinstance(a, Sub):
             for y in a.rhs.parts:
                 _drop(self._sub_rhs, y, aid)

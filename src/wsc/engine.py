@@ -13,18 +13,21 @@ each, that the paper's rule would make on that atom in a row, so
 soundness and termination carry over.
 
 Only Elim and Descend2 scan the store.  Clash, Decom, Propagate1,
-Propagate2, Collapse and Descend1 each keep an agenda in the store: a
-pair of sets, the ids of the atoms the store added or rewrote since the
-rule last looked, and the keys (variables for Clash, atom ids for the
-others) of the instances that may be enabled.  On its next look the
-rule adds the keys whose instances those atoms can enable, checks keys
-in ascending order and drops each one that does not fire.  Clash,
-Propagate2 and Descend1 share one map from an atom to the left sides
-whose determinations it takes part in: Clash keys those left sides,
-Propagate2 the x <= f(ū) on them and Descend1 the x = f(ū) on the base
-ones.  Decom keys the x = f(ū) on the left side of a new x = f(ū).
-Propagate1 and Collapse key the x <= r atoms an x <= u on a base x
-reaches.  Removals need not be reported: they only shrink
+Propagate2, Collapse and Descend1 each keep an agenda in the store:
+the rule's key function and the keys (variables for Clash, atom ids
+for the others) of the instances that may be enabled.  Whenever the
+store indexes an atom, new or rewritten, it adds the keys of the
+instances that atom enables as the store stands then.  A look checks
+the keys in ascending order and drops each one that does not fire.
+An instance enabled at a look rests on atoms present at that look;
+the last of them to be indexed found the others present in their
+current form, so its keys include the instance.  Clash keys the left
+sides whose determinations the atom takes part in.  Propagate2 and
+Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄) the atom
+determines would grow or push subsumptions down from.  Decom keys the
+x = f(ū) on the left side of a new x = f(ū).  Propagate1 and Collapse
+key the x <= r atoms an x <= u on a base x reaches and whose r lacks a
+component of u.  Removals need not be reported: they only shrink
 determinations, the x = f(ū) partners Decom reads and the subsumptions
 Propagate1 and Collapse read, and the subsumptions whose absence
 Descend1 needs are never taken away, only grown, renamed along with the
@@ -154,27 +157,20 @@ def _fire_enabled(
 ) -> Firing | None:
     """Fire `rule` at the smallest key of its agenda that fires.
 
-    The agenda is the rule's (changed, enabled) pair in store.agendas:
-    the ids of the atoms indexed since the rule last looked, and the
-    keys of the instances that may be enabled.  On the rule's first
-    look every instance in the store (`seed`) is a candidate; after
-    that, only the keys that the changed atoms can enable are added (an
-    atom gone since is skipped: whatever it enabled that is still
-    enabled rests on atoms that are present, and so on keys already
-    kept or added).  The keys checked before the one that fires do not
-    fire and leave the agenda.  Ascending order is the order of the
-    whole-store scan the agenda replaces, so the same instance fires."""
+    The agenda is the rule's (keys, enabled) pair in store.agendas: its
+    key function, and the keys of the instances that may be enabled.
+    On the rule's first look every instance in the store (`seed`) is a
+    candidate; from then on the store adds keys(store, aid, a) for each
+    atom a it indexes at aid.  The keys checked before the one that
+    fires do not fire and leave the agenda.  Ascending order is the
+    order of the whole-store scan the agenda replaces, so the same
+    instance fires."""
     if store.contradiction:
         return None
     agenda = store.agendas.get(rule.value)
     if agenda is None:
-        agenda = store.agendas[rule.value] = (set(), set(seed(store)))
-    changed, enabled = agenda
-    for aid in changed:
-        a = store.get(aid)
-        if a is not None:
-            enabled.update(keys(store, aid, a))
-    changed.clear()
+        agenda = store.agendas[rule.value] = (keys, set(seed(store)))
+    _, enabled = agenda
     for k in sorted(enabled):
         fired = fire_at(store, k)
         if fired is not None:
@@ -196,6 +192,47 @@ def _lhs_determined_by(store: Store, aid: int, a: Atom) -> set[Var]:
         else:
             out.add(v)
     return out
+
+
+def _enabled_by(store: Store, aid: int, a: Atom, kind: type,
+                enables: Callable[[tuple[Var, ...], tuple[Var, ...]], bool]) -> list[int]:
+    """The atoms of `kind`, x = f(ū) or x <= f(ū), that atom a at aid
+    can enable: a itself if it is one, and each one with a base
+    component of its left side that a determines as an f(v̄) with
+    enables(ū, v̄).  A y = g(v̄) or y <= g(v̄) determines y, and the left
+    side of each x <= r routing through y, as g(v̄); an x <= r
+    determines x as each y = g(v̄) and y <= g(v̄) on a component y of r
+    does."""
+    brought = [a] if not isinstance(a, Sub) else [
+        d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
+    ]
+    return [aid] * isinstance(a, kind) + [
+        i for v in store.determined_vars(a) if v.is_base for i in store.lhs_ids(v.parts[0])
+        if i != aid and isinstance(b := store.atom(i), kind)
+        and any(d.sym == b.sym and enables(b.args, d.args) for d in brought)
+    ]
+
+
+def _rhs_lacking(store: Store, aid: int, a: Sub, ids: Iterable[int]) -> list[int]:
+    """aid, and the x <= r among ids with a component of the right side
+    of the y <= z at aid missing from r."""
+    return [aid] + [
+        i for i in ids if isinstance(b := store.atom(i), Sub) and not _includes(b.rhs, a.rhs)
+    ]
+
+
+def _includes(u: Var, v: Var) -> bool:
+    """Is every component of v a component of u?"""
+    return set(u.parts).issuperset(v.parts)
+
+
+def _uncovered(store: Store, us: tuple[Var, ...], vs: tuple[Var, ...]) -> list[tuple[Var, Var]]:
+    """The positions (u, v) of ū <= v̄ that no u <= r with every
+    component of v in r covers."""
+    return [
+        (u, v) for u, v in zip(us, vs)
+        if not any(_includes(store.atom(bid).rhs, v) for bid in store.ids(Sub, u))
+    ]
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
@@ -310,14 +347,14 @@ def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]
 
 
 def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The w <= z atoms whose Propagate1 status a new or rewritten atom
-    can change: a itself, and for an x <= u on a base x each w <= z
-    with x a component of w (a among them)."""
+    """The w <= z atoms whose Propagate1 instance a new or rewritten
+    atom can enable: a itself, and for an x <= u on a base x each w <= z
+    with x a component of w and a component of u missing from z."""
     if not isinstance(a, Sub):
         return ()
     if not a.lhs.is_base:
         return (aid,)
-    return (i for i in store.lhs_ids(a.lhs.parts[0]) if isinstance(store.atom(i), Sub))
+    return _rhs_lacking(store, aid, a, store.lhs_ids(a.lhs.parts[0]))
 
 
 def _propagate1_at(store: Store, aid: int) -> Firing | None:
@@ -334,10 +371,11 @@ def rule_propagate1(store: Store) -> Firing | None:
 
 
 def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= f(ū) atoms whose Propagate2 status a new or rewritten
-    atom can change: those on a left side whose determinations it takes
-    part in, itself or through a component."""
-    return [i for w in _lhs_determined_by(store, aid, a) for i in store.ids(SubApp, w)]
+    """The x <= f(ū) atoms whose Propagate2 instance a new or rewritten
+    atom can enable: a itself, and those on a left side with a base
+    component that the atom determines as an f(v̄) not included in ū,
+    position by position."""
+    return _enabled_by(store, aid, a, SubApp, lambda us, vs: not all(map(_includes, us, vs)))
 
 
 def _propagate2_at(store: Store, aid: int) -> Firing | None:
@@ -378,14 +416,14 @@ def rule_propagate2(store: Store) -> Firing | None:
 
 
 def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= r atoms whose Collapse status a new or rewritten atom
-    can change: a itself, and for a y <= z on a base y each x <= r
-    with y a component of r."""
+    """The x <= r atoms whose Collapse instance a new or rewritten atom
+    can enable: a itself, and for a y <= z on a base y each x <= r with
+    y and not every component of z among the components of r."""
     if not isinstance(a, Sub):
         return ()
     if not a.lhs.is_base:
         return (aid,)
-    return [aid] + store.routing_ids(a.lhs.parts[0])
+    return _rhs_lacking(store, aid, a, store.routing_ids(a.lhs.parts[0]))
 
 
 def _collapse_at(store: Store, aid: int) -> Firing | None:
@@ -420,12 +458,10 @@ def rule_descend2(store: Store) -> Firing | None:
 
 
 def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x = f(ū) atoms whose Descend1 status a new or rewritten atom
-    can change: those on a base left side whose determinations it takes
-    part in."""
-    return [
-        i for w in _lhs_determined_by(store, aid, a) if w.is_base for i in store.ids(EqApp, w)
-    ]
+    """The x = f(ū) atoms whose Descend1 instance a new or rewritten atom
+    can enable: a itself, and those whose left side the atom determines
+    as an f(v̄) with a position that no subsumption on ū covers."""
+    return _enabled_by(store, aid, a, EqApp, lambda us, vs: _uncovered(store, us, vs))
 
 
 def _descend1_at(store: Store, aid: int) -> Firing | None:
@@ -435,14 +471,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     for d in determinations(store, a.lhs):
         if d.at == aid or d.sym != a.sym:
             continue
-        missing = []
-        for u, v in zip(a.args, d.args):
-            covered = any(
-                set(v.parts).issubset(store.atom(bid).rhs.parts)
-                for bid in store.ids(Sub, u)
-            )
-            if not covered:
-                missing.append((u, v))
+        missing = _uncovered(store, a.args, d.args)
         if not missing:
             continue
         added = tuple(Sub(u, v) for u, v in missing)

@@ -248,6 +248,29 @@ def test_verdicts_and_solved_stores_are_pinned():
     assert outcome_digest() == OUTCOME_DIGEST
 
 
+def test_an_indexed_atom_keys_only_the_instances_it_enables():
+    # Everything x <= z brings is already in the solved store through
+    # x <= u&z: Propagate2 and Descend1 find f(u) included and y <= u
+    # covering, Propagate1 and Collapse find z in every partner's right
+    # side.  The new atom keys only its own instances (and the left
+    # sides whose determinations it joins, for Clash).
+    s = Solver()
+    for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), Sub(x, z), Sub(x, u), Sub(w, x), Sub(v, x)):
+        s.assert_atom(a)
+    assert Sub(x, var("u", "z")) in s.store
+    assert SubApp(var("u", "x", "z"), F1, (var("u", "y"),)) in s.store
+    aid = s.store.add(Sub(x, z))
+    enabled = {rule: keys for rule, (_, keys) in s.store.agendas.items()}
+    assert enabled == {
+        "Clash": {x, var("u", "x", "z")},
+        "Decom": set(),
+        "Propagate1": {aid},
+        "Propagate2": set(),
+        "Collapse": {aid},
+        "Descend1": set(),
+    }
+
+
 # --- stepping ----------------------------------------------------------------------
 
 
