@@ -205,7 +205,11 @@ class Store:
     eliminated.  That name occurs in no other atom, so the equation is
     never removed or merged.  subst_all rewrites it whenever its other
     side is eliminated in turn, so current() finds the live name in one
-    hop.
+    hop.  `unused_eqs` holds the ids of the x = y atoms with two sides
+    that Elim may still use: indexing such an atom adds its id unless
+    `elim` records it, and unindexing drops it.  Elim drops the id it
+    uses, and any id that `elim` records although it was assigned after
+    the atom was indexed.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -219,6 +223,7 @@ class Store:
         self._lhs_part: dict[str, set[int]] = {}
         self._inter: dict[Var, int] = {}
         self.elim: dict[int, str] = {}
+        self.unused_eqs: set[int] = set()
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
         self.agendas: dict[str, tuple[Callable[[Store, int, Atom], Iterable], set]] = {}
@@ -374,7 +379,10 @@ class Store:
             if not v.is_base:
                 self._inter[v] = self._inter.get(v, 0) + 1
         self._lhs[type(a)].setdefault(a.lhs, set()).add(aid)
-        if not isinstance(a, Eq):
+        if isinstance(a, Eq):
+            if a.lhs != a.rhs and aid not in self.elim:
+                self.unused_eqs.add(aid)
+        else:
             for x in a.lhs.parts:
                 self._lhs_part.setdefault(x, set()).add(aid)
         if isinstance(a, Sub):
@@ -394,7 +402,9 @@ class Store:
                     del self._inter[v]
         self._forget_dets(a)
         _drop(self._lhs[type(a)], a.lhs, aid)
-        if not isinstance(a, Eq):
+        if isinstance(a, Eq):
+            self.unused_eqs.discard(aid)
+        else:
             for x in a.lhs.parts:
                 _drop(self._lhs_part, x, aid)
         if isinstance(a, Sub):

@@ -12,7 +12,7 @@ it was joined.  Such a firing is the run of fine firings, one partner
 each, that the paper's rule would make on that atom in a row, so
 soundness and termination carry over.
 
-Only Elim and Descend2 scan the store.  Clash, Decom, Propagate1,
+Only Descend2 scans the store.  Clash, Decom, Propagate1,
 Propagate2, Collapse and Descend1 each keep an agenda in the store:
 the rule's key function and the keys (variables for Clash, atom ids
 for the others) of the instances that may be enabled.  Whenever the
@@ -34,11 +34,19 @@ Descend1 needs are never taken away, only grown, renamed along with the
 rest of the store, or merged into an equal atom.  A key that fires
 stays, so the agenda never lacks an enabled instance, and the smallest
 key that fires is the instance the ascending scan would have found
-first: traces are the same as with a whole-store scan.  Elim scans the
-unused equations.  Descend2 scans the intersection variables in use: an
-agenda would have to map every determination change on a base x to
-each intersection variable with x as a component, which costs more
-than the scan.
+first: traces are the same as with a whole-store scan.  A Clash look at
+a base variable with no x <= r on it and no kept determinations reads
+the symbols of its own x = f(ū) and x <= f(ū) from the store's
+left-side index, and builds determinations only if there are two.
+
+Elim reads the store's unused equations (Store.unused_eqs), the x = y
+atoms with two sides that it has not used, in ascending order.  This
+is not an agenda: an equation whose sides occur nowhere else does not
+fire, yet must stay, since a later atom can give a side an occurrence.
+
+Descend2 scans the intersection variables in use: an agenda would have
+to map every determination change on a base x to each intersection
+variable with x as a component, which costs more than the scan.
 
 The rules:
 
@@ -236,6 +244,13 @@ def _uncovered(store: Store, us: tuple[Var, ...], vs: tuple[Var, ...]) -> list[t
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
+    lhs = store._lhs
+    if w.is_base and w not in store._dets and w not in lhs[Sub]:
+        # Then w's determinations are its own x = f(ū) and x <= f(ū),
+        # and w clashes only if they carry two symbols.
+        own = [*lhs[EqApp].get(w, ()), *lhs[SubApp].get(w, ())]
+        if len({a.sym for a in map(store.atom, own)}) < 2:
+            return None
     dw = determinations(store, w)
     if not dw:
         return None
@@ -267,15 +282,15 @@ def rule_elim(store: Store) -> Firing | None:
     """Use an equation to substitute one side away from the rest of the
     store.  The equation is kept, and store.elim records its id with
     the name it eliminated; a recorded equation is not used again.
-    Preference: eliminate the smaller name."""
+    Preference: eliminate the smaller name.  The candidates are
+    store.unused_eqs, smallest id first."""
     if store.contradiction:
         return None
-    for aid in store.ids(Eq):
+    for aid in sorted(store.unused_eqs):
         if aid in store.elim:
+            store.unused_eqs.discard(aid)
             continue
         a = store.atom(aid)
-        if a.lhs == a.rhs:
-            continue
         xn, yn = a.lhs.parts[0], a.rhs.parts[0]
         if store.occurs_elsewhere(xn, aid):
             gone, kept = xn, yn
@@ -283,6 +298,7 @@ def rule_elim(store: Store) -> Firing | None:
             gone, kept = yn, xn
         else:
             continue
+        store.unused_eqs.discard(aid)
         store.subst_all(gone, kept, skip={aid})
         store.elim[aid] = gone
         return (a,), (), ()

@@ -21,6 +21,7 @@ Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -386,6 +387,15 @@ def enumerate_graphs(
     return [seen[key] for key in sorted(seen, key=lambda k: (len(seen[k].nodes()), k))]
 
 
+@functools.lru_cache(maxsize=16)
+def _graph_pool(
+    symbols: tuple[Symbol, ...], max_depth: int, max_holes: int
+) -> tuple[TermGraph, ...]:
+    """enumerate_graphs(), kept per arguments, as a tuple: the searches
+    that share a pool cannot change it."""
+    return tuple(enumerate_graphs(symbols, max_depth, max_holes))
+
+
 def _loop_variants(g: TermGraph) -> list[TermGraph]:
     """Each hole occurrence of a tree redirected to each strict ancestor."""
     parent: dict[int, int] = {}
@@ -434,7 +444,8 @@ def witness_search(
     """Brute-force search for a witness among small term graphs.
 
     Candidates per variable are the enumerate_graphs() pool over the
-    constraint's own symbols, filtered by the root constructors the
+    constraint's own symbols (built once per symbol set and bounds, and
+    shared by later searches), filtered by the root constructors the
     variable's applied atoms force on it.  Assignment proceeds variable
     by variable in sorted order, checking each atom as soon as all its
     variables are placed, with simulation/bisimulation yes/no answers
@@ -442,8 +453,8 @@ def witness_search(
     """
     atom_list = list(atoms)
     names = sorted({n for a in atom_list for n in atom_base_vars(a)})
-    symbols = sorted({a.sym for a in atom_list if isinstance(a, (EqApp, SubApp))})
-    pool = enumerate_graphs(symbols, max_depth, max_holes)
+    symbols = tuple(sorted({a.sym for a in atom_list if isinstance(a, (EqApp, SubApp))}))
+    pool = _graph_pool(symbols, max_depth, max_holes)
 
     forced: dict[str, set[Symbol]] = {}
     for a in atom_list:

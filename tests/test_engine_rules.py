@@ -117,6 +117,13 @@ def test_clash_requires_two_distinct_symbols():
     assert s.contradiction
 
 
+def test_clash_on_a_base_variable_with_one_atom_of_its_own_and_one_routed():
+    # x's own atoms carry one symbol, but x <= y routes a second to it
+    s = store_of(EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, A, ()))
+    assert rule_clash(s) == ((Sub(x, y), EqApp(y, A, ()), EqApp(x, F1, (u,))), (), ())
+    assert s.contradiction
+
+
 # --- Elim ----------------------------------------------------------------------
 
 
@@ -158,6 +165,21 @@ def test_elim_can_eliminate_the_right_side():
 
 def test_elim_skips_reflexive_equations():
     assert rule_elim(store_of(Eq(x, x), Sub(z, x))) is None
+
+
+def test_elim_keeps_an_equation_until_a_side_occurs_elsewhere():
+    s = Solver()
+    s.assert_atom(Eq(x, y))
+    assert s.step_count == 0
+    s.assert_atom(Sub(z, x))
+    assert [e.rule.value for e in s.trace] == ["Elim"]
+    assert atoms_of(s.store) == {Eq(x, y), Sub(z, y)}
+
+
+def test_elim_skips_an_equation_recorded_after_it_was_indexed():
+    s = store_of(Eq(x, y), Sub(z, y))
+    s.elim = {0: "x"}
+    assert rule_elim(s) is None
 
 
 # --- Propagate1 ------------------------------------------------------------------

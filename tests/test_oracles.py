@@ -468,6 +468,13 @@ def test_witness_search_outcomes_are_pinned():
     assert search_digest() == SEARCH_DIGEST
 
 
+def test_witness_search_repeats_its_result():
+    # the second search reads the pool the first one built, so even the
+    # witness graphs, which compare by identity, are the same
+    for atoms in (TWO_HOLES_ONE_ROOT, ROUTED_CLASH):
+        assert witness_search(atoms) == witness_search(atoms)
+
+
 def test_oracles_do_not_contradict_each_other():
     """If the naive procedure refutes an input, the brute-force search
     must not find a witness for it (both are sound, about opposite
