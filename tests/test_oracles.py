@@ -468,6 +468,32 @@ def test_witness_search_outcomes_are_pinned():
     assert search_digest() == SEARCH_DIGEST
 
 
+def oracle_check_digest():
+    """sha256 over witness_search results at budgets 2,000 and 20,000
+    and naive_solve results at budgets 7 and 300, on random_atoms inputs
+    of the shape the oracle-check benchmark solves: six variables, up to
+    twelve atoms."""
+    h = hashlib.sha256()
+    for i in range(45):
+        atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=12)
+        for budget in (2_000, 20_000):
+            res = witness_search(atoms, max_depth=2, max_holes=1, budget=budget)
+            found = None if res.witness is None else (tuple(res.witness), dump_witness(res.witness))
+            h.update(repr((res.exhausted, res.checked, found)).encode())
+        for budget in (7, 300):
+            h.update(naive_solve(atoms, budget=budget).value.encode())
+    return h.hexdigest()
+
+
+# Larger inputs than SEARCH_DIGEST's, with most searches spending their
+# whole budget, and the naive procedure cut short and run long.
+ORACLE_CHECK_DIGEST = "d5871acd9568aa7b2e3e594869a432cd9c2f47a17e4f740d29088a36ea41c6bc"
+
+
+def test_oracle_check_shaped_outcomes_are_pinned():
+    assert oracle_check_digest() == ORACLE_CHECK_DIGEST
+
+
 def test_witness_search_repeats_its_result():
     # the second search reads the pool the first one built, so even the
     # witness graphs, which compare by identity, are the same
