@@ -23,8 +23,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .constraints import (
     Atom,
@@ -72,8 +73,8 @@ def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
                by the argument equations ui = vi
       elim     x = y with x occurring elsewhere: substitute [y/x] in the
                rest (the equation is kept, and x never returns)
-      descend  x <= y with an equation y = f(z1..zn): replace it by
-               x = f(u1..un) for fresh u's, plus ui <= zi
+      descend  x <= y with y's first equation y = f(z1..zn): replace
+               it by x = f(u1..un) for fresh u's, plus ui <= zi
 
     descend is what makes the scheme loop on cyclic constraints — the
     fresh variables (drawn from a reserved ~d* range) can multiply
@@ -132,13 +133,10 @@ def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
                     action = ("elim", i)
                     break
         if action is None:
+            # No clash or decom, so the pass above saw every equation:
+            # first_app maps each name to its first x = f(ū).
             for i, t in enumerate(state):
-                if t[0] != "sub":
-                    continue
-                partner = next(
-                    (j for j, o in enumerate(state) if o[0] == "eqapp" and o[1] == t[2]),
-                    None,
-                )
+                partner = first_app.get(t[2]) if t[0] == "sub" else None
                 if partner is not None:
                     action = ("descend", i, partner)
                     break
@@ -447,10 +445,27 @@ def witness_search(
     constraint's own symbols (built once per symbol set and bounds, and
     shared by later searches), filtered by the root constructors the
     variable's applied atoms force on it.  Assignment proceeds variable
-    by variable in sorted order, checking each atom as soon as all its
-    variables are placed, with simulation/bisimulation yes/no answers
-    cached per graph pair and start pair across the whole search.
+    by variable in sorted order, testing each atom once all its
+    variables are placed, and takes each variable's candidates in pool
+    order, so the first witness in that order is the one returned.
+
+    A level works on the set of its candidates that pass, an int with
+    one bit per pool position.  Each atom splits into conjuncts: x = y
+    and x <= y are one walk between the roots; x = f(ȳ) and x <= f(ȳ)
+    give a root-label test on x and, per argument, the walk from y_k to
+    the k-th child of x's root.  Every conjunct is tested at its atom's
+    level.  The level's set is the AND of its conjuncts' sets, each kept
+    for the search under the pool positions of the conjunct's other
+    variables and filled only on candidates the AND still holds.  Walk
+    answers are cached per graph pair and start pair for the search.
+
+    `checked` counts candidate placements, passing or not, exactly as a
+    loop testing every candidate in turn would: the scan jumps to the
+    next passing candidate and counts the ones it skips.  Past `budget`
+    the search stops with `checked == budget + 1`.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     atom_list = list(atoms)
     names = sorted({n for a in atom_list for n in atom_base_vars(a)})
     symbols = tuple(sorted({a.sym for a in atom_list if isinstance(a, (EqApp, SubApp))}))
@@ -465,71 +480,113 @@ def witness_search(
         for nm in names
     ]
 
-    # The walks' yes/no answers, keyed by walk, graph pair and start
-    # pair; every graph in the pool lives as long as the search.
+    # A conjunct is ("walk", walk, y, x, k): whether y's graph walks to
+    # x's root, or to its root's k-th child; ("label", x, sym); or
+    # ("atom", a) for an atom on an intersection variable.  The walks'
+    # yes/no answers are kept by walk, graph pair and start node in x's
+    # graph; every graph in the pool lives as long as the search.
+    env: dict[str, TermGraph] = {}
     answers: dict[tuple, bool] = {}
 
-    def ask(walk: Callable[..., bool], a: TermGraph, b: TermGraph, p: int, q: int) -> bool:
-        key = (walk, id(a), id(b), p, q)
-        ok = answers.get(key)
-        if ok is None:
-            ok = answers[key] = walk(a, b, p, q)
-        return ok
+    def holds(c: tuple, v: str, g: TermGraph | None) -> bool:
+        """Whether c holds with g placed for v, the level's own variable,
+        and env for the variables placed before it."""
+        if c[0] == "walk":
+            _, walk, y, x, k = c
+            gy = g if y == v else env[y]
+            gx = g if x == v else env[x]
+            q = gx.root if k is None else gx.children[gx.root][k]
+            key = (walk, id(gy), id(gx), q)
+            ok = answers.get(key)
+            if ok is None:
+                ok = answers[key] = walk(gy, gx, gy.root, q)
+            return ok
+        if c[0] == "label":
+            gx = g if c[1] == v else env[c[1]]
+            return gx.labels.get(gx.root) == c[2]
+        env[v] = g
+        return check_witness(env, [c[1]])
 
-    def test(a: Atom) -> Callable[[dict[str, TermGraph]], bool]:
-        """Whether a holds once its variables are placed in env.
-
-        x <= y asks whether y's graph simulates x's from the roots;
-        x <= f(ys) asks it of each y against the matching child of x's
-        root.  Equations ask bisimilar the same way round.
-        """
-        if not is_base_only(a):
-            return lambda env: check_witness(env, [a])
-        x = a.lhs.parts[0]
-        walk = bisimilar if isinstance(a, (Eq, EqApp)) else simulates
-        if isinstance(a, (Eq, Sub)):
-            y = a.rhs.parts[0]
-            return lambda env: ask(walk, env[y], env[x], env[y].root, env[x].root)
-        sym, ys = a.sym, [v.parts[0] for v in a.args]
-
-        def holds(env: dict[str, TermGraph]) -> bool:
-            gx = env[x]
-            return gx.labels.get(gx.root) == sym and all(
-                ask(walk, env[y], gx, env[y].root, kid) for kid, y in zip(gx.children[gx.root], ys)
-            )
-
-        return holds
-
-    # Each atom is tested when the last of its variables is placed.
+    # Every conjunct of an atom goes to the level where the last of the
+    # atom's variables is placed.  One that reads only variables placed
+    # before it is all or nothing there.  An atom's label comes before
+    # its walks below the root, which assume it.
     idx = {nm: i for i, nm in enumerate(names)}
-    tests: list[list[Callable[[dict[str, TermGraph]], bool]]] = [[] for _ in names]
+    fixed: list[list[tuple]] = [[] for _ in names]
+    varying: list[list[tuple]] = [[] for _ in names]
     for a in atom_list:
-        tests[max(idx[n] for n in atom_base_vars(a))].append(test(a))
+        i = max(idx[n] for n in atom_base_vars(a))
+        if not is_base_only(a):
+            conjuncts = [(("atom", a), set(atom_base_vars(a)))]
+        else:
+            x = a.lhs.parts[0]
+            walk = bisimilar if isinstance(a, (Eq, EqApp)) else simulates
+            if isinstance(a, (Eq, Sub)):
+                y = a.rhs.parts[0]
+                conjuncts = [(("walk", walk, y, x, None), {x, y})]
+            else:
+                conjuncts = [(("label", x, a.sym), {x})] + [
+                    (("walk", walk, y.parts[0], x, k), {x, y.parts[0]})
+                    for k, y in enumerate(a.args)
+                ]
+        for c, on in conjuncts:
+            if names[i] not in on:
+                fixed[i].append(c)
+            else:
+                others = sorted(idx[n] for n in on - {names[i]})
+                key = operator.itemgetter(*others) if others else lambda pos: ()
+                varying[i].append((key, {}, c))
+
+    pos = [-1] * len(names)
+
+    def passing(i: int) -> int:
+        """The set of names[i]'s candidates that pass, given pos[:i]."""
+        v, pool_i = names[i], pools[i]
+        if not all(holds(c, v, None) for c in fixed[i]):
+            return 0
+        running = (1 << len(pool_i)) - 1
+        for key, memo, c in varying[i]:
+            k = key(pos)
+            known, yes = memo.get(k, (0, 0))
+            need = running & ~known
+            if need:
+                known |= need
+                while need:
+                    low = need & -need
+                    if holds(c, v, pool_i[low.bit_length() - 1]):
+                        yes |= low
+                    need ^= low
+                memo[k] = (known, yes)
+            running &= yes
+            if not running:
+                break
+        return running
 
     # Depth first over the variables in sorted order, without recursion:
-    # its[i] yields the candidates for names[i] not tried yet.
-    checked = 0
-    env: dict[str, TermGraph] = {}
+    # left[i] is the set of names[i]'s passing candidates not tried yet,
+    # and pos[i] the last position tried (-1 before the first); checked
+    # counts every position up to it, passing or not.
     if not names:
         return SearchResult({}, False, 0)
-    its = [iter(pools[0])]
-    while its:
-        i = len(its) - 1
-        name, tests_i = names[i], tests[i]
-        for g in its[i]:
-            checked += 1
-            if checked > budget:
-                return SearchResult(None, True, checked)
-            env[name] = g
-            if all(t(env) for t in tests_i):
-                break
-        else:
-            env.pop(name, None)
-            its.pop()
+    checked = 0
+    left = [passing(0)]
+    while left:
+        i = len(left) - 1
+        rest = left[i]
+        # the next passing position, or the pool's last when none is left
+        p = (rest & -rest).bit_length() - 1 if rest else len(pools[i]) - 1
+        checked += p - pos[i]
+        if checked > budget:
+            return SearchResult(None, True, budget + 1)
+        if not rest:
+            left.pop()
             continue
+        left[i], pos[i] = rest & (rest - 1), p
+        env[names[i]] = pools[i][p]
         if i + 1 == len(names):
-            return SearchResult(dict(env), False, checked)
-        its.append(iter(pools[i + 1]))
+            return SearchResult({nm: env[nm] for nm in names}, False, checked)
+        pos[i + 1] = -1
+        left.append(passing(i + 1))
     return SearchResult(None, False, checked)
 
 

@@ -393,6 +393,28 @@ def test_search_budget_runs_out():
     assert res.checked >= 1
 
 
+def test_search_budget_edge_and_test_level():
+    # x0 = g(x1, x0) is tested when x1, its last variable, is placed:
+    # all of it, also the walk from x0 to its root's second child, which
+    # reads x0 only.  The 297th candidate is the witness, so a budget of
+    # 296 runs out on it and 297 finds it.
+    x0, x1, x2 = var("x0"), var("x1"), var("x2")
+    atoms = [Eq(x1, x2), EqApp(x2, A, ()), EqApp(x0, G2, (x1, x0))]
+    res = witness_search(atoms, max_depth=2, max_holes=1, budget=296)
+    assert res.witness is None and res.exhausted and res.checked == 297
+    res = witness_search(atoms, max_depth=2, max_holes=1, budget=297)
+    assert res.witness is not None and not res.exhausted and res.checked == 297
+    assert list(res.witness) == ["x0", "x1", "x2"]
+    assert check_witness(res.witness, atoms)
+
+
+def test_search_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        witness_search(LOOP_BELOW, budget=-1)
+    res = witness_search(LOOP_BELOW, budget=0)
+    assert res.witness is None and res.exhausted and res.checked == 1
+
+
 def test_search_routed_clash_space_is_empty():
     res = witness_search(ROUTED_CLASH, max_depth=2, max_holes=1, budget=200_000)
     assert res.witness is None
