@@ -85,34 +85,40 @@ def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
         raise ValueError("budget must be >= 0")
     fresh = itertools.count(1)
     state: list[tuple] = []
+    # How many facts mention each name, kept up to date by every change
+    # to `state`: x occurs outside its x = y iff two facts mention it.
+    facts_with: dict[str, int] = {}
+
+    def names(t: tuple) -> set[str]:
+        return {t[1], *t[3]} if t[0] == "eqapp" else {t[1], t[2]}
+
+    def count(t: tuple, by: int) -> None:
+        for n in names(t):
+            facts_with[n] = facts_with.get(n, 0) + by
+
+    def add(t: tuple) -> None:
+        state.append(t)
+        count(t, 1)
+
+    def drop(k: int) -> None:
+        count(state.pop(k), -1)
+
+    def rename(name: str, old: str, new: str) -> str:
+        return new if name == old else name
+
     for a in atoms:
         if not is_base_only(a):
             raise ValueError(f"input atoms must use base variables only: {format_atom(a)}")
         if isinstance(a, Eq):
-            state.append(("eq", a.lhs.parts[0], a.rhs.parts[0]))
+            add(("eq", a.lhs.parts[0], a.rhs.parts[0]))
         elif isinstance(a, EqApp):
-            state.append(("eqapp", a.lhs.parts[0], a.sym, tuple(v.parts[0] for v in a.args)))
+            add(("eqapp", a.lhs.parts[0], a.sym, tuple(v.parts[0] for v in a.args)))
         elif isinstance(a, Sub):
-            state.append(("sub", a.lhs.parts[0], a.rhs.parts[0]))
+            add(("sub", a.lhs.parts[0], a.rhs.parts[0]))
         else:  # x <= f(ys): introduce the middle-man equation up front
             mid = f"~d{next(fresh)}"
-            state.append(("sub", a.lhs.parts[0], mid))
-            state.append(("eqapp", mid, a.sym, tuple(v.parts[0] for v in a.args)))
-
-    def occurs(name: str, skip: int) -> bool:
-        for i, t in enumerate(state):
-            if i == skip:
-                continue
-            if t[1] == name:
-                return True
-            if t[0] in ("eq", "sub") and t[2] == name:
-                return True
-            if t[0] == "eqapp" and name in t[3]:
-                return True
-        return False
-
-    def rename(name: str, old: str, new: str) -> str:
-        return new if name == old else name
+            add(("sub", a.lhs.parts[0], mid))
+            add(("eqapp", mid, a.sym, tuple(v.parts[0] for v in a.args)))
 
     spent = 0
     while spent < budget:
@@ -129,7 +135,7 @@ def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
                 break
         if action is None:
             for i, t in enumerate(state):
-                if t[0] == "eq" and t[1] != t[2] and occurs(t[1], i):
+                if t[0] == "eq" and t[1] != t[2] and facts_with[t[1]] > 1:
                     action = ("elim", i)
                     break
         if action is None:
@@ -149,33 +155,31 @@ def naive_solve(atoms: Iterable[Atom], budget: int = 200) -> NaiveResult:
             j, i = action[1], action[2]
             _, _, _, us = state[j]
             _, _, _, vs = state[i]
-            del state[j]
-            state.extend(("eq", a, b) for a, b in zip(us, vs))
+            drop(j)
+            for a, b in zip(us, vs):
+                add(("eq", a, b))
         elif action[0] == "elim":
             i = action[1]
             _, old, new = state[i]
             for k, t in enumerate(state):
-                if k == i:
+                if k == i or old not in names(t):
                     continue
-                if t[0] == "eq":
-                    state[k] = ("eq", rename(t[1], old, new), rename(t[2], old, new))
-                elif t[0] == "sub":
-                    state[k] = ("sub", rename(t[1], old, new), rename(t[2], old, new))
+                count(t, -1)
+                if t[0] == "eqapp":
+                    us = tuple(rename(n, old, new) for n in t[3])
+                    state[k] = ("eqapp", rename(t[1], old, new), t[2], us)
                 else:
-                    state[k] = (
-                        "eqapp",
-                        rename(t[1], old, new),
-                        t[2],
-                        tuple(rename(n, old, new) for n in t[3]),
-                    )
+                    state[k] = (t[0], rename(t[1], old, new), rename(t[2], old, new))
+                count(state[k], 1)
         else:  # descend
             i, partner = action[1], action[2]
             _, x, _ = state[i]
             _, _, sym, zs = state[partner]
             us = tuple(f"~d{next(fresh)}" for _ in zs)
-            del state[i]
-            state.append(("eqapp", x, sym, us))
-            state.extend(("sub", un, zn) for un, zn in zip(us, zs))
+            drop(i)
+            add(("eqapp", x, sym, us))
+            for un, zn in zip(us, zs):
+                add(("sub", un, zn))
     return NaiveResult.EXHAUSTED
 
 

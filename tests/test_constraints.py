@@ -1,9 +1,18 @@
 """Tests for variables, atoms, stores, substitution, and determinedness."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wsc import constraints
 from wsc.constraints import (
     Determination,
     Eq,
@@ -20,7 +29,7 @@ from wsc.constraints import (
     subst_atom,
     var,
 )
-from wsc.engine import rule_descend1
+from wsc.engine import rule_descend1, solve
 from wsc.terms import Symbol
 
 A = Symbol("a", 0)
@@ -60,6 +69,11 @@ def random_sub_atoms(rng, n):
 def test_var_canonical_form():
     assert Var(("y", "x", "y")).parts == ("x", "y")
     assert var("x") == Var(("x",))
+    # one object per value
+    assert Var(("y", "x", "y")) is Var(("x", "y"))
+    assert var("x") is Var(("x",))
+    assert Var(["y", "x"]) is var("x", "y")
+    assert var("x") != ("x",)
     assert var("x", "y") == var("y", "x")
     assert str(var("z", "x", "y")) == "x&y&z"
     assert var("x").is_base
@@ -85,6 +99,76 @@ def test_components():
 def test_var_rejects_empty():
     with pytest.raises(ValueError):
         Var(())
+
+
+def test_copies_of_a_variable_are_the_variable():
+    v = var("x", "y")
+    assert pickle.loads(pickle.dumps(v)) is v
+    assert copy.copy(v) is v
+    assert copy.deepcopy(v) is v
+    assert copy.deepcopy(Sub(v, x)).lhs is v
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3)))
+def test_variables_sort_by_their_parts(names):
+    vs = [Var(tuple(n)) for n in names]
+    assert [v.parts for v in sorted(vs)] == sorted(v.parts for v in vs)
+    for v, w in zip(vs, vs[1:]):
+        assert (v <= w, v > w, v >= w) == (v.parts <= w.parts, v.parts > w.parts, v.parts >= w.parts)
+
+
+def test_variables_are_checked_and_immutable():
+    for bad in [("",), (1,), ("x", "")]:
+        with pytest.raises(ValueError):
+            Var(bad)
+    v = var("x", "y")
+    with pytest.raises(FrozenInstanceError):
+        v.parts = ("z",)
+    with pytest.raises(FrozenInstanceError):
+        del v.is_base
+    assert v.parts == ("x", "y") and not v.is_base
+    with pytest.raises(TypeError):
+        v < ("x",)
+
+
+def test_threads_building_one_value_get_one_variable():
+    names = [f"race{i}" for i in range(2000)]
+    got: list[list[Var]] = [[] for _ in range(4)]
+    start = threading.Barrier(len(got))
+
+    def build(out):
+        start.wait()
+        out.extend(Var((n, "race")) for n in names)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(out) for out in got] == [len(names)] * len(got)
+    for vs in zip(*got):
+        assert all(v is vs[0] for v in vs)
+
+
+def test_the_table_of_variables_drops_dead_ones():
+    gc.collect()
+    size = len(constraints._interned)
+    atoms = []
+    for i in range(0, 2000, 4):
+        a, b, c, d = (var(f"interned{i + k}") for k in range(4))
+        atoms += [Sub(a, b), Sub(a, c), EqApp(b, F1, (d,)), EqApp(c, F1, (d,))]
+    result = solve(atoms)
+    assert len(constraints._interned) == size + 2000 + 500  # names and b&c's
+    del atoms, result, a, b, c, d
+    gc.collect()
+    assert len(constraints._interned) == size
 
 
 # --- atoms -------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_naive_elimination_enables_clash():
     assert naive_solve(atoms, budget=10) == NaiveResult.UNSAT
 
 
+def test_naive_elimination_sees_the_names_a_rename_brings():
+    """x = y renames x in x = f(y) and x = z, and only then does y occur
+    outside y = z; eliminating y as well brings the clash: three
+    firings."""
+    atoms = [EqApp(z, A, ()), SubApp(z, A, ()), EqApp(x, F1, (y,)), Eq(x, y), Eq(x, z)]
+    assert naive_solve(atoms, budget=3) == NaiveResult.UNSAT
+    assert naive_solve(atoms, budget=2) == NaiveResult.EXHAUSTED
+
+
 def test_naive_rejects_bad_input():
     with pytest.raises(ValueError):
         naive_solve([Sub(x, var("y", "z"))])
