@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import wsc
-from wsc.constraints import Eq, EqApp, Sub, SubApp, var
+from wsc.constraints import Eq, EqApp, Sub, SubApp, format_atom, var
 from wsc.engine import Solver, Verdict, solve
 from wsc.frontend import (
     ATOM_KINDS,
@@ -112,6 +112,65 @@ def test_parse_empty_input():
     problem = parse("# nothing here\n\n")
     assert problem.atoms == ()
     assert problem.expect is None
+
+
+# Pieces of generated parser inputs: names, operators, brackets, the
+# separators, stray characters, spaces the format does not skip, line
+# breaks, comments and expect directives.
+PARSE_PIECES = (
+    "x", "y", "z0", "_u", "f", "g", "a", "rec", "=", "<=", "==", "<", "(", ")",
+    ",", "&", ".", "@", "\xe9", " ", "  ", "\t", "\xa0", "\u2003", "\n", "\r",
+    "# note", "# expect: sat", "# expect: unsat", "# expect: maybe",
+)
+PARSE_STATEMENTS = (
+    "x = y", "x <= y", "x = a()", "x = f(y)", "x <= g(y, z)", "u <= f(x)", "y = g(x,y)",
+)
+
+
+def parse_inputs(n):
+    """n seeded inputs: half runs of random pieces, half lines of valid
+    statements, in most of which one token is inserted or deleted."""
+    rng = random.Random(7)
+    for i in range(n):
+        if i % 2 == 0:
+            yield "".join(rng.choice(PARSE_PIECES) for _ in range(rng.randint(1, 12)))
+            continue
+        stmts = [rng.choice(PARSE_STATEMENTS) for _ in range(rng.randint(1, 3))]
+        k = rng.randrange(len(stmts))
+        toks = stmts[k].replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+        j, edit = rng.randrange(len(toks)), rng.random()
+        if edit < 0.4:
+            del toks[j]
+        elif edit < 0.8:
+            toks.insert(j + rng.randint(0, 1), rng.choice(PARSE_PIECES[:18]))
+        stmts[k] = " ".join(toks)
+        tail = rng.choice(("", "", ".", "  # note", " # expect: unsat"))
+        yield rng.choice(("\n", ". ", " . ")).join(stmts) + tail
+
+
+def parse_outcome_digest(n=20_000):
+    """sha256 over what parse() makes of each input of parse_inputs(n):
+    the atoms and the expect directive, or the error's message and
+    position."""
+    h = hashlib.sha256()
+    for text in parse_inputs(n):
+        try:
+            problem = parse(text)
+            out = f"{[format_atom(a) for a in problem.atoms]}|{problem.expect}"
+        except ParseError as exc:
+            out = f"error|{exc.message}|{exc.line}|{exc.col}"
+        h.update(out.encode() + b"\n")
+    return h.hexdigest()
+
+
+# Every atom, directive and error message, line and column the reader
+# gives: a change that alters any of them must update this digest on
+# purpose.
+PARSE_DIGEST = "d2a172eab2dd2538185052de224d16956a6659bb30b2de66be4fea11b56a2828"
+
+
+def test_parse_outcomes_are_pinned():
+    assert parse_outcome_digest() == PARSE_DIGEST
 
 
 # --- random instances -----------------------------------------------------------
