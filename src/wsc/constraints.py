@@ -274,8 +274,7 @@ class Store:
     hop.  `unused_eqs` holds the ids of the x = y atoms with two sides
     that Elim may still use: indexing such an atom adds its id unless
     `elim` records it, and unindexing drops it.  Elim drops the id it
-    uses, and any id that `elim` records although it was assigned after
-    the atom was indexed.
+    uses.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):

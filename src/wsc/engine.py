@@ -287,9 +287,6 @@ def rule_elim(store: Store) -> Firing | None:
     if store.contradiction:
         return None
     for aid in sorted(store.unused_eqs):
-        if aid in store.elim:
-            store.unused_eqs.discard(aid)
-            continue
         a = store.atom(aid)
         xn, yn = a.lhs.parts[0], a.rhs.parts[0]
         if store.occurs_elsewhere(xn, aid):

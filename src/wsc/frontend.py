@@ -26,6 +26,7 @@ import argparse
 import json
 import random
 import re
+import string
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -52,24 +53,9 @@ class ProblemFile:
     expect: Optional[str]  # "sat", "unsat", or None
 
 
-_TOKEN = re.compile(r"[ \t]*(<=|[A-Za-z_][A-Za-z0-9_]*|[=()&,.])")
-
-
-def _tokenize_line(text: str, lineno: int) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs for one source line."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip(" \t")
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", lineno, col)
-        out.append((m.group(1), m.start(1) + 1))
-        pos = m.end()
-    return out
+# A token of the format, or any other single character: a stray one.
+_TOKEN = re.compile(r"[ \t]*(<=|[A-Za-z_][A-Za-z0-9_]*|[=()&,.]|[^ \t])")
+_ONE_CHARACTER_TOKENS = frozenset("=()&,._" + string.ascii_letters)
 
 
 def parse(text: str, *, name: str = "<input>") -> ProblemFile:
@@ -90,15 +76,20 @@ def parse(text: str, *, name: str = "<input>") -> ProblemFile:
             if expect is not None and expect != value:
                 raise ParseError("conflicting expect directives", lineno, len(line) + 2)
             expect = value
-        tokens = _tokenize_line(line, lineno)
-        group: list[tuple[str, int]] = []
-        for tok in tokens + [(".", len(line) + 1)]:
-            if tok[0] == ".":
-                if group:
-                    atoms.append(_parse_atom(group, lineno, arities))
-                    group = []
+        # The whole line is tokenized before any statement on it is read.
+        statements: list[list[tuple[str, int]]] = [[]]
+        pos = 0
+        while m := _TOKEN.match(line, pos):
+            tok, pos = m[1], m.end()
+            if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
+                raise ParseError(f"unexpected character {tok!r}", lineno, m.start(1) + 1)
+            if tok == ".":
+                statements.append([])
             else:
-                group.append(tok)
+                statements[-1].append((tok, m.start(1) + 1))
+        for tokens in statements:
+            if tokens:
+                atoms.append(_parse_atom(tokens, lineno, arities))
     return ProblemFile(name=name, atoms=tuple(atoms), expect=expect)
 
 
@@ -107,47 +98,32 @@ def _parse_atom(
     lineno: int,
     arities: dict[str, tuple[int, int, int]],
 ) -> Atom:
-    pos = 0
-
-    def peek(offset: int = 0) -> Optional[str]:
-        i = pos + offset
-        return tokens[i][0] if i < len(tokens) else None
-
-    def take(expected: Optional[str] = None) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(tokens):
-            last_col = tokens[-1][1] + len(tokens[-1][0]) if tokens else 1
-            raise ParseError(
-                f"statement ends early{f', expected {expected!r}' if expected else ''}",
-                lineno, last_col)
-        tok = tokens[pos]
-        if expected is not None and tok[0] != expected:
-            raise ParseError(f"expected {expected!r}, found {tok[0]!r}", lineno, tok[1])
-        pos += 1
-        return tok
-
-    def is_name(s: Optional[str]) -> bool:
-        return s is not None and (s[0].isalpha() or s[0] == "_")
-
-    def parse_var() -> Var:
-        tok, col = take()
-        if not is_name(tok):
-            raise ParseError(f"expected a variable, found {tok!r}", lineno, col)
-        if peek() == "&":
-            raise ParseError("intersection variables are not allowed in input",
-                             lineno, tokens[pos][1])
-        return var(tok)
-
-    def parse_application() -> tuple[Symbol, tuple[Var, ...]]:
-        fname, fcol = take()
-        take("(")
+    """One statement, read by position: a variable at 0 and the
+    operator at 1, then a variable at 2, or a symbol at 2 with `(` at
+    3, arguments at 4, 6, ... separated by commas, and a closing `)`."""
+    n = len(tokens)
+    end = tokens[-1][1] + len(tokens[-1][0])  # the column a missing token reports
+    lhs = _var_at(tokens, 0, lineno, end)
+    if n < 2:
+        raise ParseError("statement ends early", lineno, end)
+    op, op_col = tokens[1]
+    if op not in ("=", "<="):
+        raise ParseError(f"expected '=' or '<=', found {op!r}", lineno, op_col)
+    if n > 3 and tokens[3][0] == "(" and tokens[2][0].isidentifier():
+        fname, fcol = tokens[2]
         args: list[Var] = []
-        if peek() != ")":
-            args.append(parse_var())
-            while peek() == ",":
-                take(",")
-                args.append(parse_var())
-        take(")")
+        i = 4
+        if i >= n or tokens[i][0] != ")":
+            args.append(_var_at(tokens, i, lineno, end))
+            i += 1
+            while i < n and tokens[i][0] == ",":
+                args.append(_var_at(tokens, i + 1, lineno, end))
+                i += 2
+        if i >= n:
+            raise ParseError("statement ends early, expected ')'", lineno, end)
+        if tokens[i][0] != ")":
+            raise ParseError(f"expected ')', found {tokens[i][0]!r}", lineno, tokens[i][1])
+        i += 1
         seen = arities.get(fname)
         if seen is not None and seen[0] != len(args):
             raise ParseError(
@@ -155,23 +131,28 @@ def _parse_atom(
                 f"col {seen[2]}, but {len(args)} here", lineno, fcol)
         if seen is None:
             arities[fname] = (len(args), lineno, fcol)
-        return Symbol(fname, len(args)), tuple(args)
-
-    lhs = parse_var()
-    op, op_col = take()
-    if op not in ("=", "<="):
-        raise ParseError(f"expected '=' or '<=', found {op!r}", lineno, op_col)
-    applied = is_name(peek()) and peek(1) == "("
-    if applied:
-        sym, args = parse_application()
-        atom: Atom = EqApp(lhs, sym, args) if op == "=" else SubApp(lhs, sym, args)
+        atom: Atom = (EqApp if op == "=" else SubApp)(lhs, Symbol(fname, len(args)), tuple(args))
     else:
-        rhs = parse_var()
-        atom = Eq(lhs, rhs) if op == "=" else Sub(lhs, rhs)
-    if pos < len(tokens):
-        raise ParseError(f"unexpected {tokens[pos][0]!r} after statement",
-                         lineno, tokens[pos][1])
+        atom = (Eq if op == "=" else Sub)(lhs, _var_at(tokens, 2, lineno, end))
+        i = 3
+    if i < n:
+        raise ParseError(f"unexpected {tokens[i][0]!r} after statement", lineno, tokens[i][1])
     return atom
+
+
+def _var_at(tokens: list[tuple[str, int]], i: int, lineno: int, end: int) -> Var:
+    """The input variable at position i of a statement's tokens.  Stray
+    characters are rejected before a statement is read, so a token is a
+    name exactly when it is an identifier."""
+    if i >= len(tokens):
+        raise ParseError("statement ends early", lineno, end)
+    tok, col = tokens[i]
+    if not tok.isidentifier():
+        raise ParseError(f"expected a variable, found {tok!r}", lineno, col)
+    if i + 1 < len(tokens) and tokens[i + 1][0] == "&":
+        raise ParseError("intersection variables are not allowed in input",
+                         lineno, tokens[i + 1][1])
+    return var(tok)
 
 
 # --- random instances ---------------------------------------------------------

@@ -254,7 +254,8 @@ def graph_equal(s: TermGraph, t: TermGraph) -> bool:
 # at least one constructor to denote anything.
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[().,]|\S)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*({_NAME.pattern}|[().,]|\S)")
 
 
 class TermSyntaxError(ValueError):
@@ -262,17 +263,10 @@ class TermSyntaxError(ValueError):
 
 
 def _tokenize(text: str) -> list[str]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        tok = m.group(1)
-        if tok not in "().," and not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+    toks = _TOKEN.findall(text)
+    for tok in toks:
+        if tok not in "().," and not _NAME.fullmatch(tok):
             raise TermSyntaxError(f"bad character {tok!r} in term")
-        toks.append(tok)
-        pos = m.end()
     return toks
 
 
@@ -314,7 +308,7 @@ class _Parser:
             tok = self.take()
             if tok == "rec":
                 name = self.take()
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name == "rec":
+                if not _NAME.fullmatch(name) or name == "rec":
                     raise TermSyntaxError(f"bad rec binder name {name!r}")
                 self.take(".")
                 if self.peek() == "rec" or (self.peek() is not None and self.toks[self.i + 1 : self.i + 2] == ["("]):
@@ -322,7 +316,7 @@ class _Parser:
                     env, into = {**env, name: nid}, nid
                     continue
                 raise TermSyntaxError("rec body must be an application")
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+            if not _NAME.fullmatch(tok):
                 raise TermSyntaxError(f"expected a term, found {tok!r}")
             if self.peek() == "(":
                 self.take("(")

@@ -176,12 +176,6 @@ def test_elim_keeps_an_equation_until_a_side_occurs_elsewhere():
     assert atoms_of(s.store) == {Eq(x, y), Sub(z, y)}
 
 
-def test_elim_skips_an_equation_recorded_after_it_was_indexed():
-    s = store_of(Eq(x, y), Sub(z, y))
-    s.elim = {0: "x"}
-    assert rule_elim(s) is None
-
-
 # --- Propagate1 ------------------------------------------------------------------
 
 

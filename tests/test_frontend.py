@@ -91,6 +91,14 @@ def test_parse_errors_carry_positions():
         ("x <= y & z", 1, 8),       # intersection variable in input
         ("x @ y", 1, 3),            # stray character
         ("x = a()\ny = f(", 2, 7),  # error on a later line
+        ("x =", 1, 4),              # no right side
+        ("x", 1, 2),                # no operator
+        ("x = f(y,)", 1, 9),        # missing last argument
+        ("x = f(,y)", 1, 7),        # missing first argument
+        ("x&y = z", 1, 2),          # intersection variable on the left
+        ("x = y z", 1, 7),          # two right sides
+        ("x = = y. @", 1, 10),      # a stray character is found before the statement is read
+        ("x\xa0= y", 1, 2),         # only spaces and tabs separate tokens
     ]
     for text, line, col in cases:
         with pytest.raises(ParseError) as err:
@@ -106,6 +114,19 @@ def test_parse_arity_conflict_is_rejected():
     # consistent reuse across operators is fine
     problem = parse("x = f(y)\nz <= f(u)\n")
     assert problem.atoms == (EqApp(x, F1, (y,)), SubApp(z, F1, (u,)))
+
+
+def test_parse_reads_back_formatted_atoms():
+    """parse() reads format_atom's lines back as the atoms they print,
+    whatever mix of separators joins them."""
+    rng = random.Random(3)
+    for _ in range(3000):
+        atoms = random_atoms(rng, n_vars=6, n_symbols=3, n_atoms=10)
+        text = format_atom(atoms[0])
+        for a in atoms[1:]:
+            text += rng.choice(("\n", ". ", " . ")) + format_atom(a)
+        text += rng.choice(("", "  # note"))
+        assert parse(text).atoms == tuple(atoms), text
 
 
 def test_parse_empty_input():

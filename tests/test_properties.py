@@ -76,9 +76,14 @@ def incremental(atoms):
 
 def fresh_copy(store):
     """A new store of the same atoms, in the same order, with the same
-    eliminations recorded."""
-    fresh = Store(store.atom_list())
-    fresh.elim = {fresh.add(store.atom(k)): gone for k, gone in store.elim.items()}
+    eliminations recorded under the ids the atoms get there: 0, 1, ...
+    in atom_list() order."""
+    atoms = store.atoms()
+    position = {k: i for i, (k, _) in enumerate(atoms)}
+    fresh = Store()
+    fresh.elim = {position[k]: gone for k, gone in store.elim.items()}
+    for i, (_, a) in enumerate(atoms):
+        assert fresh.add(a) == i
     return fresh
 
 
