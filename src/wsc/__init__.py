@@ -7,9 +7,10 @@ The public API in one place:
                weak_subsumes, graph_equal
   constraints  Var, var, Eq, EqApp, Sub, SubApp,
                Store, determinations, format_atom
-  engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces
+  engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces,
+               witness (a model read off a solved store)
   oracles      naive_solve, rational_unify, check_witness,
-               witness_search, witness files
+               witness_search, dump_witness
   frontend     parse, random_atoms, report, run_cli
 """
 
@@ -34,6 +35,7 @@ from .engine import (
     Verdict,
     format_trace,
     solve,
+    witness,
 )
 from .frontend import ParseError, ProblemFile, parse, random_atoms, report, run_cli
 from .oracles import (
@@ -41,7 +43,6 @@ from .oracles import (
     SearchResult,
     check_witness,
     dump_witness,
-    load_witness,
     naive_solve,
     rational_unify,
     witness_search,
@@ -64,10 +65,10 @@ __all__ = [
     "Atom", "Eq", "EqApp", "Store", "Sub", "SubApp", "Var",
     "determinations", "format_atom", "var",
     "DEFAULT_PRIORITY", "RuleId", "SolveResult", "Solver", "TraceEntry",
-    "Verdict", "format_trace", "solve",
+    "Verdict", "format_trace", "solve", "witness",
     "ParseError", "ProblemFile", "parse", "random_atoms", "report", "run_cli",
     "NaiveResult", "SearchResult", "check_witness", "dump_witness",
-    "load_witness", "naive_solve", "rational_unify", "witness_search",
+    "naive_solve", "rational_unify", "witness_search",
     "Symbol", "TermGraph", "TermSyntaxError", "app", "format_term",
     "graph_equal", "hole", "parse_term", "weak_subsumes",
     "__version__",

@@ -253,16 +253,15 @@ class Store:
     present is a no-op, and a rewrite that produces an atom present
     under another id merges the two.
 
-    Equations and their applied forms must be base-variable-only; that
-    is the shape every reachable solver state has, and add() enforces
-    it.  Subsumption atoms may freely mention intersection variables.
+    Every left side is a base variable, and equations and their applied
+    forms mention base variables only; that is the shape every reachable
+    solver state has, and add() enforces it.  A subsumption's right side
+    and arguments may be intersection variables.
 
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
-    variable, the atoms other than x = y by the base components of their
-    left side, the x <= r atoms by the base components of r, and counts
-    the occurrences of each intersection variable.  It also keeps what
-    determinations() computed for each variable.  `agendas` holds a
+    variable and the x <= r atoms by the base components of r.  It also
+    keeps what determinations() computed for each variable.  `agendas` holds a
     (keys, enabled) pair for each rule that keeps an agenda: once the
     store has indexed an atom a at aid, it adds keys(store, aid, a) to
     the enabled set (see determinations() and engine.py).
@@ -285,8 +284,6 @@ class Store:
         self._occ: dict[str, set[int]] = {}
         self._lhs: dict[type, dict[Var, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
-        self._lhs_part: dict[str, set[int]] = {}
-        self._inter: dict[Var, int] = {}
         self.elim: dict[int, str] = {}
         self.unused_eqs: set[int] = set()
         self._base: dict[str, Var] = {}
@@ -299,6 +296,8 @@ class Store:
 
     def add(self, a: Atom) -> int:
         """Insert an atom; returns its id (the existing one if present)."""
+        if not a.lhs.is_base:
+            raise ValueError(f"atom with an intersection left side: {format_atom(a)}")
         if isinstance(a, (Eq, EqApp)) and not is_base_only(a):
             raise ValueError(f"equational atom with an intersection variable: {format_atom(a)}")
         if a in self._locs:
@@ -386,11 +385,6 @@ class Store:
         occ = self._occ.get(x, ())
         return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
-    def lhs_ids(self, x: str) -> list[int]:
-        """The ids of the x = f(ū), x <= y and x <= f(ū) atoms whose left
-        side has base variable x as a component."""
-        return list(self._lhs_part.get(x, ()))
-
     def routing_ids(self, y: str) -> list[int]:
         """The ids of the x <= r atoms whose right side has base variable
         y as a component."""
@@ -402,7 +396,7 @@ class Store:
         every x <= r routing through y."""
         if isinstance(a, Eq):
             return []
-        if isinstance(a, Sub) or not a.lhs.is_base:
+        if isinstance(a, Sub):
             return [a.lhs]
         return [a.lhs] + [self._atoms[i].lhs for i in self.routing_ids(a.lhs.parts[0])]
 
@@ -417,10 +411,6 @@ class Store:
     def left_sides(self) -> set[Var]:
         """The variables that are the left side of some atom."""
         return {v for table in self._lhs.values() for v in table}
-
-    def intersection_vars(self) -> list[Var]:
-        """The intersection variables occurring in some atom, ascending."""
-        return sorted(self._inter)
 
     def __str__(self) -> str:
         body = ", ".join(format_atom(a) for a in self.atom_list())
@@ -440,17 +430,11 @@ class Store:
         self._locs[a] = aid
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
-        for v in atom_vars(a):
-            if not v.is_base:
-                self._inter[v] = self._inter.get(v, 0) + 1
         self._lhs[type(a)].setdefault(a.lhs, set()).add(aid)
         if isinstance(a, Eq):
             if a.lhs != a.rhs and aid not in self.elim:
                 self.unused_eqs.add(aid)
-        else:
-            for x in a.lhs.parts:
-                self._lhs_part.setdefault(x, set()).add(aid)
-        if isinstance(a, Sub):
+        elif isinstance(a, Sub):
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
         for keys, enabled in self.agendas.values():
@@ -460,19 +444,11 @@ class Store:
         del self._locs[a]
         for b in atom_base_vars(a):
             _drop(self._occ, b, aid)
-        for v in atom_vars(a):
-            if not v.is_base:
-                self._inter[v] -= 1
-                if not self._inter[v]:
-                    del self._inter[v]
         self._forget_dets(a)
         _drop(self._lhs[type(a)], a.lhs, aid)
         if isinstance(a, Eq):
             self.unused_eqs.discard(aid)
-        else:
-            for x in a.lhs.parts:
-                _drop(self._lhs_part, x, aid)
-        if isinstance(a, Sub):
+        elif isinstance(a, Sub):
             for y in a.rhs.parts:
                 _drop(self._sub_rhs, y, aid)
 

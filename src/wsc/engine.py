@@ -1,10 +1,11 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Eight rewrite rules act on a Store.  Each rule function either fires
-once — mutating the store in place and returning the firing as (on,
-removed, added) atom tuples — or returns None when it is inapplicable.
-Every rule fires its first instance in a fixed order: ascending atom
-id (ascending variable for Clash and Descend2), then components in
+Seven rewrite rules act on a Store, and a product read off the store at
+each fixpoint decides what the rules leave open.  Each rule function
+either fires once — mutating the store in place and returning the
+firing as (on, removed, added) atom tuples — or returns None when it is
+inapplicable.  Every rule fires its first instance in a fixed order:
+ascending atom id (ascending variable for Clash), then components in
 sorted order.  So every firing is deterministic.  Propagate1,
 Propagate2 and Collapse grow one atom, and one firing takes every
 current partner of it: on is the atom, then each partner in the order
@@ -12,21 +13,25 @@ it was joined.  Such a firing is the run of fine firings, one partner
 each, that the paper's rule would make on that atom in a row, so
 soundness and termination carry over.
 
-Only Descend2 scans the store.  Clash, Decom, Propagate1,
-Propagate2, Collapse and Descend1 each keep an agenda in the store:
-the rule's key function and the keys (variables for Clash, atom ids
-for the others) of the instances that may be enabled.  Whenever the
-store indexes an atom, new or rewritten, it adds the keys of the
-instances that atom enables as the store stands then.  A look checks
-the keys in ascending order and drops each one that does not fire.
-An instance enabled at a look rests on atoms present at that look;
-the last of them to be indexed found the others present in their
-current form, so its keys include the instance.  Clash keys the left
-sides whose determinations the atom takes part in.  Propagate2 and
-Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄) the atom
-determines would grow or push subsumptions down from.  Decom keys the
-x = f(ū) on the left side of a new x = f(ū).  Propagate1 and Collapse
-key the x <= r atoms an x <= u on a base x reaches and whose r lacks a
+Every left side in a store is a base variable (Store.add enforces it):
+no rule makes an atom on an intersection variable, since the paper's
+Descend2, the one rule that did, is replaced by the product below.
+Right sides and arguments may still be intersection variables.
+
+Clash, Decom, Propagate1, Propagate2, Collapse and Descend1 each keep
+an agenda in the store: the rule's key function and the keys
+(variables for Clash, atom ids for the others) of the instances that
+may be enabled.  Whenever the store indexes an atom, new or rewritten,
+it adds the keys of the instances that atom enables as the store
+stands then.  A look checks the keys in ascending order and drops each
+one that does not fire.  An instance enabled at a look rests on atoms
+present at that look; the last of them to be indexed found the others
+present in their current form, so its keys include the instance.
+Clash keys the variables whose determinations the atom takes part in.
+Propagate2 and Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄)
+the atom determines would grow or push subsumptions down from.  Decom
+keys the x = f(ū) on the left side of a new x = f(ū).  Propagate1 and
+Collapse key the x <= r atoms an x <= u reaches and whose r lacks a
 component of u.  Removals need not be reported: they only shrink
 determinations, the x = f(ū) partners Decom reads and the subsumptions
 Propagate1 and Collapse read, and the subsumptions whose absence
@@ -35,51 +40,92 @@ rest of the store, or merged into an equal atom.  A key that fires
 stays, so the agenda never lacks an enabled instance, and the smallest
 key that fires is the instance the ascending scan would have found
 first: traces are the same as with a whole-store scan.  A Clash look at
-a base variable with no x <= r on it and no kept determinations reads
-the symbols of its own x = f(ū) and x <= f(ū) from the store's
-left-side index, and builds determinations only if there are two.
+a variable with no x <= r on it and no kept determinations reads the
+symbols of its own x = f(ū) and x <= f(ū) from the store's left-side
+index, and builds determinations only if there are two.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
 is not an agenda: an equation whose sides occur nowhere else does not
 fire, yet must stay, since a later atom can give a side an occurrence.
 
-Descend2 scans the intersection variables in use: an agenda would have
-to map every determination change on a base x to each intersection
-variable with x as a component, which costs more than the scan.
-
 The rules:
 
-  Clash       two incompatible constructors determined for a variable
-              and one of its component carriers: contradiction.
+  Clash       two incompatible constructors determined for a
+              variable: contradiction.
   Elim        use an equation x = y to substitute one side away
               everywhere else (deep, inside intersection variables);
               each equation is used at most once.
   Decom       two equations x = f(ū), x = f(v̄): replace the first by
               the pairwise argument equations.
-  Propagate1  x <= u propagates into the right side of w <= z when x
-              is a component of w: z grows to z & u, for every current
+  Propagate1  x <= z and x <= u: z grows to z & u, for every current
               such x <= u at once.
-  Propagate2  like Propagate1 for the applied form: w <= f(ū) absorbs
-              a determination x <= f(v̄) of a component x of w,
-              intersecting argumentwise, for every current one that
-              grows ū at once.
+  Propagate2  like Propagate1 for the applied form: x <= f(ū) absorbs
+              a determination f(v̄) of x, intersecting argumentwise,
+              for every current one that grows ū at once.
   Collapse    w <= r absorbs y <= z for a component y of r: r grows to
               r & z, for every current such y <= z, and again for the
               components that adds, until none adds more (chains of
               subsumptions collapse into the right side in one firing).
-  Descend2    an intersection variable occurring anywhere whose
-              component is determined gets its own applied constraint.
   Descend1    an equation x = f(ū) whose left side is also determined
               as f(v̄) by the *rest* of the store (a determination whose
               determining atom is the equation itself is skipped) pushes
               subsumptions ū <= v̄ down to the arguments (positions
               already covered by an existing subsumption are skipped).
 
+The product.  Where the rules stop without a contradiction, several
+subsumptions may still impose clashing structure on one tree through
+intersection variables in argument positions: x <= f(y&z) with
+y = f(ū) and z = g(v̄) says that one child of x lies below both.  The
+paper finds such clashes by giving the intersection variable y&z
+atoms of its own (Descend2) and running Clash on it and its
+components.  Here the store is read as a graph of sets of names
+instead, as Dörre's (1994) automaton construction for weak subsumption
+reads a conjunction as the product of its variables' structures:
+
+  - Representatives: a union-find over the store's x = y atoms, in
+    which each name Elim eliminated points at the other side of its
+    equation.
+  - A node is a set of representatives.  A singleton whose name has an
+    x = f(ū) is labelled f, with the singletons of ū as children.  Any
+    other node takes the one symbol of its members' determinations;
+    its k-th child is the set of the representatives of every
+    component of every member determination's k-th argument.  A node
+    with no determinations is a hole.
+
+A node whose members' determinations carry two symbols is a clash.
+
+Sound: reached from a name x along a path π, every member of a node
+constrains the same position π of σ(x).  Each determination f(v̄) of a
+member says that the tree there is rooted f and that its k-th child
+lies below every component of v_k, which is what puts those components
+into the k-th child node.  Two symbols at one position admit no tree.
+
+Complete: with no clash every node carries one symbol or is a hole, so
+the nodes form a term graph; witness() maps each name to its node.  An
+x = y holds since both sides have one node, and an x = f(ū) since {x}
+is labelled from it.  For nodes S ⊆ T, the graph at S weakly subsumes
+the graph at T: T's determinations include S's, so T carries S's
+symbol, and T's children include S's.  At a fixpoint an x <= r gives x
+the determinations of every component of r (Collapse closes chains of
+subsumptions), and below an x = f(ū) Descend1 has put each u_k under
+the arguments of x's other determinations; with the inclusion above,
+the subsumptions hold.  oracles.check_witness, which shares no code
+with the product, judges the witness on every sat verdict of the tests.
+
+Once Clash has stopped, every singleton carries one symbol, so a clash
+sits at a node with two members.  The first such node on a path from a
+name is the child of a singleton with determinations and no x = f(ū):
+an equation's singleton has singleton children, and a hole has none.
+So the fixpoint check walks from those singletons only, and a store of
+equations does no product work at all.  A clash it finds is
+recorded as a Clash firing on the atoms behind the two determinations
+that disagree.
+
 A Solver owns a store and drives the rules to a fixpoint under a
-total rule priority; the default order fires Clash first and the
-store-growing Descend rules last.  The verdict is sat iff a
-non-contradictory fixpoint is reached — which priority is used does not
+total rule priority; the default order fires Clash first and Descend1
+last.  The verdict is sat iff a fixpoint is reached whose store and
+product hold no contradiction — which priority is used does not
 change the verdict, only the route.
 
 Inputs must mention base variables only (intersection variables are
@@ -89,6 +135,7 @@ solver-internal); solve() and assert_atom() enforce this.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -106,6 +153,7 @@ from .constraints import (
     is_base_only,
     map_vars,
 )
+from .terms import Symbol, TermGraph
 
 
 class Verdict(enum.Enum):
@@ -125,7 +173,6 @@ class RuleId(enum.Enum):
     PROPAGATE2 = "Propagate2"
     COLLAPSE = "Collapse"
     DESCEND1 = "Descend1"
-    DESCEND2 = "Descend2"
 
     def __str__(self) -> str:
         return self.value
@@ -138,7 +185,6 @@ DEFAULT_PRIORITY: tuple[RuleId, ...] = (
     RuleId.PROPAGATE1,
     RuleId.PROPAGATE2,
     RuleId.COLLAPSE,
-    RuleId.DESCEND2,
     RuleId.DESCEND1,
 )
 
@@ -187,46 +233,35 @@ def _fire_enabled(
     return None
 
 
-def _lhs_determined_by(store: Store, aid: int, a: Atom) -> set[Var]:
-    """The left sides whose determinations atom a takes part in, itself
-    or through a component: each variable v whose own determinations it
-    is in, and for a base v every left side with v as a component (only
-    a left side can have determinations).  These are the variables
-    whose Clash status a can change."""
-    out: set[Var] = set()
-    for v in store.determined_vars(a):
-        if v.is_base:
-            out.update(store.atom(i).lhs for i in store.lhs_ids(v.parts[0]))
-        else:
-            out.add(v)
-    return out
+def _clash_keys(store: Store, aid: int, a: Atom) -> list[Var]:
+    """The variables whose determinations atom a takes part in: those
+    whose Clash status it can change."""
+    return store.determined_vars(a)
 
 
 def _enabled_by(store: Store, aid: int, a: Atom, kind: type,
                 enables: Callable[[tuple[Var, ...], tuple[Var, ...]], bool]) -> list[int]:
     """The atoms of `kind`, x = f(ū) or x <= f(ū), that atom a at aid
-    can enable: a itself if it is one, and each one with a base
-    component of its left side that a determines as an f(v̄) with
-    enables(ū, v̄).  A y = g(v̄) or y <= g(v̄) determines y, and the left
+    can enable: a itself if it is one, and each one on a left side that
+    a determines as an f(v̄) with enables(ū, v̄).  A y = g(v̄) or y <= g(v̄) determines y, and the left
     side of each x <= r routing through y, as g(v̄); an x <= r
     determines x as each y = g(v̄) and y <= g(v̄) on a component y of r
     does."""
     brought = [a] if not isinstance(a, Sub) else [
         d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
     ]
+    table = store._lhs[kind]
     return [aid] * isinstance(a, kind) + [
-        i for v in store.determined_vars(a) if v.is_base for i in store.lhs_ids(v.parts[0])
-        if i != aid and isinstance(b := store.atom(i), kind)
-        and any(d.sym == b.sym and enables(b.args, d.args) for d in brought)
+        i for v in store.determined_vars(a) for i in table.get(v, ()) if i != aid
+        for b in (store.atom(i),)
+        if any(d.sym == b.sym and enables(b.args, d.args) for d in brought)
     ]
 
 
 def _rhs_lacking(store: Store, aid: int, a: Sub, ids: Iterable[int]) -> list[int]:
-    """aid, and the x <= r among ids with a component of the right side
-    of the y <= z at aid missing from r."""
-    return [aid] + [
-        i for i in ids if isinstance(b := store.atom(i), Sub) and not _includes(b.rhs, a.rhs)
-    ]
+    """aid, and the x <= r atoms among ids with a component of the right
+    side of the y <= z at aid missing from r."""
+    return [aid] + [i for i in ids if not _includes(store.atom(i).rhs, a.rhs)]
 
 
 def _includes(u: Var, v: Var) -> bool:
@@ -243,39 +278,37 @@ def _uncovered(store: Store, us: tuple[Var, ...], vs: tuple[Var, ...]) -> list[t
     ]
 
 
+def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
+    """A contradiction, on the atoms behind the first determination and
+    the first after it with another symbol, if dets carry two symbols."""
+    d1 = dets[0]
+    d2 = next((d for d in dets if d.sym != d1.sym), None)
+    if d2 is None:
+        return None
+    store.contradiction = True
+    return tuple(dict.fromkeys(_sources(store, d1) + _sources(store, d2))), (), ()
+
+
 def _clash_at(store: Store, w: Var) -> Firing | None:
     lhs = store._lhs
-    if w.is_base and w not in store._dets and w not in lhs[Sub]:
+    if w not in store._dets and w not in lhs[Sub]:
         # Then w's determinations are its own x = f(ū) and x <= f(ū),
         # and w clashes only if they carry two symbols.
         own = [*lhs[EqApp].get(w, ()), *lhs[SubApp].get(w, ())]
         if len({a.sym for a in map(store.atom, own)}) < 2:
             return None
     dw = determinations(store, w)
-    if not dw:
-        return None
     # determinations() sorts by symbol first, so the first and the last
-    # of each list span all of its symbols: x and w carry two symbols
-    # unless these four are one.
-    first_w, last_w = dw[0].sym, dw[-1].sym
-    base = w.is_base
-    for xname in w.parts:
-        dx = dw if base else determinations(store, store.base_var(xname))
-        if not dx or first_w == last_w == dx[0].sym == dx[-1].sym:
-            continue
-        d1, d2 = next((p, q) for p in dx for q in dw if p.sym != q.sym)
-        store.contradiction = True
-        on = _sources(store, d1) + _sources(store, d2)
-        return tuple(dict.fromkeys(on)), (), ()
-    return None
+    # span all of its symbols.
+    if not dw or dw[0].sym == dw[-1].sym:
+        return None
+    return _clash(store, dw)
 
 
 def rule_clash(store: Store) -> Firing | None:
-    """Fire when some variable w and a component x of w carry two
-    different determined constructors (w = x included: a doubly
-    determined variable clashes with itself).  The smallest such w
-    fires."""
-    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, _lhs_determined_by, _clash_at)
+    """Fire when some variable carries two different determined
+    constructors.  The smallest such variable fires."""
+    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, _clash_keys, _clash_at)
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -360,14 +393,12 @@ def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]]
 
 
 def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The w <= z atoms whose Propagate1 instance a new or rewritten
-    atom can enable: a itself, and for an x <= u on a base x each w <= z
-    with x a component of w and a component of u missing from z."""
+    """The x <= z atoms whose Propagate1 instance a new or rewritten
+    atom can enable: for an x <= u, itself and each x <= z with a
+    component of u missing from z."""
     if not isinstance(a, Sub):
         return ()
-    if not a.lhs.is_base:
-        return (aid,)
-    return _rhs_lacking(store, aid, a, store.lhs_ids(a.lhs.parts[0]))
+    return _rhs_lacking(store, aid, a, store._lhs[Sub][a.lhs])
 
 
 def _propagate1_at(store: Store, aid: int) -> Firing | None:
@@ -375,9 +406,8 @@ def _propagate1_at(store: Store, aid: int) -> Firing | None:
 
 
 def rule_propagate1(store: Store) -> Firing | None:
-    """w <= z and x <= u for a component x of w: grow z to z & u, for
-    every current partner x <= u in one firing.  The atom with the
-    smallest id fires."""
+    """x <= z and x <= u: grow z to z & u, for every current partner
+    x <= u in one firing.  The atom with the smallest id fires."""
     return _fire_enabled(
         store, RuleId.PROPAGATE1, lambda s: s.ids(Sub), _propagate1_keys, _propagate1_at
     )
@@ -385,9 +415,8 @@ def rule_propagate1(store: Store) -> Firing | None:
 
 def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
     """The x <= f(ū) atoms whose Propagate2 instance a new or rewritten
-    atom can enable: a itself, and those on a left side with a base
-    component that the atom determines as an f(v̄) not included in ū,
-    position by position."""
+    atom can enable: a itself, and those on a left side that the atom
+    determines as an f(v̄) not included in ū, position by position."""
     return _enabled_by(store, aid, a, SubApp, lambda us, vs: not all(map(_includes, us, vs)))
 
 
@@ -397,20 +426,19 @@ def _propagate2_at(store: Store, aid: int) -> Firing | None:
         return None
     on = [a]
     args = [set(u.parts) for u in a.args]
-    # The same determining atom reached again, through another component
-    # or routing atom, brings the same arguments: joined or not the
-    # first time, they add nothing now.
+    # The same determining atom reached again, through another routing
+    # atom, brings the same arguments: joined or not the first time,
+    # they add nothing now.
     tested = set()
-    for xname in a.lhs.parts:
-        for d in determinations(store, store.base_var(xname)):
-            if d.at in tested or d.sym != a.sym:
-                continue
-            tested.add(d.at)
-            if all(parts.issuperset(v.parts) for parts, v in zip(args, d.args)):
-                continue
-            for parts, v in zip(args, d.args):
-                parts.update(v.parts)
-            on.extend(_sources(store, d))
+    for d in determinations(store, a.lhs):
+        if d.at in tested or d.sym != a.sym:
+            continue
+        tested.add(d.at)
+        if all(parts.issuperset(v.parts) for parts, v in zip(args, d.args)):
+            continue
+        for parts, v in zip(args, d.args):
+            parts.update(v.parts)
+        on.extend(_sources(store, d))
     if len(on) == 1:
         return None
     na = SubApp(a.lhs, a.sym, tuple(Var(tuple(parts)) for parts in args))
@@ -419,10 +447,10 @@ def _propagate2_at(store: Store, aid: int) -> Firing | None:
 
 
 def rule_propagate2(store: Store) -> Firing | None:
-    """w <= f(ū) and a determination f(v̄) of a component x of w:
-    intersect the arguments, position by position, with every current
-    partner determination that grows them, in one firing.  The atom
-    with the smallest id fires."""
+    """x <= f(ū) and a determination f(v̄) of x: intersect the
+    arguments, position by position, with every current partner
+    determination that grows them, in one firing.  The atom with the
+    smallest id fires."""
     return _fire_enabled(
         store, RuleId.PROPAGATE2, lambda s: s.ids(SubApp), _propagate2_keys, _propagate2_at
     )
@@ -430,12 +458,10 @@ def rule_propagate2(store: Store) -> Firing | None:
 
 def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
     """The x <= r atoms whose Collapse instance a new or rewritten atom
-    can enable: a itself, and for a y <= z on a base y each x <= r with
-    y and not every component of z among the components of r."""
+    can enable: for a y <= z, itself and each x <= r with y and not
+    every component of z among the components of r."""
     if not isinstance(a, Sub):
         return ()
-    if not a.lhs.is_base:
-        return (aid,)
     return _rhs_lacking(store, aid, a, store.routing_ids(a.lhs.parts[0]))
 
 
@@ -449,25 +475,6 @@ def rule_collapse(store: Store) -> Firing | None:
     that adds, until none adds more: the transitive closure in one
     firing.  The atom with the smallest id fires."""
     return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
-
-
-def rule_descend2(store: Store) -> Firing | None:
-    """An intersection variable w in use whose component is determined,
-    while w itself has no applied constraint yet: give it one."""
-    if store.contradiction:
-        return None
-    for w in store.intersection_vars():
-        if store.ids(SubApp, w):
-            continue
-        for xname in w.parts:
-            dets = determinations(store, store.base_var(xname))
-            if not dets:
-                continue
-            d = dets[0]
-            na = SubApp(w, d.sym, d.args)
-            store.add(na)
-            return _sources(store, d), (), (na,)
-    return None
 
 
 def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
@@ -516,9 +523,126 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.PROPAGATE1: rule_propagate1,
     RuleId.PROPAGATE2: rule_propagate2,
     RuleId.COLLAPSE: rule_collapse,
-    RuleId.DESCEND2: rule_descend2,
     RuleId.DESCEND1: rule_descend1,
 }
+
+
+# --- the product ------------------------------------------------------------------
+
+# A node of the product: a set of representatives (see the module
+# docstring).
+Node = frozenset
+
+
+def _representatives(store: Store) -> Callable[[str], str]:
+    """find() of a union-find over the store's x = y atoms, in which the
+    name each used equation eliminated points at its other side."""
+    parent: dict[str, str] = {}
+
+    def find(n: str) -> str:
+        while n in parent:
+            parent[n] = n = parent.get(parent[n], parent[n])  # path halving
+        return n
+
+    for aid in store.ids(Eq):
+        a = store.atom(aid)
+        x, y = a.lhs.parts[0], a.rhs.parts[0]
+        if store.elim.get(aid) == y:
+            x, y = y, x
+        x, y = find(x), find(y)
+        if x != y:
+            parent[x] = y
+    return find
+
+
+def _walk(store: Store, find: Callable[[str], str], roots: Iterable[str]
+          ) -> tuple[dict[Node, tuple[Symbol | None, tuple[Node, ...]]], Firing | None]:
+    """The nodes reached from the singletons of roots, depth first in
+    the order of roots and of child positions, without recursion: each
+    node's symbol and children (None and () for a hole), in the order
+    first reached.  The walk stops at the first node whose members'
+    determinations carry two symbols and returns its Clash firing."""
+    eqapps = store._lhs[EqApp]
+    nodes: dict[Node, tuple[Symbol | None, tuple[Node, ...]]] = {}
+    stack = [Node((find(r),)) for r in reversed(list(roots))]
+    while stack:
+        node = stack.pop()
+        if node in nodes:
+            continue
+        own = eqapps.get(store.base_var(next(iter(node)))) if len(node) == 1 else None
+        if own:
+            a = store.atom(min(own))
+            sym, kids = a.sym, tuple(Node((find(u.parts[0]),)) for u in a.args)
+        else:
+            dets = [d for n in sorted(node) for d in determinations(store, store.base_var(n))]
+            if not dets:
+                nodes[node] = (None, ())
+                continue
+            fired = _clash(store, dets)
+            if fired is not None:
+                return nodes, fired
+            sym = dets[0].sym
+            kids = tuple(Node(find(c) for d in dets for c in d.args[k].parts)
+                         for k in range(sym.arity))
+        nodes[node] = (sym, kids)
+        stack.extend(reversed(kids))
+    return nodes, None
+
+
+def _product_clash(store: Store) -> Firing | None:
+    """A clash in the product of a store at a fixpoint of the rules,
+    walked from the left sides with determinations and no x = f(ū)."""
+    lhs = store._lhs
+    starts = sorted(v.parts[0] for v in {*lhs[Sub], *lhs[SubApp]}
+                    if v not in lhs[EqApp] and determinations(store, v))
+    return _walk(store, _representatives(store), starts)[1] if starts else None
+
+
+def witness(store: Store) -> dict[str, TermGraph] | None:
+    """A model of a solved store read off its product: each base name of
+    the store maps to the term graph at its node.  A singleton hole is
+    named after its representative, and any other hole gets a fresh
+    name.  None when the store or its product holds a contradiction.
+    On a store that is not at a fixpoint of the rules, the product need
+    not be a model."""
+    if store.contradiction:
+        return None
+    names = sorted(store.base_vars())
+    find = _representatives(store)
+    nodes, clash = _walk(store, find, names)
+    if clash is not None:
+        return None
+    number = {node: i for i, node in enumerate(nodes)}
+    fresh = (f"h{k}" for k in itertools.count(1) if f"h{k}" not in store.base_vars())
+    labels: dict[int, Symbol] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    holes: dict[int, str] = {}
+    for node, (sym, kids) in nodes.items():
+        i = number[node]
+        if sym is None:
+            holes[i] = next(iter(node)) if len(node) == 1 else next(fresh)
+        else:
+            labels[i], children[i] = sym, tuple(number[k] for k in kids)
+    graphs: dict[int, TermGraph] = {}
+
+    def graph(root: int) -> TermGraph:
+        """The graph of the nodes reachable from root."""
+        if root not in graphs:
+            seen, todo = {root}, [root]
+            while todo:
+                for k in children.get(todo.pop(), ()):
+                    if k not in seen:
+                        seen.add(k)
+                        todo.append(k)
+            graphs[root] = TermGraph(
+                root,
+                {i: labels[i] for i in seen if i in labels},
+                {i: children[i] for i in seen if i in children},
+                {i: holes[i] for i in seen if i in holes},
+            )
+        return graphs[root]
+
+    return {n: graph(number[Node((find(n),))]) for n in names}
 
 
 # --- solver -------------------------------------------------------------------
@@ -528,7 +652,8 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 class TraceEntry:
     """One rule firing: which rule, the atoms it looked at, and what
     it removed and added.  Only Clash derives bottom, so a Clash entry
-    prints `=> bottom`."""
+    prints `=> bottom`; a clash in the product is a Clash entry on the
+    atoms behind the two determinations that disagree."""
 
     step: int
     rule: RuleId
@@ -583,21 +708,28 @@ class Solver:
             self.verdict = Verdict.UNKNOWN
 
     def step(self) -> bool:
-        """Fire the first applicable rule by priority; False at fixpoint."""
+        """Fire the first applicable rule by priority, or where none is,
+        a clash in the product; False at fixpoint."""
         if self.store.contradiction:
             self.verdict = Verdict.UNSAT
             return False
         for rule in self.priority:
             fired = _RULES[rule](self.store)
             if fired is not None:
-                self.step_count += 1
-                self.trace.append(TraceEntry(self.step_count, rule, *fired))
-                if self.store.contradiction:
-                    self.verdict = Verdict.UNSAT
-                return True
+                return self._record(rule, fired)
+        fired = _product_clash(self.store)
+        if fired is not None:
+            return self._record(RuleId.CLASH, fired)
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.SAT
         return False
+
+    def _record(self, rule: RuleId, fired: Firing) -> bool:
+        self.step_count += 1
+        self.trace.append(TraceEntry(self.step_count, rule, *fired))
+        if self.store.contradiction:
+            self.verdict = Verdict.UNSAT
+        return True
 
     def run(self) -> Verdict:
         """Step to a fixpoint and return the verdict."""

@@ -33,8 +33,8 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
-from .engine import Solver, SolveResult, Verdict, format_trace, solve
-from .oracles import NaiveResult, naive_solve, rational_unify, witness_search
+from .engine import Solver, SolveResult, Verdict, format_trace, solve, witness
+from .oracles import NaiveResult, dump_witness, naive_solve, rational_unify, witness_search
 from .terms import Symbol
 
 
@@ -269,9 +269,19 @@ def _read_source(path: str) -> str:
         return fh.read()
 
 
-def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool) -> None:
+def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool,
+                  with_witness: bool) -> None:
+    """The verdict and solved store, and with_witness, the model read
+    off a sat store as `name := term` lines (a JSON string under
+    "witness", null for unsat)."""
+    model = None
+    if with_witness and result.verdict == Verdict.SAT:
+        model = dump_witness(witness(result.store))
     if as_json:
-        print(json.dumps(report(result, include_trace=with_trace), indent=2, sort_keys=True))
+        data = report(result, include_trace=with_trace)
+        if with_witness:
+            data["witness"] = model
+        print(json.dumps(data, indent=2, sort_keys=True))
         return
     if with_trace and result.trace:
         print(format_trace(result.trace))
@@ -279,6 +289,8 @@ def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool) -> No
     if result.verdict == Verdict.SAT:
         for _, a in result.store.atoms():
             print(f"  {format_atom(a)}")
+    if model is not None:
+        print(model, end="")
 
 
 def _solve_command(args: argparse.Namespace) -> int:
@@ -304,7 +316,7 @@ def _solve_command(args: argparse.Namespace) -> int:
         result = SolveResult(solver.verdict, solver.store, solver.step_count, list(solver.trace))
     else:
         result = solve(problem.atoms)
-    _print_result(result, as_json=args.json, with_trace=args.trace)
+    _print_result(result, as_json=args.json, with_trace=args.trace, with_witness=args.witness)
     if problem.expect is not None and problem.expect != result.verdict.value:
         print(f"error: verdict {result.verdict.value} but file expects {problem.expect}",
               file=sys.stderr)
@@ -377,6 +389,8 @@ def run_cli(argv: Sequence[str]) -> int:
     p_solve.add_argument("file")
     p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.add_argument("--trace", action="store_true", help="print every rule firing")
+    p_solve.add_argument("--witness", action="store_true",
+                         help="print a model of a sat verdict, one `name := term` line per name")
     p_solve.add_argument("--oracle-check", action="store_true",
                          help="cross-check the verdict against the oracles")
     p_solve.add_argument("--incremental", action="store_true",

@@ -51,15 +51,17 @@ def determined(store, v):
 
 
 def random_sub_atoms(rng, n):
-    """Random Sub/SubApp atoms (intersection variables allowed)."""
+    """Random Sub/SubApp atoms on base left sides (intersection variables
+    allowed elsewhere)."""
     out = []
     for _ in range(n):
+        lhs = var(rng.choice("xyzuvw"))
         if rng.random() < 0.5:
-            out.append(Sub(random_var(rng), random_var(rng)))
+            out.append(Sub(lhs, random_var(rng)))
         else:
             sym = rng.choice([A, F1, F2])
             args = tuple(random_var(rng) for _ in range(sym.arity))
-            out.append(SubApp(random_var(rng), sym, args))
+            out.append(SubApp(lhs, sym, args))
     return out
 
 
@@ -224,8 +226,13 @@ def test_store_rejects_intersection_equations():
         Store([Eq(var("x", "y"), z)])
     with pytest.raises(ValueError):
         Store([EqApp(x, F1, (var("y", "z"),))])
-    # subsumption atoms may mention intersection variables
-    Store([Sub(x, var("y", "z")), SubApp(var("x", "y"), F1, (z,))])
+    # and intersection left sides of subsumptions
+    with pytest.raises(ValueError):
+        Store([Sub(var("x", "y"), z)])
+    with pytest.raises(ValueError):
+        Store([SubApp(var("x", "y"), F1, (z,))])
+    # subsumption atoms may mention intersection variables elsewhere
+    Store([Sub(x, var("y", "z")), SubApp(x, F1, (var("y", "z"),))])
 
 
 def test_store_indices_track_removal():
@@ -233,11 +240,9 @@ def test_store_indices_track_removal():
     i = s.add(Sub(x, var("y", "z")))
     j = s.add(EqApp(y, F1, (u,)))
     assert s.left_sides() == {x, y}
-    assert s.intersection_vars() == [var("y", "z")]
     assert s.base_vars() == {"x", "y", "z", "u"}
     s.remove(i)
     assert s.left_sides() == {y}
-    assert s.intersection_vars() == []
     assert s.base_vars() == {"y", "u"}
     assert s.ids(EqApp, y) == [j]
     assert s.ids(Sub) == []
@@ -318,9 +323,12 @@ def test_deep_subst_does_not_preserve_variable_sets():
     atoms = [Eq(x, y), Sub(z, var("x", "y"))]
     before, after = Store(atoms), Store(atoms)
     after.subst_all("x", "y")
-    assert var("x", "y") in before.intersection_vars()
-    assert var("x", "y") not in after.intersection_vars()
-    assert before.intersection_vars() != after.intersection_vars()
+
+    def variables(s):
+        return {v for a in s.atom_list() for v in atom_vars(a)}
+
+    assert var("x", "y") in variables(before)
+    assert var("x", "y") not in variables(after)
 
 
 # --- congruence (equal atom sets) ---------------------------------------------
@@ -349,8 +357,8 @@ def test_immediately_determined_examples():
     s = Store([EqApp(x, F1, (y,))])
     assert immediate(s, x) == {(F1, (y,))}
 
-    s = Store([SubApp(var("x", "y"), G1, (u,))])
-    assert immediate(s, var("x", "y")) == {(G1, (u,))}
+    s = Store([SubApp(x, G1, (var("u", "y"),))])
+    assert immediate(s, x) == {(G1, (var("u", "y"),))}
 
     s = Store([Sub(x, y)])
     assert immediate(s, x) == set()
@@ -380,7 +388,8 @@ def test_determinations_report_sources():
 
 
 def test_intersection_determination_does_not_route():
-    # only base components of the right side route determinations;
-    # an intersection variable's own determination stays its own
-    s = Store([Sub(x, var("y", "z")), SubApp(var("y", "z"), F1, (u,))])
-    assert determined(s, x) == set()
+    # only base components of the right side route determinations: an
+    # intersection variable is no left side, so it has none to route
+    s = Store([Sub(x, var("y", "z")), SubApp(y, F1, (u,))])
+    assert determined(s, var("y", "z")) == set()
+    assert determined(s, x) == {(F1, (u,))}

@@ -17,12 +17,13 @@ from wsc.constraints import (
     var,
 )
 from wsc.engine import (
+    RuleId,
     Solver,
+    Verdict,
     rule_clash,
     rule_collapse,
     rule_decom,
     rule_descend1,
-    rule_descend2,
     rule_elim,
     rule_propagate1,
     rule_propagate2,
@@ -100,12 +101,17 @@ def test_clash_through_routed_determinations():
 
 
 def test_clash_between_component_and_intersection():
-    # the intersection variable x&y is pinned to a() while its
-    # component x is pinned to f: incompatible
-    s = store_of(EqApp(x, F1, (u,)), SubApp(var("x", "y"), A, ()))
-    on = (EqApp(x, F1, (u,)), SubApp(var("x", "y"), A, ()))
-    assert rule_clash(s) == (on, (), ())
-    assert s.contradiction
+    # w <= f(y&z) puts one child of w below both y = f(u) and z = g(v):
+    # no rule fires, and the product's node {y, z} carries f and g
+    s = Solver()
+    for a in (SubApp(w, F1, (y,)), SubApp(w, F1, (z,)), EqApp(y, F1, (u,)), EqApp(z, G1, (v,))):
+        s.insert(a)
+    assert s.run() == Verdict.UNSAT
+    assert SubApp(w, F1, (var("y", "z"),)) in s.store
+    last = s.trace[-1]
+    assert (last.rule, last.on) == (RuleId.CLASH, (EqApp(y, F1, (u,)), EqApp(z, G1, (v,))))
+    assert str(last) == f"step {last.step}: Clash on y = f(u), z = g(v) => bottom"
+    assert s.step_count == len(s.trace)
 
 
 def test_clash_requires_two_distinct_symbols():
@@ -180,13 +186,13 @@ def test_elim_keeps_an_equation_until_a_side_occurs_elsewhere():
 
 
 def test_propagate1_grows_right_side():
-    s = store_of(Sub(var("x", "y"), z), Sub(x, u))
+    s = store_of(Sub(x, var("y", "z")), Sub(x, u))
     assert rule_propagate1(s) == (
-        (Sub(var("x", "y"), z), Sub(x, u)),
-        (Sub(var("x", "y"), z),),
-        (Sub(var("x", "y"), var("z", "u")),),
+        (Sub(x, var("y", "z")), Sub(x, u)),
+        (Sub(x, var("y", "z")),),
+        (Sub(x, var("u", "y", "z")),),
     )
-    assert atoms_of(s) == {Sub(var("x", "y"), var("z", "u")), Sub(x, u)}
+    assert atoms_of(s) == {Sub(x, var("u", "y", "z")), Sub(x, u)}
 
 
 def test_propagate1_applies_to_base_left_sides():
@@ -196,17 +202,22 @@ def test_propagate1_applies_to_base_left_sides():
 
 
 def test_propagate1_joins_every_component_in_one_firing():
-    s = store_of(Sub(var("x", "y"), z), Sub(x, u), Sub(y, v))
+    s = store_of(Sub(x, z), Sub(x, u), Sub(x, v))
     assert rule_propagate1(s) == (
-        (Sub(var("x", "y"), z), Sub(x, u), Sub(y, v)),
-        (Sub(var("x", "y"), z),),
-        (Sub(var("x", "y"), var("z", "u", "v")),),
+        (Sub(x, z), Sub(x, u), Sub(x, v)),
+        (Sub(x, z),),
+        (Sub(x, var("z", "u", "v")),),
     )
-    assert rule_propagate1(s) is None
 
 
 def test_propagate1_guard():
-    s = store_of(Sub(var("x", "y"), var("z", "u")), Sub(x, u))
+    # z <= u is a partner for Collapse, not for Propagate1
+    s = store_of(Sub(x, var("z", "u")), Sub(z, u))
+    assert rule_propagate1(s) is None
+    # x <= u fires, merging into x <= z&u, which then has no partner
+    s = store_of(Sub(x, var("z", "u")), Sub(x, u))
+    assert rule_propagate1(s)[2] == (Sub(x, var("z", "u")),)
+    assert atoms_of(s) == {Sub(x, var("z", "u"))}
     assert rule_propagate1(s) is None
 
 
@@ -214,37 +225,39 @@ def test_propagate1_guard():
 
 
 def test_propagate2_intersects_arguments():
-    s = store_of(SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,)))
-    grown = SubApp(var("x", "y"), F1, (var("u", "v"),))
+    s = store_of(SubApp(x, F1, (u,)), EqApp(x, F1, (v,)))
+    grown = SubApp(x, F1, (var("u", "v"),))
     assert rule_propagate2(s) == (
-        (SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,))),
-        (SubApp(var("x", "y"), F1, (u,)),),
+        (SubApp(x, F1, (u,)), EqApp(x, F1, (v,))),
+        (SubApp(x, F1, (u,)),),
         (grown,),
     )
     assert atoms_of(s) == {grown, EqApp(x, F1, (v,))}
 
 
 def test_propagate2_joins_every_component_in_one_firing():
-    s = store_of(SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,)), EqApp(y, F1, (w,)))
-    grown = SubApp(var("x", "y"), F1, (var("u", "v", "w"),))
+    # x <= y&z routes both of its components' determinations to x
+    s = store_of(SubApp(x, F1, (u,)), Sub(x, var("y", "z")), EqApp(y, F1, (v,)),
+                 EqApp(z, F1, (w,)))
+    grown = SubApp(x, F1, (var("u", "v", "w"),))
     assert rule_propagate2(s) == (
-        (SubApp(var("x", "y"), F1, (u,)), EqApp(x, F1, (v,)), EqApp(y, F1, (w,))),
-        (SubApp(var("x", "y"), F1, (u,)),),
+        (SubApp(x, F1, (u,)), Sub(x, var("y", "z")), EqApp(y, F1, (v,)), EqApp(z, F1, (w,))),
+        (SubApp(x, F1, (u,)),),
         (grown,),
     )
     assert rule_propagate2(s) is None
 
 
 def test_propagate2_guard():
-    s = store_of(SubApp(var("x", "y"), F1, (var("u", "v"),)), EqApp(x, F1, (v,)))
+    s = store_of(SubApp(x, F1, (var("u", "v"),)), Sub(x, y), EqApp(y, F1, (v,)))
     assert rule_propagate2(s) is None
 
 
 def test_propagate2_ignores_symbol_mismatch():
-    s = store_of(SubApp(var("x", "y"), F1, (u,)), EqApp(x, G1, (v,)))
+    s = store_of(SubApp(x, F1, (u,)), Sub(x, y), EqApp(y, G1, (v,)))
     assert rule_propagate2(s) is None
     # ... that shape is a contradiction, and Clash handles it
-    on = (EqApp(x, G1, (v,)), SubApp(var("x", "y"), F1, (u,)))
+    on = (SubApp(x, F1, (u,)), Sub(x, y), EqApp(y, G1, (v,)))
     assert rule_clash(s) == (on, (), ())
     assert s.contradiction
 
@@ -281,30 +294,6 @@ def test_collapse_takes_the_transitive_closure_in_one_firing():
 def test_collapse_guard():
     s = store_of(Sub(x, var("y", "z")), Sub(y, z))
     assert rule_collapse(s) is None
-
-
-# --- Descend2 --------------------------------------------------------------------
-
-
-def test_descend2_gives_intersection_variable_a_constraint():
-    s = store_of(Sub(z, var("x", "y")), EqApp(x, F1, (u,)))
-    new = SubApp(var("x", "y"), F1, (u,))
-    assert rule_descend2(s) == ((EqApp(x, F1, (u,)),), (), (new,))
-    assert atoms_of(s) == {Sub(z, var("x", "y")), EqApp(x, F1, (u,)), new}
-
-
-def test_descend2_guard_already_determined():
-    s = store_of(
-        Sub(z, var("x", "y")),
-        EqApp(x, F1, (u,)),
-        SubApp(var("x", "y"), F1, (u,)),
-    )
-    assert rule_descend2(s) is None
-
-
-def test_descend2_needs_an_intersection_variable():
-    s = store_of(Sub(x, y), EqApp(x, F1, (u,)))
-    assert rule_descend2(s) is None
 
 
 # --- Descend1 --------------------------------------------------------------------
@@ -365,7 +354,6 @@ def test_rules_are_inapplicable_on_contradiction():
         rule_propagate2,
         rule_collapse,
         rule_descend1,
-        rule_descend2,
     ):
         assert rule(s) is None
 

@@ -164,10 +164,8 @@ def index_answers(store):
             for v in variables | {None}
         },
         "left sides": store.left_sides(),
-        "intersection vars": store.intersection_vars(),
         "base vars": names,
         "routing": {y: at_set(store.routing_ids(y)) for y in names},
-        "lhs": {y: at_set(store.lhs_ids(y)) for y in names},
         "determinations": {
             v: [
                 (d.sym, d.args, store.atom(d.at), None if d.via is None else store.atom(d.via))
