@@ -261,10 +261,11 @@ class Store:
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
     variable and the x <= r atoms by the base components of r.  It also
-    keeps what determinations() computed for each variable.  `agendas` holds a
-    (keys, enabled) pair for each rule that keeps an agenda: once the
-    store has indexed an atom a at aid, it adds keys(store, aid, a) to
-    the enabled set (see determinations() and engine.py).
+    keeps what determinations() computed for each variable.  `agendas`
+    holds a (keys, enabled) pair for each rule that keeps an agenda:
+    once the store has indexed an atom a at aid, it adds
+    keys(store, aid, a) to the enabled set (see determinations() and
+    engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is

@@ -243,10 +243,10 @@ def _enabled_by(store: Store, aid: int, a: Atom, kind: type,
                 enables: Callable[[tuple[Var, ...], tuple[Var, ...]], bool]) -> list[int]:
     """The atoms of `kind`, x = f(ū) or x <= f(ū), that atom a at aid
     can enable: a itself if it is one, and each one on a left side that
-    a determines as an f(v̄) with enables(ū, v̄).  A y = g(v̄) or y <= g(v̄) determines y, and the left
-    side of each x <= r routing through y, as g(v̄); an x <= r
-    determines x as each y = g(v̄) and y <= g(v̄) on a component y of r
-    does."""
+    a determines as an f(v̄) with enables(ū, v̄).  A y = g(v̄) or
+    y <= g(v̄) determines y, and the left side of each x <= r routing
+    through y, as g(v̄); an x <= r determines x as each y = g(v̄) and
+    y <= g(v̄) on a component y of r does."""
     brought = [a] if not isinstance(a, Sub) else [
         d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
     ]
@@ -555,7 +555,7 @@ def _representatives(store: Store) -> Callable[[str], str]:
     return find
 
 
-def _walk(store: Store, find: Callable[[str], str], roots: Iterable[str]
+def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
           ) -> tuple[dict[Node, tuple[Symbol | None, tuple[Node, ...]]], Firing | None]:
     """The nodes reached from the singletons of roots, depth first in
     the order of roots and of child positions, without recursion: each
@@ -564,7 +564,7 @@ def _walk(store: Store, find: Callable[[str], str], roots: Iterable[str]
     determinations carry two symbols and returns its Clash firing."""
     eqapps = store._lhs[EqApp]
     nodes: dict[Node, tuple[Symbol | None, tuple[Node, ...]]] = {}
-    stack = [Node((find(r),)) for r in reversed(list(roots))]
+    stack = [Node((find(r),)) for r in reversed(roots)]
     while stack:
         node = stack.pop()
         if node in nodes:
@@ -613,7 +613,8 @@ def witness(store: Store) -> dict[str, TermGraph] | None:
     if clash is not None:
         return None
     number = {node: i for i, node in enumerate(nodes)}
-    fresh = (f"h{k}" for k in itertools.count(1) if f"h{k}" not in store.base_vars())
+    taken = set(names)
+    fresh = (f"h{k}" for k in itertools.count(1) if f"h{k}" not in taken)
     labels: dict[int, Symbol] = {}
     children: dict[int, tuple[int, ...]] = {}
     holes: dict[int, str] = {}

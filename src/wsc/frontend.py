@@ -271,9 +271,9 @@ def _read_source(path: str) -> str:
 
 def _print_result(result: SolveResult, *, as_json: bool, with_trace: bool,
                   with_witness: bool) -> None:
-    """The verdict and solved store, and with_witness, the model read
-    off a sat store as `name := term` lines (a JSON string under
-    "witness", null for unsat)."""
+    """Print the verdict and the solved store; with_witness, also the
+    model read off a sat store as `name := term` lines (in JSON, a
+    string under "witness", null for unsat)."""
     model = None
     if with_witness and result.verdict == Verdict.SAT:
         model = dump_witness(witness(result.store))
