@@ -534,9 +534,10 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 Node = frozenset
 
 
-def _representatives(store: Store) -> Callable[[str], str]:
+def representatives(store: Store) -> Callable[[str], str]:
     """find() of a union-find over the store's x = y atoms, in which the
-    name each used equation eliminated points at its other side."""
+    name each used equation eliminated points at its other side: the
+    classes the equations imply, each named by a name still in use."""
     parent: dict[str, str] = {}
 
     def find(n: str) -> str:
@@ -595,7 +596,7 @@ def _product_clash(store: Store) -> Firing | None:
     lhs = store._lhs
     starts = sorted(v.parts[0] for v in {*lhs[Sub], *lhs[SubApp]}
                     if v not in lhs[EqApp] and determinations(store, v))
-    return _walk(store, _representatives(store), starts)[1] if starts else None
+    return _walk(store, representatives(store), starts)[1] if starts else None
 
 
 def witness(store: Store) -> dict[str, TermGraph] | None:
@@ -608,7 +609,7 @@ def witness(store: Store) -> dict[str, TermGraph] | None:
     if store.contradiction:
         return None
     names = sorted(store.base_vars())
-    find = _representatives(store)
+    find = representatives(store)
     nodes, clash = _walk(store, find, names)
     if clash is not None:
         return None

@@ -33,7 +33,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
-from .engine import Solver, SolveResult, Verdict, format_trace, solve, witness
+from .engine import Solver, SolveResult, Verdict, format_trace, representatives, solve, witness
 from .oracles import NaiveResult, dump_witness, naive_solve, rational_unify, witness_search
 from .terms import Symbol
 
@@ -202,20 +202,7 @@ def solved_classes(store: Store) -> list[dict]:
     """Variable classes implied by the store's equations (the solved
     ones, which keep each eliminated name, among them), each with the
     constructor the class is bound to, if any."""
-    parent: dict[str, str] = {}
-
-    def find(n: str) -> str:
-        while n in parent:  # path halving
-            parent[n] = parent.get(parent[n], parent[n])
-            n = parent[n]
-        return n
-
-    for _, a in store.atoms():
-        if isinstance(a, Eq):
-            lhs, rhs = find(a.lhs.parts[0]), find(a.rhs.parts[0])
-            if lhs != rhs:
-                parent[lhs] = rhs
-
+    find = representatives(store)
     classes: dict[str, dict] = {}
     for n in sorted(store.base_vars()):
         classes.setdefault(find(n), {"vars": [], "constructor": None})["vars"].append(n)
