@@ -291,6 +291,37 @@ def test_solved_classes_are_pinned():
     assert classes_digest() == CLASSES_DIGEST
 
 
+def sat_classes_digest():
+    """sha256 over solved_classes() of the stores of classes_digest()
+    that end sat: each sat batch solve, and the incremental store after
+    every assert whose verdict is sat."""
+    h = hashlib.sha256()
+
+    def feed(store):
+        h.update(json.dumps(solved_classes(store), sort_keys=True).encode() + b"\n")
+
+    for i in range(300):
+        atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=14,
+                             kinds=EQ_HEAVY_KINDS)
+        result = solve(atoms)
+        if result.verdict is Verdict.SAT:
+            feed(result.store)
+        s = Solver()
+        for a in atoms:
+            if s.assert_atom(a) is Verdict.SAT:
+                feed(s.store)
+    return h.hexdigest()
+
+
+# The classes of every sat store: they do not depend on the step at
+# which a run stops, so a change of route alone leaves them as they are.
+SAT_CLASSES_DIGEST = "ce50997ceb85267e7ac1387b590fcee306fa3c93647c4822a9a38cb90e4019dd"
+
+
+def test_sat_solved_classes_are_pinned():
+    assert sat_classes_digest() == SAT_CLASSES_DIGEST
+
+
 def test_report_schema_and_stability():
     result = solve(parse(ROUTED_CLASH_TEXT).atoms)
     data = report(result)
