@@ -3,15 +3,17 @@ over rational constructor trees.
 
 The public API in one place:
 
-  terms        Symbol, TermGraph, hole, app, parse_term, format_term,
-               weak_subsumes, graph_equal
-  constraints  Var, var, Eq, EqApp, Sub, SubApp,
+  terms        Symbol, TermGraph, TermSyntaxError, hole, app,
+               parse_term, format_term, weak_subsumes, graph_equal
+  constraints  Atom, Var, var, Eq, EqApp, Sub, SubApp,
                Store, determinations, format_atom
-  engine       Solver, solve, Verdict, RuleId, DEFAULT_PRIORITY, traces,
+  engine       Solver, solve, SolveResult, Verdict, RuleId,
+               DEFAULT_PRIORITY, TraceEntry, format_trace,
                witness (a model read off a solved store)
-  oracles      naive_solve, rational_unify, check_witness,
-               witness_search, dump_witness
-  frontend     parse, random_atoms, report, run_cli
+  oracles      naive_solve, NaiveResult, rational_unify, check_witness,
+               witness_search, SearchResult, dump_witness
+  frontend     parse, ParseError, ProblemFile, random_atoms, report,
+               run_cli
 """
 
 from .constraints import (

@@ -13,10 +13,12 @@ Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 children, i.e. there is a u with x <= u and u = f(ȳ)).
 
 A Store holds the current conjunction as a set of atoms indexed by
-kind and left side, plus the bookkeeping a solver needs: a
-contradiction flag, the record of the equations used for elimination
-and the name each one eliminated, and an index of each variable's
-determinations that every change to an atom keeps up to date.
+kind and left side, with at most one x = f(ȳ) per name and symbol,
+plus the bookkeeping a solver needs: a contradiction flag, the record
+of the equations used for elimination and the name each one
+eliminated, the log of the decompositions and clashes the store made
+itself, and an index of each variable's determinations that every
+change to an atom keeps up to date.
 """
 
 from __future__ import annotations
@@ -275,6 +277,16 @@ class Store:
     that Elim may still use: indexing such an atom adds its id unless
     `elim` records it, and unindexing drops it.  Elim drops the id it
     uses.
+
+    A name carries at most one x = f(ū) per symbol, the class table of
+    unification.  add() and subst_all() meet a second one with the same
+    symbol at once (Decom): the atom with the smaller id goes, and the
+    argument equations ū = v̄ are added.  Inside subst_all they meet
+    only after the whole substitution, else an argument equation could
+    bring back the name being eliminated.  A second symbol sets
+    `contradiction` (Clash) and both atoms stay.  `log` holds each such
+    firing, as (rule name, on, removed, added), until a solver reads
+    and clears it; once the store is contradicted it logs nothing more.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -290,6 +302,7 @@ class Store:
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
         self.agendas: dict[str, tuple[Callable[[Store, int, Atom], Iterable], set]] = {}
+        self.log: list[tuple[str, tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
         for a in atoms:
             self.add(a)
 
@@ -307,6 +320,9 @@ class Store:
         self._next_id += 1
         self._atoms[aid] = a
         self._index(aid, a)
+        if isinstance(a, EqApp):
+            for eq in self._meet(aid, a):
+                self.add(eq)
         return aid
 
     def remove(self, aid: int) -> Atom:
@@ -331,11 +347,51 @@ class Store:
         return aid
 
     def subst_all(self, x: str, y: str, skip: Iterable[int] = ()) -> None:
-        """Deep substitution [y/x] applied to every atom (except `skip`)."""
+        """Deep substitution [y/x] applied to every atom (except `skip`).
+        An x = f(ū) rewritten onto a left side that has one meets it
+        only once every atom is rewritten, so that the argument
+        equations mention no x."""
         skipset = set(skip)
+        rewritten = []
         for aid in sorted(self._occ.get(x, set()) - skipset):
             if aid in self._atoms:  # may have merged away already
-                self.rewrite(aid, subst_atom(self._atoms[aid], x, y))
+                old = self._atoms[aid]
+                a = subst_atom(old, x, y)
+                if self.rewrite(aid, a) == aid and isinstance(a, EqApp) and a.lhs is not old.lhs:
+                    rewritten.append(aid)
+        for aid in rewritten:
+            a = self._atoms.get(aid)
+            if a is not None:  # may have met a larger id already
+                for eq in self._meet(aid, a):
+                    self.add(eq)
+
+    def _meet(self, aid: int, a: EqApp) -> tuple[Eq, ...]:
+        """Meet the x = f(ū) at aid with another on its left side, if
+        there is one.  With the same symbol the pair decomposes (Decom):
+        the smaller id goes, and the argument equations are returned
+        for the caller to add.  With another symbol both stay and the
+        store is contradicted (Clash)."""
+        ids = self._lhs[EqApp][a.lhs]
+        if len(ids) == 1:
+            return ()
+        others = [i for i in ids if i != aid]
+        same = [i for i in others if self._atoms[i].sym == a.sym]
+        first, second = sorted((aid, same[0] if same else min(others)))
+        pair = (self._atoms[first], self._atoms[second])
+        if not same:
+            self._log("Clash", pair, (), ())
+            self.contradiction = True
+            return ()
+        self.remove(first)
+        added = tuple(Eq(u, v) for u, v in zip(pair[0].args, pair[1].args))
+        self._log("Decom", pair, pair[:1], added)
+        return added
+
+    def _log(self, rule: str, *fired: tuple[Atom, ...]) -> None:
+        """Record a firing of the store's own, unless it is already
+        contradicted: nothing follows bottom."""
+        if not self.contradiction:
+            self.log.append((rule, *fired))
 
     # -- queries -----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Seven rewrite rules act on a Store, and a product read off the store at
-each fixpoint decides what the rules leave open.  Each rule function
-either fires once — mutating the store in place and returning the
-firing as (on, removed, added) atom tuples — or returns None when it is
+Six rewrite rules act on a Store, the store itself decomposes
+equations as it indexes them, and a product read off the store at each
+fixpoint decides what the rules leave open.  Each rule function either
+fires once — mutating the store in place and returning the firing as
+(on, removed, added) atom tuples — or returns None when it is
 inapplicable.  Every rule fires its first instance in a fixed order:
 ascending atom id (ascending variable for Clash), then components in
 sorted order.  So every firing is deterministic.  Propagate1,
@@ -18,46 +19,60 @@ no rule makes an atom on an intersection variable, since the paper's
 Descend2, the one rule that did, is replaced by the product below.
 Right sides and arguments may still be intersection variables.
 
-Clash, Decom, Propagate1, Propagate2, Collapse and Descend1 each keep
-an agenda in the store: the rule's key function and the keys
-(variables for Clash, atom ids for the others) of the instances that
-may be enabled.  Whenever the store indexes an atom, new or rewritten,
-it adds the keys of the instances that atom enables as the store
-stands then.  A look checks the keys in ascending order and drops each
-one that does not fire.  An instance enabled at a look rests on atoms
-present at that look; the last of them to be indexed found the others
-present in their current form, so its keys include the instance.
-Clash keys the variables whose determinations the atom takes part in.
-Propagate2 and Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄)
-the atom determines would grow or push subsumptions down from.  Decom
-keys the x = f(ū) on the left side of a new x = f(ū).  Propagate1 and
+The equation phase is a class table, as in Huet's unification and in
+oracles.rational_unify: a live name carries at most one x = f(ū) per
+symbol.  When the store indexes a second x = f(·) with the symbol of
+one it holds, new or moved there by Elim, it makes the paper's Decom
+step on the pair at once: it keeps the larger id and adds the argument
+equations.  A second symbol is the paper's Clash on the two equations.
+That is Decom and Clash given precedence over every rule, which the
+verdict does not depend on.  Inside Elim's substitution the pairs meet
+only once every atom is rewritten, so that no argument equation brings
+back the name being eliminated.  The store keeps each such firing in
+Store.log, and the Solver logs it as a Decom or Clash step after the
+insert or firing that caused it, so traces hold every derivation step.
+
+Clash, Propagate1, Propagate2, Collapse and Descend1 each keep an
+agenda in the store: the rule's key function and the keys (variables
+for Clash, atom ids for the others) of the instances that may be
+enabled.  Whenever the store indexes an atom, new or rewritten, it adds
+the keys of the instances that atom enables as the store stands then.
+A look checks the keys in ascending order and drops each one that does
+not fire.  An instance enabled at a look rests on atoms present at that
+look; the last of them to be indexed found the others present in their
+current form, so its keys include the instance.  Clash keys the
+variables whose determinations the atom takes part in.  Propagate2 and
+Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄) the atom
+determines would grow or push subsumptions down from.  Propagate1 and
 Collapse key the x <= r atoms an x <= u reaches and whose r lacks a
 component of u.  Removals need not be reported: they only shrink
-determinations, the x = f(ū) partners Decom reads and the subsumptions
-Propagate1 and Collapse read, and the subsumptions whose absence
-Descend1 needs are never taken away, only grown, renamed along with the
-rest of the store, or merged into an equal atom.  A key that fires
-stays, so the agenda never lacks an enabled instance, and the smallest
-key that fires is the instance the ascending scan would have found
-first: traces are the same as with a whole-store scan.  A Clash look at
-a variable with no x <= r on it and no kept determinations reads the
-symbols of its own x = f(ū) and x <= f(ū) from the store's left-side
-index, and builds determinations only if there are two.
+determinations and the subsumptions Propagate1 and Collapse read, and
+the subsumptions whose absence Descend1 needs are never taken away,
+only grown, renamed along with the rest of the store, or merged into an
+equal atom.  A key that fires stays, so the agenda never lacks an
+enabled instance, and the smallest key that fires is the instance the
+ascending scan would have found first: traces are the same as with a
+whole-store scan.  A Clash look at a variable with no x <= r on it and
+no kept determinations reads the symbols of its own x = f(ū) and
+x <= f(ū) from the store's left-side index, and builds determinations
+only if there are two.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
 is not an agenda: an equation whose sides occur nowhere else does not
 fire, yet must stay, since a later atom can give a side an occurrence.
 
-The rules:
+The rules, and the store's own two:
 
   Clash       two incompatible constructors determined for a
-              variable: contradiction.
+              variable: contradiction.  The store fires it on a second
+              x = f(ū) with another symbol.
   Elim        use an equation x = y to substitute one side away
               everywhere else (deep, inside intersection variables);
               each equation is used at most once.
-  Decom       two equations x = f(ū), x = f(v̄): replace the first by
-              the pairwise argument equations.
+  Decom       (the store's) two equations x = f(ū), x = f(v̄): replace
+              the one with the smaller id by the pairwise argument
+              equations.
   Propagate1  x <= z and x <= u: z grows to z & u, for every current
               such x <= u at once.
   Propagate2  like Propagate1 for the applied form: x <= f(ū) absorbs
@@ -166,6 +181,9 @@ class Verdict(enum.Enum):
 
 
 class RuleId(enum.Enum):
+    """The label of a trace entry.  Decom labels only the store's own
+    decompositions and is no rule of a priority."""
+
     CLASH = "Clash"
     ELIM = "Elim"
     DECOM = "Decom"
@@ -181,7 +199,6 @@ class RuleId(enum.Enum):
 DEFAULT_PRIORITY: tuple[RuleId, ...] = (
     RuleId.CLASH,
     RuleId.ELIM,
-    RuleId.DECOM,
     RuleId.PROPAGATE1,
     RuleId.PROPAGATE2,
     RuleId.COLLAPSE,
@@ -333,35 +350,6 @@ def rule_elim(store: Store) -> Firing | None:
         store.elim[aid] = gone
         return (a,), (), ()
     return None
-
-
-def _decom_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x = f(ū) atoms whose Decom status a new or rewritten atom can
-    change: for an x = f(ū), those on its left side (a among them)."""
-    return store.ids(EqApp, a.lhs) if isinstance(a, EqApp) else ()
-
-
-def _decom_at(store: Store, aid: int) -> Firing | None:
-    a = store.get(aid)
-    if a is None:
-        return None
-    for bid in store.ids(EqApp, a.lhs):
-        b = store.atom(bid)
-        if bid == aid or b.sym != a.sym:
-            continue
-        store.remove(aid)
-        added = tuple(Eq(u, v) for u, v in zip(a.args, b.args))
-        for na in added:
-            store.add(na)
-        return (a, b), (a,), added
-    return None
-
-
-def rule_decom(store: Store) -> Firing | None:
-    """Two equations x = f(ū) and x = f(v̄): drop the first, add the
-    argumentwise equations ū = v̄.  The first is the smallest id that
-    has such a partner, the second its smallest partner."""
-    return _fire_enabled(store, RuleId.DECOM, lambda s: s.ids(EqApp), _decom_keys, _decom_at)
 
 
 def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]],
@@ -519,7 +507,6 @@ def rule_descend1(store: Store) -> Firing | None:
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.CLASH: rule_clash,
     RuleId.ELIM: rule_elim,
-    RuleId.DECOM: rule_decom,
     RuleId.PROPAGATE1: rule_propagate1,
     RuleId.PROPAGATE2: rule_propagate2,
     RuleId.COLLAPSE: rule_collapse,
@@ -688,7 +675,7 @@ class Solver:
 
     def __init__(self, *, priority: Sequence[RuleId] = DEFAULT_PRIORITY):
         prio = tuple(priority)
-        if sorted(r.value for r in prio) != sorted(r.value for r in RuleId):
+        if len(prio) != len(_RULES) or set(prio) != _RULES.keys():
             raise ValueError("priority must list every rule exactly once")
         self.priority = prio
         self.store = Store()
@@ -708,6 +695,7 @@ class Solver:
         self.store.add(self._normalize(a))
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.UNKNOWN
+        self._drain()
 
     def step(self) -> bool:
         """Fire the first applicable rule by priority, or where none is,
@@ -727,11 +715,22 @@ class Solver:
         return False
 
     def _record(self, rule: RuleId, fired: Firing) -> bool:
+        self._log(rule, fired)
+        self._drain()
+        return True
+
+    def _log(self, rule: RuleId, fired: Firing) -> None:
         self.step_count += 1
         self.trace.append(TraceEntry(self.step_count, rule, *fired))
+
+    def _drain(self) -> None:
+        """Log the firings the store made as it indexed atoms (see
+        Store.log), one step each, and read a contradiction."""
+        for rule, *fired in self.store.log:
+            self._log(RuleId(rule), fired)
+        self.store.log.clear()
         if self.store.contradiction:
             self.verdict = Verdict.UNSAT
-        return True
 
     def run(self) -> Verdict:
         """Step to a fixpoint and return the verdict."""

@@ -22,7 +22,6 @@ from wsc.engine import (
     Verdict,
     rule_clash,
     rule_collapse,
-    rule_decom,
     rule_descend1,
     rule_elim,
     rule_propagate1,
@@ -47,38 +46,67 @@ def atoms_of(s):
     return set(s.atom_list())
 
 
-# --- Decom ---------------------------------------------------------------------
+# --- Decom: the store decomposes as it indexes ----------------------------------
 
 
 def test_decom_replaces_first_equation():
+    # a second x = f(·) decomposes as the store adds it: the larger id
+    # stays, and the argument equations are added after it
     s = store_of(EqApp(x, F1, (u,)), EqApp(x, F1, (v,)))
-    assert rule_decom(s) == (
-        (EqApp(x, F1, (u,)), EqApp(x, F1, (v,))),
-        (EqApp(x, F1, (u,)),),
-        (Eq(u, v),),
-    )
-    assert atoms_of(s) == {Eq(u, v), EqApp(x, F1, (v,))}
+    assert s.log == [
+        ("Decom", (EqApp(x, F1, (u,)), EqApp(x, F1, (v,))), (EqApp(x, F1, (u,)),), (Eq(u, v),)),
+    ]
+    assert s.atoms() == [(1, EqApp(x, F1, (v,))), (2, Eq(u, v))]
+    assert not s.contradiction
 
 
 def test_decom_binary_symbol():
     s = store_of(EqApp(x, F2, (u, w)), EqApp(x, F2, (v, z)))
-    assert rule_decom(s)[2] == (Eq(u, v), Eq(w, z))
+    assert s.log[0][3] == (Eq(u, v), Eq(w, z))
     assert atoms_of(s) == {Eq(u, v), Eq(w, z), EqApp(x, F2, (v, z))}
 
 
 def test_decom_needs_two_equations_same_lhs_same_symbol():
-    assert rule_decom(store_of(EqApp(x, F1, (u,)))) is None
-    assert rule_decom(store_of(EqApp(x, F1, (u,)), EqApp(y, F1, (v,)))) is None
-    assert rule_decom(store_of(EqApp(x, F1, (u,)), EqApp(x, G1, (v,)))) is None
+    for atoms in ((EqApp(x, F1, (u,)),), (EqApp(x, F1, (u,)), EqApp(y, F1, (v,)))):
+        s = store_of(*atoms)
+        assert (s.log, atoms_of(s)) == ([], set(atoms))
+    # another symbol is a clash at once, on both equations, which stay
+    s = store_of(EqApp(x, F1, (u,)), EqApp(x, G1, (v,)))
+    assert s.log == [("Clash", (EqApp(x, F1, (u,)), EqApp(x, G1, (v,))), (), ())]
+    assert s.contradiction
+    assert atoms_of(s) == {EqApp(x, F1, (u,)), EqApp(x, G1, (v,))}
+
+
+def test_decom_inside_elim_waits_for_the_whole_substitution():
+    # Elim moves x = f(u) onto y while y = f(x) still mentions x.  Met
+    # at once, the pair would add u = x and bring x back; met after the
+    # loop, it is y = f(u) against y = f(y), and adds u = y.
+    s = store_of(Eq(x, y), EqApp(x, F1, (u,)), EqApp(y, F1, (x,)))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.log == [
+        ("Decom", (EqApp(y, F1, (u,)), EqApp(y, F1, (y,))), (EqApp(y, F1, (u,)),), (Eq(u, y),)),
+    ]
+    assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (y,)), Eq(u, y)}
+    assert s.elim == {0: "x"}
+    assert not s.occurs_elsewhere("x", 0)
 
 
 # --- Clash ---------------------------------------------------------------------
 
 
 def test_clash_on_double_equation():
+    # the store finds this clash as it adds the second equation, and
+    # the solver logs it as the insert's step
     s = store_of(EqApp(x, A, ()), EqApp(x, B, ()))
-    assert rule_clash(s) == ((EqApp(x, A, ()), EqApp(x, B, ())), (), ())
+    assert s.log == [("Clash", (EqApp(x, A, ()), EqApp(x, B, ())), (), ())]
     assert s.contradiction
+    assert rule_clash(s) is None
+    solver = Solver()
+    solver.insert(EqApp(x, A, ()))
+    solver.insert(EqApp(x, B, ()))
+    assert solver.verdict == Verdict.UNSAT
+    assert [str(e) for e in solver.trace] == ["step 1: Clash on x = a(), x = b() => bottom"]
+    assert not solver.step()
 
 
 def test_clash_on_double_subsumption():
@@ -349,7 +377,6 @@ def test_rules_are_inapplicable_on_contradiction():
     for rule in (
         rule_clash,
         rule_elim,
-        rule_decom,
         rule_propagate1,
         rule_propagate2,
         rule_collapse,
@@ -361,14 +388,21 @@ def test_rules_are_inapplicable_on_contradiction():
 def test_every_firing_logs_one_event():
     # a firing reports only what it changed: removed atoms are gone from
     # the store, added ones are present
-    s = store_of(EqApp(x, F1, (u,)), EqApp(x, F1, (v,)), Sub(w, x))
-    on, removed, added = rule_decom(s)
+    s = store_of(Sub(x, z), Sub(x, u), Sub(w, x))
+    on, removed, added = rule_propagate1(s)
     assert all(a not in s for a in removed)
     assert all(a in s for a in added)
     assert set(on) >= set(removed)
-    # and one solver step logs exactly one trace entry
+    # one solver step logs the rule's firing, then each firing the store
+    # made as it indexed atoms: Elim moves x = f(u) onto y, where it
+    # decomposes against y = f(v)
     solver = Solver()
-    solver.insert(EqApp(x, F1, (u,)))
-    solver.insert(EqApp(x, F1, (v,)))
+    for a in (Eq(x, y), EqApp(x, F1, (u,)), EqApp(y, F1, (v,))):
+        solver.insert(a)
+    assert solver.trace == []
     assert solver.step()
-    assert len(solver.trace) == 1
+    assert [(e.step, e.rule) for e in solver.trace] == [(1, RuleId.ELIM), (2, RuleId.DECOM)]
+    decom = solver.trace[1]
+    assert (decom.removed, decom.added) == ((EqApp(y, F1, (u,)),), (Eq(u, v),))
+    assert decom.removed[0] not in solver.store and decom.added[0] in solver.store
+    assert solver.store.log == []

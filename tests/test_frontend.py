@@ -284,7 +284,7 @@ def classes_digest():
 
 # The classes that type diagnosis reports: a change that alters any of
 # them must update this digest on purpose.
-CLASSES_DIGEST = "a3930fb79c437a96854467b39a578fb7d8bab43de60f11a8089f22165cc83cb3"
+CLASSES_DIGEST = "5c8d1e7c541149b5b07e5eb397256ebc442c1ab0f1a4299b15c0f5a6bf5b6fb8"
 
 
 def test_solved_classes_are_pinned():
@@ -519,3 +519,17 @@ def test_cli_usage_errors(capsys):
     assert run_cli(["bogus"]) == 2
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_package_docstring_lists_the_public_api():
+    """The package docstring names every export of wsc.__all__ once,
+    beside the module it comes from, and nothing else."""
+    listed = {}
+    for line in wsc.__doc__.split("one place:")[1].strip().splitlines():
+        if not line.startswith("   "):
+            module, _, line = line.strip().partition(" ")
+        for name in line.split("(")[0].replace(",", " ").split():
+            listed[name] = module
+    assert sorted(listed) == sorted(set(wsc.__all__) - {"__version__"})
+    for name, module in listed.items():
+        assert getattr(sys.modules[f"wsc.{module}"], name) is getattr(wsc, name), name

@@ -5,19 +5,22 @@ scratch, every step fires what it would fire on a store rebuilt from
 scratch, solving the solved atoms again gives the same verdict, every
 incremental verdict is the batch verdict of its prefix, the indexes a
 store keeps through a run answer as a fresh store's do, each
-elimination is kept once, as its solved equation, and a trace does not
-depend on where in memory its variables live."""
+elimination is kept once, as its solved equation, a left side never
+holds two x = f(ū) with one symbol, and a trace does not depend on
+where in memory its variables live."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations
-from wsc.engine import _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, format_trace, solve
+from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations, var
+from wsc.engine import _RULES, DEFAULT_PRIORITY, Solver, Verdict, format_trace, solve
 from wsc.frontend import ATOM_KINDS, random_atoms
+from wsc.terms import Symbol
 
 N_VARS = 6
+F = Symbol("f", 1)
 
 
 def instances_of(kinds):
@@ -47,7 +50,7 @@ def rename(a, names):
 
 
 @checked
-@given(instances, st.permutations(list(RuleId)))
+@given(instances, st.permutations(DEFAULT_PRIORITY))
 def test_every_priority_gives_the_default_verdict(atoms, priority):
     assert solve(atoms, priority=priority).verdict == solve(atoms).verdict
 
@@ -218,6 +221,35 @@ def test_each_elimination_is_kept_once_as_its_solved_equation(atoms):
         solver.assert_atom(a)
         if not solver.store.contradiction:
             assert_each_elimination_is_its_equation(solver.store)
+
+
+def assert_one_equation_per_name_and_symbol(store):
+    """No left side holds two x = f(ū) with one symbol, and every name
+    in store.elim occurs in its own equation only."""
+    for v in store.left_sides():
+        syms = [store.atom(i).sym for i in store.ids(EqApp, v)]
+        assert len(syms) == len(set(syms)), v
+    for aid, gone in store.elim.items():
+        assert store.get(aid) is not None and not store.occurs_elsewhere(gone, aid)
+
+
+@checked
+@given(eq_heavy_instances)
+# Random draws seldom give this shape: Elim moves x0 = f(x2) onto x1
+# while x1 = f(x0) still mentions x0.
+@example([Eq(var("x0"), var("x1")), EqApp(var("x0"), F, (var("x2"),)),
+          EqApp(var("x1"), F, (var("x0"),))])
+def test_a_left_side_keeps_one_equation_per_symbol_after_every_step(atoms):
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        for batch in (True, False):
+            solver = Solver(priority=priority)
+            for k, a in enumerate(atoms, start=1):
+                solver.insert(a)
+                assert_one_equation_per_name_and_symbol(solver.store)
+                if batch and k < len(atoms):
+                    continue
+                while solver.step():
+                    assert_one_equation_per_name_and_symbol(solver.store)
 
 
 def traces(atoms):
