@@ -695,7 +695,7 @@ class Solver:
         self.store.add(self._normalize(a))
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.UNKNOWN
-        self._drain()
+        self._record([])
 
     def step(self) -> bool:
         """Fire the first applicable rule by priority, or where none is,
@@ -706,31 +706,25 @@ class Solver:
         for rule in self.priority:
             fired = _RULES[rule](self.store)
             if fired is not None:
-                return self._record(rule, fired)
+                return self._record([(rule, *fired)])
         fired = _product_clash(self.store)
         if fired is not None:
-            return self._record(RuleId.CLASH, fired)
+            return self._record([(RuleId.CLASH, *fired)])
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.SAT
         return False
 
-    def _record(self, rule: RuleId, fired: Firing) -> bool:
-        self._log(rule, fired)
-        self._drain()
-        return True
-
-    def _log(self, rule: RuleId, fired: Firing) -> None:
-        self.step_count += 1
-        self.trace.append(TraceEntry(self.step_count, rule, *fired))
-
-    def _drain(self) -> None:
-        """Log the firings the store made as it indexed atoms (see
-        Store.log), one step each, and read a contradiction."""
-        for rule, *fired in self.store.log:
-            self._log(RuleId(rule), fired)
+    def _record(self, firings: list[tuple]) -> bool:
+        """Log the (rule, on, removed, added) firings, and then those
+        the store made as it indexed atoms (Store.log), one step each;
+        read a contradiction."""
+        for rule, *fired in firings + self.store.log:
+            self.step_count += 1
+            self.trace.append(TraceEntry(self.step_count, RuleId(rule), *fired))
         self.store.log.clear()
         if self.store.contradiction:
             self.verdict = Verdict.UNSAT
+        return True
 
     def run(self) -> Verdict:
         """Step to a fixpoint and return the verdict."""
