@@ -348,9 +348,8 @@ class Store:
 
     def subst_all(self, x: str, y: str, skip: Iterable[int] = ()) -> None:
         """Deep substitution [y/x] applied to every atom (except `skip`).
-        An x = f(ū) rewritten onto a left side that has one meets it
-        only once every atom is rewritten, so that the argument
-        equations mention no x."""
+        An x = f(ū) moved onto y meets y's own y = f(·) only once every
+        atom is rewritten, so that the argument equations mention no x."""
         skipset = set(skip)
         rewritten = []
         for aid in sorted(self._occ.get(x, set()) - skipset):
