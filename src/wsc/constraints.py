@@ -278,7 +278,8 @@ class Store:
     `elim` records it, and unindexing drops it.  Elim drops the id it
     uses.
 
-    A name carries at most one x = f(ū) per symbol, the class table of
+    A name carries at most one x = f(ū), and once the store is
+    contradicted at most one per symbol: the class table of
     unification.  add() and subst_all() meet a second one with the same
     symbol at once (Decom): the atom with the smaller id goes, and the
     argument equations ū = v̄ are added.  Inside subst_all they meet
@@ -321,8 +322,7 @@ class Store:
         self._atoms[aid] = a
         self._index(aid, a)
         if isinstance(a, EqApp):
-            for eq in self._meet(aid, a):
-                self.add(eq)
+            self._meet(aid, a)
         return aid
 
     def remove(self, aid: int) -> Atom:
@@ -361,18 +361,16 @@ class Store:
         for aid in rewritten:
             a = self._atoms.get(aid)
             if a is not None:  # may have met a larger id already
-                for eq in self._meet(aid, a):
-                    self.add(eq)
+                self._meet(aid, a)
 
-    def _meet(self, aid: int, a: EqApp) -> tuple[Eq, ...]:
+    def _meet(self, aid: int, a: EqApp) -> None:
         """Meet the x = f(ū) at aid with another on its left side, if
         there is one.  With the same symbol the pair decomposes (Decom):
-        the smaller id goes, and the argument equations are returned
-        for the caller to add.  With another symbol both stay and the
-        store is contradicted (Clash)."""
+        the smaller id goes, and the argument equations are added.  With
+        another symbol both stay and the store is contradicted (Clash)."""
         ids = self._lhs[EqApp][a.lhs]
         if len(ids) == 1:
-            return ()
+            return
         others = [i for i in ids if i != aid]
         same = [i for i in others if self._atoms[i].sym == a.sym]
         first, second = sorted((aid, same[0] if same else min(others)))
@@ -380,11 +378,12 @@ class Store:
         if not same:
             self._log("Clash", pair, (), ())
             self.contradiction = True
-            return ()
+            return
         self.remove(first)
         added = tuple(Eq(u, v) for u, v in zip(pair[0].args, pair[1].args))
         self._log("Decom", pair, pair[:1], added)
-        return added
+        for eq in added:
+            self.add(eq)
 
     def _log(self, rule: str, *fired: tuple[Atom, ...]) -> None:
         """Record a firing of the store's own, unless it is already

@@ -20,11 +20,11 @@ Descend2, the one rule that did, is replaced by the product below.
 Right sides and arguments may still be intersection variables.
 
 The equation phase is a class table, as in Huet's unification and in
-oracles.rational_unify: a live name carries at most one x = f(ū) per
-symbol.  When the store indexes a second x = f(·) with the symbol of
-one it holds, new or moved there by Elim, it makes the paper's Decom
-step on the pair at once: it keeps the larger id and adds the argument
-equations.  A second symbol is the paper's Clash on the two equations.
+oracles.rational_unify: a live name carries at most one x = f(ū).
+When the store indexes a second x = f(·) on a name, new or moved there
+by Elim, it makes the paper's Decom step on the pair at once if the
+symbols agree: it keeps the larger id and adds the argument equations.
+If they differ, that is the paper's Clash on the two equations.
 That is Decom and Clash given precedence over every rule, which the
 verdict does not depend on.  Inside Elim's substitution the pairs meet
 only once every atom is rewritten, so that no argument equation brings
