@@ -245,6 +245,32 @@ def test_verdicts_and_base_solved_stores_are_pinned():
     assert base_outcome_digest() == BASE_OUTCOME_DIGEST
 
 
+def verdict_digest():
+    """sha256 over the verdicts alone of the runs of
+    base_outcome_digest() (batch, each assert of the incremental run,
+    chains), under the default priority and the reversed one."""
+    h = hashlib.sha256()
+    for priority in (DEFAULT_PRIORITY, tuple(reversed(DEFAULT_PRIORITY))):
+        for i in range(300):
+            atoms = random_atoms(random.Random(i), n_vars=6, n_symbols=3, n_atoms=12)
+            s = Solver(priority=priority)
+            verdicts = [solve(atoms, priority=priority).verdict.value]
+            verdicts += [s.assert_atom(a).value for a in atoms]
+            h.update(f"{','.join(verdicts)}\n".encode())
+        for n in range(3, 10):
+            h.update(f"{solve(chain(n), priority=priority).verdict}\n".encode())
+    return h.hexdigest()
+
+
+# What a solver decides, whatever the route and the solved store: a
+# change of rules that keeps the verdicts leaves this digest as it is.
+VERDICT_DIGEST = "4fbdfc9bb7956681b905d6201bd1fb06832efbfb199f50ec4aab0657b11a0895"
+
+
+def test_verdicts_are_pinned():
+    assert verdict_digest() == VERDICT_DIGEST
+
+
 def test_an_indexed_atom_keys_only_the_instances_it_enables():
     # Everything x <= z brings is already in the solved store through
     # x <= u&z: Propagate2 and Descend1 find f(u) included and y <= u
