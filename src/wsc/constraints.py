@@ -255,10 +255,9 @@ class Store:
     present is a no-op, and a rewrite that produces an atom present
     under another id merges the two.
 
-    Every left side is a base variable, and equations and their applied
-    forms mention base variables only; that is the shape every reachable
-    solver state has, and add() enforces it.  A subsumption's right side
-    and arguments may be intersection variables.
+    Intersection variables occur only on the right side of an x <= r;
+    that is the shape every reachable solver state has, and add()
+    enforces it.
 
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
@@ -311,10 +310,8 @@ class Store:
 
     def add(self, a: Atom) -> int:
         """Insert an atom; returns its id (the existing one if present)."""
-        if not a.lhs.is_base:
-            raise ValueError(f"atom with an intersection left side: {format_atom(a)}")
-        if isinstance(a, (Eq, EqApp)) and not is_base_only(a):
-            raise ValueError(f"equational atom with an intersection variable: {format_atom(a)}")
+        if not (a.lhs.is_base if isinstance(a, Sub) else is_base_only(a)):
+            raise ValueError(f"intersection variable off a right side of <=: {format_atom(a)}")
         if a in self._locs:
             return self._locs[a]
         aid = self._next_id

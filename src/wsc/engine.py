@@ -1,23 +1,23 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Six rewrite rules act on a Store, the store itself decomposes
+Five rewrite rules act on a Store, the store itself decomposes
 equations as it indexes them, and a product read off the store at each
 fixpoint decides what the rules leave open.  Each rule function either
 fires once — mutating the store in place and returning the firing as
 (on, removed, added) atom tuples — or returns None when it is
 inapplicable.  Every rule fires its first instance in a fixed order:
 ascending atom id (ascending variable for Clash), then components in
-sorted order.  So every firing is deterministic.  Propagate1,
-Propagate2 and Collapse grow one atom, and one firing takes every
-current partner of it: on is the atom, then each partner in the order
-it was joined.  Such a firing is the run of fine firings, one partner
-each, that the paper's rule would make on that atom in a row, so
-soundness and termination carry over.
+sorted order.  So every firing is deterministic.  Propagate1 and
+Collapse grow one atom, and one firing takes every current partner of
+it: on is the atom, then each partner in the order it was joined.  Such
+a firing is the run of fine firings, one partner each, that the paper's
+rule would make on that atom in a row, so soundness and termination
+carry over.
 
-Every left side in a store is a base variable (Store.add enforces it):
-no rule makes an atom on an intersection variable, since the paper's
-Descend2, the one rule that did, is replaced by the product below.
-Right sides and arguments may still be intersection variables.
+Intersection variables occur only on the right side of an x <= r
+(Store.add enforces it).  The paper's Descend2 made atoms on them, and
+its Propagate2 wrote them into the arguments of an x <= f(ū); the
+product below replaces both rules.
 
 The equation phase is a class table, as in Huet's unification and in
 oracles.rational_unify: a live name carries at most one x = f(ū).
@@ -32,30 +32,29 @@ back the name being eliminated.  The store keeps each such firing in
 Store.log, and the Solver logs it as a Decom or Clash step after the
 insert or firing that caused it, so traces hold every derivation step.
 
-Clash, Propagate1, Propagate2, Collapse and Descend1 each keep an
-agenda in the store: the rule's key function and the keys (variables
-for Clash, atom ids for the others) of the instances that may be
-enabled.  Whenever the store indexes an atom, new or rewritten, it adds
-the keys of the instances that atom enables as the store stands then.
-A look checks the keys in ascending order and drops each one that does
-not fire.  An instance enabled at a look rests on atoms present at that
-look; the last of them to be indexed found the others present in their
-current form, so its keys include the instance.  Clash keys the
-variables whose determinations the atom takes part in.  Propagate2 and
-Descend1 key the x <= f(ū) and x = f(ū) that the f(v̄) the atom
-determines would grow or push subsumptions down from.  Propagate1 and
-Collapse key the x <= r atoms an x <= u reaches and whose r lacks a
-component of u.  Removals need not be reported: they only shrink
-determinations and the subsumptions Propagate1 and Collapse read, and
-the subsumptions whose absence Descend1 needs are never taken away,
-only grown, renamed along with the rest of the store, or merged into an
-equal atom.  A key that fires stays, so the agenda never lacks an
-enabled instance, and the smallest key that fires is the instance the
-ascending scan would have found first: traces are the same as with a
-whole-store scan.  A Clash look at a variable with no x <= r on it and
-no kept determinations reads the symbols of its own x = f(ū) and
-x <= f(ū) from the store's left-side index, and builds determinations
-only if there are two.
+Clash, Propagate1, Collapse and Descend1 each keep an agenda in the
+store: the rule's key function and the keys (variables for Clash, atom
+ids for the others) of the instances that may be enabled.  Whenever the
+store indexes an atom, new or rewritten, it adds the keys of the
+instances that atom enables as the store stands then.  A look checks
+the keys in ascending order and drops each one that does not fire.  An
+instance enabled at a look rests on atoms present at that look; the
+last of them to be indexed found the others present in their current
+form, so its keys include the instance.  Clash keys the variables whose
+determinations the atom takes part in.  Descend1 keys the x = f(ū) that
+the f(v̄) the atom determines would push subsumptions down
+from.  Propagate1 and Collapse key the x <= r atoms an x <= u reaches
+and whose r lacks a component of u.  Removals need not be reported:
+they only shrink determinations and the subsumptions Propagate1 and
+Collapse read, and the subsumptions whose absence Descend1 needs are
+never taken away, only grown, renamed along with the rest of the
+store, or merged into an equal atom.  A key that fires stays, so the
+agenda never lacks an enabled instance, and the smallest key that
+fires is the instance the ascending scan would have found first:
+traces are the same as with a whole-store scan.  A Clash look at a
+variable with no x <= r on it and no kept determinations reads the
+symbols of its own x = f(ū) and x <= f(ū) from the store's left-side
+index, and builds determinations only if there are two.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
@@ -75,9 +74,6 @@ The rules, and the store's own two:
               equations.
   Propagate1  x <= z and x <= u: z grows to z & u, for every current
               such x <= u at once.
-  Propagate2  like Propagate1 for the applied form: x <= f(ū) absorbs
-              a determination f(v̄) of x, intersecting argumentwise,
-              for every current one that grows ū at once.
   Collapse    w <= r absorbs y <= z for a component y of r: r grows to
               r & z, for every current such y <= z, and again for the
               components that adds, until none adds more (chains of
@@ -89,14 +85,16 @@ The rules, and the store's own two:
               already covered by an existing subsumption are skipped).
 
 The product.  Where the rules stop without a contradiction, several
-subsumptions may still impose clashing structure on one tree through
-intersection variables in argument positions: x <= f(y&z) with
-y = f(ū) and z = g(v̄) says that one child of x lies below both.  The
-paper finds such clashes by giving the intersection variable y&z
-atoms of its own (Descend2) and running Clash on it and its
-components.  Here the store is read as a graph of sets of names
-instead, as Dörre's (1994) automaton construction for weak subsumption
-reads a conjunction as the product of its variables' structures:
+determinations of one name may still impose clashing structure on one
+subtree: x <= f(y) and x <= f(z) with y = f(ū) and z = g(v̄) say that
+the one child of x lies below both y and z.  The paper finds such
+clashes in two steps.  Propagate2 joins x <= f(y) with every
+determination f(v̄) of x, argument by argument, into x <= f(y&z), and
+Descend2 gives the intersection variable y&z atoms of its own for
+Clash to run on it and its components.  Here the store is read as a
+graph of sets of names instead, as Dörre's (1994) automaton
+construction for weak subsumption reads a conjunction as the product
+of its variables' structures:
 
   - Representatives: a union-find over the store's x = y atoms, in
     which each name Elim eliminated points at the other side of its
@@ -109,6 +107,13 @@ reads a conjunction as the product of its variables' structures:
     with no determinations is a hole.
 
 A node whose members' determinations carry two symbols is a clash.
+
+The k-th child of the node {x} of a name with no x = f(ū) is the join
+of the k-th arguments of all of x's determinations: the argument that
+Propagate2 grows each x <= f(ū) to, and the intersection variable
+whose atoms Descend2 would make.  So the product takes Propagate2's
+intersection and Descend2's atoms once, at the fixpoint, and the
+soundness and completeness below cover both rules.
 
 Sound: reached from a name x along a path π, every member of a node
 constrains the same position π of σ(x).  Each determination f(v̄) of a
@@ -188,7 +193,6 @@ class RuleId(enum.Enum):
     ELIM = "Elim"
     DECOM = "Decom"
     PROPAGATE1 = "Propagate1"
-    PROPAGATE2 = "Propagate2"
     COLLAPSE = "Collapse"
     DESCEND1 = "Descend1"
 
@@ -200,7 +204,6 @@ DEFAULT_PRIORITY: tuple[RuleId, ...] = (
     RuleId.CLASH,
     RuleId.ELIM,
     RuleId.PROPAGATE1,
-    RuleId.PROPAGATE2,
     RuleId.COLLAPSE,
     RuleId.DESCEND1,
 )
@@ -254,25 +257,6 @@ def _clash_keys(store: Store, aid: int, a: Atom) -> list[Var]:
     """The variables whose determinations atom a takes part in: those
     whose Clash status it can change."""
     return store.determined_vars(a)
-
-
-def _enabled_by(store: Store, aid: int, a: Atom, kind: type,
-                enables: Callable[[tuple[Var, ...], tuple[Var, ...]], bool]) -> list[int]:
-    """The atoms of `kind`, x = f(ū) or x <= f(ū), that atom a at aid
-    can enable: a itself if it is one, and each one on a left side that
-    a determines as an f(v̄) with enables(ū, v̄).  A y = g(v̄) or
-    y <= g(v̄) determines y, and the left side of each x <= r routing
-    through y, as g(v̄); an x <= r determines x as each y = g(v̄) and
-    y <= g(v̄) on a component y of r does."""
-    brought = [a] if not isinstance(a, Sub) else [
-        d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
-    ]
-    table = store._lhs[kind]
-    return [aid] * isinstance(a, kind) + [
-        i for v in store.determined_vars(a) for i in table.get(v, ()) if i != aid
-        for b in (store.atom(i),)
-        if any(d.sym == b.sym and enables(b.args, d.args) for d in brought)
-    ]
 
 
 def _rhs_lacking(store: Store, aid: int, a: Sub, ids: Iterable[int]) -> list[int]:
@@ -401,49 +385,6 @@ def rule_propagate1(store: Store) -> Firing | None:
     )
 
 
-def _propagate2_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= f(ū) atoms whose Propagate2 instance a new or rewritten
-    atom can enable: a itself, and those on a left side that the atom
-    determines as an f(v̄) not included in ū, position by position."""
-    return _enabled_by(store, aid, a, SubApp, lambda us, vs: not all(map(_includes, us, vs)))
-
-
-def _propagate2_at(store: Store, aid: int) -> Firing | None:
-    a = store.get(aid)
-    if a is None:
-        return None
-    on = [a]
-    args = [set(u.parts) for u in a.args]
-    # The same determining atom reached again, through another routing
-    # atom, brings the same arguments: joined or not the first time,
-    # they add nothing now.
-    tested = set()
-    for d in determinations(store, a.lhs):
-        if d.at in tested or d.sym != a.sym:
-            continue
-        tested.add(d.at)
-        if all(parts.issuperset(v.parts) for parts, v in zip(args, d.args)):
-            continue
-        for parts, v in zip(args, d.args):
-            parts.update(v.parts)
-        on.extend(_sources(store, d))
-    if len(on) == 1:
-        return None
-    na = SubApp(a.lhs, a.sym, tuple(Var(tuple(parts)) for parts in args))
-    store.rewrite(aid, na)
-    return tuple(dict.fromkeys(on)), (a,), (na,)
-
-
-def rule_propagate2(store: Store) -> Firing | None:
-    """x <= f(ū) and a determination f(v̄) of x: intersect the
-    arguments, position by position, with every current partner
-    determination that grows them, in one firing.  The atom with the
-    smallest id fires."""
-    return _fire_enabled(
-        store, RuleId.PROPAGATE2, lambda s: s.ids(SubApp), _propagate2_keys, _propagate2_at
-    )
-
-
 def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
     """The x <= r atoms whose Collapse instance a new or rewritten atom
     can enable: for a y <= z, itself and each x <= r with y and not
@@ -465,11 +406,22 @@ def rule_collapse(store: Store) -> Firing | None:
     return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
 
 
-def _descend1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
+def _descend1_keys(store: Store, aid: int, a: Atom) -> list[int]:
     """The x = f(ū) atoms whose Descend1 instance a new or rewritten atom
     can enable: a itself, and those whose left side the atom determines
-    as an f(v̄) with a position that no subsumption on ū covers."""
-    return _enabled_by(store, aid, a, EqApp, lambda us, vs: _uncovered(store, us, vs))
+    as an f(v̄) with a position that no subsumption on ū covers.  A
+    y = g(v̄) or y <= g(v̄) determines y, and the left side of each
+    x <= r routing through y, as g(v̄); an x <= r determines x as each
+    y = g(v̄) and y <= g(v̄) on a component y of r does."""
+    brought = [a] if not isinstance(a, Sub) else [
+        d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
+    ]
+    table = store._lhs[EqApp]
+    return [aid] * isinstance(a, EqApp) + [
+        i for v in store.determined_vars(a) for i in table.get(v, ()) if i != aid
+        for b in (store.atom(i),)
+        if any(d.sym == b.sym and _uncovered(store, b.args, d.args) for d in brought)
+    ]
 
 
 def _descend1_at(store: Store, aid: int) -> Firing | None:
@@ -508,7 +460,6 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.CLASH: rule_clash,
     RuleId.ELIM: rule_elim,
     RuleId.PROPAGATE1: rule_propagate1,
-    RuleId.PROPAGATE2: rule_propagate2,
     RuleId.COLLAPSE: rule_collapse,
     RuleId.DESCEND1: rule_descend1,
 }

@@ -52,7 +52,8 @@ def determined(store, v):
 
 def random_sub_atoms(rng, n):
     """Random Sub/SubApp atoms on base left sides (intersection variables
-    allowed elsewhere)."""
+    allowed on the right side of a Sub, the one place a store takes
+    them)."""
     out = []
     for _ in range(n):
         lhs = var(rng.choice("xyzuvw"))
@@ -60,7 +61,7 @@ def random_sub_atoms(rng, n):
             out.append(Sub(lhs, random_var(rng)))
         else:
             sym = rng.choice([A, F1, F2])
-            args = tuple(random_var(rng) for _ in range(sym.arity))
+            args = tuple(var(rng.choice("xyzuvw")) for _ in range(sym.arity))
             out.append(SubApp(lhs, sym, args))
     return out
 
@@ -88,14 +89,13 @@ def test_var_canonical_form():
 
 def test_components():
     # Descend1's covered check compares components: a position whose
-    # argument is z&w is covered by u <= r exactly when {z, w} is a subset
-    # of r's parts.
-    zw = var("z", "w")
-    eq, sub_app = EqApp(x, F1, (u,)), SubApp(x, F1, (zw,))
+    # argument is z is covered by u <= r exactly when z is one of r's
+    # parts.
+    eq, sub_app = EqApp(x, F1, (u,)), SubApp(x, F1, (z,))
     assert rule_descend1(Store([eq, sub_app, Sub(u, var("w", "y", "z"))])) is None
     s = Store([eq, sub_app, Sub(u, var("w", "y"))])
-    assert rule_descend1(s) == ((eq, sub_app), (), (Sub(u, zw),))
-    assert Sub(u, zw) in s
+    assert rule_descend1(s) == ((eq, sub_app), (), (Sub(u, z),))
+    assert Sub(u, z) in s
 
 
 def test_var_rejects_empty():
@@ -231,8 +231,11 @@ def test_store_rejects_intersection_equations():
         Store([Sub(var("x", "y"), z)])
     with pytest.raises(ValueError):
         Store([SubApp(var("x", "y"), F1, (z,))])
-    # subsumption atoms may mention intersection variables elsewhere
-    Store([Sub(x, var("y", "z")), SubApp(x, F1, (var("y", "z"),))])
+    # and intersection arguments of an x <= f(ū)
+    with pytest.raises(ValueError):
+        Store([SubApp(x, F1, (var("y", "z"),))])
+    # a subsumption's right side is the one place for them
+    Store([Sub(x, var("y", "z"))])
 
 
 def test_store_indices_track_removal():
@@ -357,8 +360,8 @@ def test_immediately_determined_examples():
     s = Store([EqApp(x, F1, (y,))])
     assert immediate(s, x) == {(F1, (y,))}
 
-    s = Store([SubApp(x, G1, (var("u", "y"),))])
-    assert immediate(s, x) == {(G1, (var("u", "y"),))}
+    s = Store([SubApp(x, G1, (u,))])
+    assert immediate(s, x) == {(G1, (u,))}
 
     s = Store([Sub(x, y)])
     assert immediate(s, x) == set()

@@ -25,7 +25,6 @@ from wsc.engine import (
     rule_descend1,
     rule_elim,
     rule_propagate1,
-    rule_propagate2,
 )
 from wsc.terms import Symbol
 
@@ -129,13 +128,13 @@ def test_clash_through_routed_determinations():
 
 
 def test_clash_between_component_and_intersection():
-    # w <= f(y&z) puts one child of w below both y = f(u) and z = g(v):
-    # no rule fires, and the product's node {y, z} carries f and g
+    # w <= f(y) and w <= f(z) put one child of w below both y = f(u)
+    # and z = g(v): no rule fires, and the product's node {y, z}
+    # carries f and g
     s = Solver()
     for a in (SubApp(w, F1, (y,)), SubApp(w, F1, (z,)), EqApp(y, F1, (u,)), EqApp(z, G1, (v,))):
         s.insert(a)
     assert s.run() == Verdict.UNSAT
-    assert SubApp(w, F1, (var("y", "z"),)) in s.store
     last = s.trace[-1]
     assert (last.rule, last.on) == (RuleId.CLASH, (EqApp(y, F1, (u,)), EqApp(z, G1, (v,))))
     assert str(last) == f"step {last.step}: Clash on y = f(u), z = g(v) => bottom"
@@ -249,47 +248,6 @@ def test_propagate1_guard():
     assert rule_propagate1(s) is None
 
 
-# --- Propagate2 ------------------------------------------------------------------
-
-
-def test_propagate2_intersects_arguments():
-    s = store_of(SubApp(x, F1, (u,)), EqApp(x, F1, (v,)))
-    grown = SubApp(x, F1, (var("u", "v"),))
-    assert rule_propagate2(s) == (
-        (SubApp(x, F1, (u,)), EqApp(x, F1, (v,))),
-        (SubApp(x, F1, (u,)),),
-        (grown,),
-    )
-    assert atoms_of(s) == {grown, EqApp(x, F1, (v,))}
-
-
-def test_propagate2_joins_every_component_in_one_firing():
-    # x <= y&z routes both of its components' determinations to x
-    s = store_of(SubApp(x, F1, (u,)), Sub(x, var("y", "z")), EqApp(y, F1, (v,)),
-                 EqApp(z, F1, (w,)))
-    grown = SubApp(x, F1, (var("u", "v", "w"),))
-    assert rule_propagate2(s) == (
-        (SubApp(x, F1, (u,)), Sub(x, var("y", "z")), EqApp(y, F1, (v,)), EqApp(z, F1, (w,))),
-        (SubApp(x, F1, (u,)),),
-        (grown,),
-    )
-    assert rule_propagate2(s) is None
-
-
-def test_propagate2_guard():
-    s = store_of(SubApp(x, F1, (var("u", "v"),)), Sub(x, y), EqApp(y, F1, (v,)))
-    assert rule_propagate2(s) is None
-
-
-def test_propagate2_ignores_symbol_mismatch():
-    s = store_of(SubApp(x, F1, (u,)), Sub(x, y), EqApp(y, G1, (v,)))
-    assert rule_propagate2(s) is None
-    # ... that shape is a contradiction, and Clash handles it
-    on = (SubApp(x, F1, (u,)), Sub(x, y), EqApp(y, G1, (v,)))
-    assert rule_clash(s) == (on, (), ())
-    assert s.contradiction
-
-
 # --- Collapse --------------------------------------------------------------------
 
 
@@ -378,7 +336,6 @@ def test_rules_are_inapplicable_on_contradiction():
         rule_clash,
         rule_elim,
         rule_propagate1,
-        rule_propagate2,
         rule_collapse,
         rule_descend1,
     ):
