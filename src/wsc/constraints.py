@@ -13,12 +13,12 @@ Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 children, i.e. there is a u with x <= u and u = f(ȳ)).
 
 A Store holds the current conjunction as a set of atoms indexed by
-kind and left side, with at most one x = f(ȳ) per name and symbol,
-plus the bookkeeping a solver needs: a contradiction flag, the record
-of the equations used for elimination and the name each one
-eliminated, the log of the decompositions and clashes the store made
-itself, and an index of each variable's determinations that every
-change to an atom keeps up to date.
+kind and left side, with at most one x = f(ȳ) per name and symbol and
+at most one x <= r per name, plus the bookkeeping a solver needs: a
+contradiction flag, the record of the equations used for elimination
+and the name each one eliminated, the log of the decompositions and
+clashes the store made itself, and an index of each variable's
+determinations that every change to an atom keeps up to date.
 """
 
 from __future__ import annotations
@@ -264,9 +264,9 @@ class Store:
     variable and the x <= r atoms by the base components of r.  It also
     keeps what determinations() computed for each variable.  `agendas`
     holds a (keys, enabled) pair for each rule that keeps an agenda:
-    once the store has indexed an atom a at aid, it adds
-    keys(store, aid, a) to the enabled set (see determinations() and
-    engine.py).
+    once the store has indexed an atom a at aid in place of old (None
+    for a new id), it adds keys(store, aid, a, old) to the enabled set
+    (see determinations() and engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -287,6 +287,11 @@ class Store:
     `contradiction` (Clash) and both atoms stay.  `log` holds each such
     firing, as (rule name, on, removed, added), until a solver reads
     and clears it; once the store is contradicted it logs nothing more.
+
+    Likewise a name carries at most one x <= r: add() grows it in place
+    to x <= r&u, keeping its id, and subst_all() joins one moved onto a
+    name that has one into it after the whole substitution.  A join
+    logs nothing, like the dedup (engine.py says why it is sound).
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
@@ -301,7 +306,7 @@ class Store:
         self.unused_eqs: set[int] = set()
         self._base: dict[str, Var] = {}
         self._dets: dict[Var, list[Determination]] = {}
-        self.agendas: dict[str, tuple[Callable[[Store, int, Atom], Iterable], set]] = {}
+        self.agendas: dict[str, tuple[Callable[..., Iterable], set]] = {}
         self.log: list[tuple[str, tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
         for a in atoms:
             self.add(a)
@@ -309,11 +314,15 @@ class Store:
     # -- basic mutation --------------------------------------------------
 
     def add(self, a: Atom) -> int:
-        """Insert an atom; returns its id (the existing one if present)."""
+        """Insert an atom; returns its id (the existing one if present,
+        or that of the x <= r on its name that an x <= u joins)."""
         if not (a.lhs.is_base if isinstance(a, Sub) else is_base_only(a)):
             raise ValueError(f"intersection variable off a right side of <=: {format_atom(a)}")
         if a in self._locs:
             return self._locs[a]
+        if isinstance(a, Sub) and a.lhs in self._lhs[Sub]:
+            (aid,) = self._lhs[Sub][a.lhs]
+            return self.rewrite(aid, Sub(a.lhs, Var(self._atoms[aid].rhs.parts + a.rhs.parts)))
         aid = self._next_id
         self._next_id += 1
         self._atoms[aid] = a
@@ -340,25 +349,29 @@ class Store:
             return keep
         self._unindex(aid, old)
         self._atoms[aid] = a
-        self._index(aid, a)
+        self._index(aid, a, old)
         return aid
 
     def subst_all(self, x: str, y: str, skip: Iterable[int] = ()) -> None:
         """Deep substitution [y/x] applied to every atom (except `skip`).
-        An x = f(ū) moved onto y meets y's own y = f(·) only once every
-        atom is rewritten, so that the argument equations mention no x."""
+        An x = f(ū) or x <= r moved onto y meets y's own y = f(·) or
+        y <= s only once every atom is rewritten, so that the argument
+        equations mention no x."""
         skipset = set(skip)
-        rewritten = []
+        moved = []
         for aid in sorted(self._occ.get(x, set()) - skipset):
             if aid in self._atoms:  # may have merged away already
                 old = self._atoms[aid]
                 a = subst_atom(old, x, y)
-                if self.rewrite(aid, a) == aid and isinstance(a, EqApp) and a.lhs is not old.lhs:
-                    rewritten.append(aid)
-        for aid in rewritten:
+                if self.rewrite(aid, a) == aid and a.lhs is not old.lhs:
+                    moved.append(aid)
+        for aid in moved:
             a = self._atoms.get(aid)
-            if a is not None:  # may have met a larger id already
+            if isinstance(a, EqApp):  # may have met a larger id already
                 self._meet(aid, a)
+            elif isinstance(a, Sub) and len(self._lhs[Sub][a.lhs]) > 1:
+                # the larger id goes and joins the smaller
+                self.add(self.remove(max(self._lhs[Sub][a.lhs])))
 
     def _meet(self, aid: int, a: EqApp) -> None:
         """Meet the x = f(ū) at aid with another on its left side, if
@@ -477,7 +490,7 @@ class Store:
         for v in self.determined_vars(a):
             self._dets.pop(v, None)
 
-    def _index(self, aid: int, a: Atom) -> None:
+    def _index(self, aid: int, a: Atom, old: Atom | None = None) -> None:
         self._forget_dets(a)
         self._locs[a] = aid
         for b in atom_base_vars(a):
@@ -490,7 +503,7 @@ class Store:
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
         for keys, enabled in self.agendas.values():
-            enabled.update(keys(self, aid, a))
+            enabled.update(keys(self, aid, a, old))
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]

@@ -1,18 +1,18 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Five rewrite rules act on a Store, the store itself decomposes
-equations as it indexes them, and a product read off the store at each
-fixpoint decides what the rules leave open.  Each rule function either
-fires once — mutating the store in place and returning the firing as
-(on, removed, added) atom tuples — or returns None when it is
-inapplicable.  Every rule fires its first instance in a fixed order:
-ascending atom id (ascending variable for Clash), then components in
-sorted order.  So every firing is deterministic.  Propagate1 and
-Collapse grow one atom, and one firing takes every current partner of
-it: on is the atom, then each partner in the order it was joined.  Such
-a firing is the run of fine firings, one partner each, that the paper's
-rule would make on that atom in a row, so soundness and termination
-carry over.
+Four rewrite rules act on a Store, the store itself decomposes
+equations and joins subsumptions as it indexes them, and a product
+read off the store at each fixpoint decides what the rules leave open.
+Each rule function either fires once — mutating the store in place and
+returning the firing as (on, removed, added) atom tuples — or returns
+None when it is inapplicable.  Every rule fires its first instance in
+a fixed order: ascending atom id (ascending variable for Clash), then
+components in sorted order.  So every firing is deterministic.
+Collapse grows one atom, and one firing takes every current partner of
+it: on is the atom, then each partner in the order it was joined.
+Such a firing is the run of fine firings, one partner each, that the
+paper's rule would make on that atom in a row, so soundness and
+termination carry over.
 
 Intersection variables occur only on the right side of an x <= r
 (Store.add enforces it).  The paper's Descend2 made atoms on them, and
@@ -32,36 +32,40 @@ back the name being eliminated.  The store keeps each such firing in
 Store.log, and the Solver logs it as a Decom or Clash step after the
 insert or firing that caused it, so traces hold every derivation step.
 
-Clash, Propagate1, Collapse and Descend1 each keep an agenda in the
-store: the rule's key function and the keys (variables for Clash, atom
-ids for the others) of the instances that may be enabled.  Whenever the
-store indexes an atom, new or rewritten, it adds the keys of the
-instances that atom enables as the store stands then.  A look checks
-the keys in ascending order and drops each one that does not fire.  An
-instance enabled at a look rests on atoms present at that look; the
-last of them to be indexed found the others present in their current
-form, so its keys include the instance.  Clash keys the variables whose
-determinations the atom takes part in.  Descend1 keys the x = f(ū) that
-the f(v̄) the atom determines would push subsumptions down
-from.  Propagate1 and Collapse key the x <= r atoms an x <= u reaches
-and whose r lacks a component of u.  Removals need not be reported:
-they only shrink determinations and the subsumptions Propagate1 and
-Collapse read, and the subsumptions whose absence Descend1 needs are
-never taken away, only grown, renamed along with the rest of the
-store, or merged into an equal atom.  A key that fires stays, so the
-agenda never lacks an enabled instance, and the smallest key that
-fires is the instance the ascending scan would have found first:
-traces are the same as with a whole-store scan.  A Clash look at a
-variable with no x <= r on it and no kept determinations reads the
-symbols of its own x = f(ū) and x <= f(ū) from the store's left-side
-index, and builds determinations only if there are two.
+Clash, Collapse and Descend1 each keep an agenda in the store: the
+rule's key function and the keys (variables for Clash, atom ids for
+the others) of the instances that may be enabled.  Whenever the store
+indexes an atom, new or rewritten, it adds the keys of the instances
+that atom enables as the store stands then.  A look checks the keys in
+ascending order and drops each one that does not fire.  An instance
+enabled at a look rests on atoms present at that look; the last of
+them to be indexed found the others present in their current form, so
+its keys include the instance.  Clash keys the variables whose
+determinations the atom takes part in.  Collapse keys the x <= r atoms
+a y <= z reaches and whose r lacks a component of z.  Descend1 keys
+the x = f(ū) that the f(v̄) the atom determines would push subsumptions
+down from.  Of a rewritten x <= r it reads only the components the
+rewrite added, and only their own y = g(v̄) and y <= g(v̄): the
+instances of the old components were keyed when the atom was last
+indexed, and the subsumptions that cover them are never taken away.
+Removals need not be reported: they only shrink determinations and the
+subsumptions Collapse reads, and the subsumptions whose absence
+Descend1 needs are never taken away, only grown, renamed along with
+the rest of the store, or joined into the one x <= r on their name.  A
+key that fires stays, so the agenda never lacks an enabled instance,
+and the smallest key that fires is the instance the ascending scan
+would have found first: traces are the same as with a whole-store
+scan.  A Clash look at a variable with no x <= r on it and no kept
+determinations reads the symbols of its own x = f(ū) and x <= f(ū)
+from the store's left-side index, and builds determinations only if
+there are two.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
 is not an agenda: an equation whose sides occur nowhere else does not
 fire, yet must stay, since a later atom can give a side an occurrence.
 
-The rules, and the store's own two:
+The rules, and the store's own three:
 
   Clash       two incompatible constructors determined for a
               variable: contradiction.  The store fires it on a second
@@ -72,8 +76,14 @@ The rules, and the store's own two:
   Decom       (the store's) two equations x = f(ū), x = f(v̄): replace
               the one with the smaller id by the pairwise argument
               equations.
-  Propagate1  x <= z and x <= u: z grows to z & u, for every current
-              such x <= u at once.
+  Join        (the store's) x <= z and x <= u, new or moved onto x by
+              Elim: z grows to z & u in place (the paper's Propagate1),
+              so a name carries at most one x <= r.  Sound both ways:
+              oracles.check_witness reads an intersection as the merge
+              of its components, so x <= z and x <= u hold exactly
+              when x <= z&u does.  No step of its own, as the dedup
+              has none; a Descend1 firing that grows an existing
+              u <= r reports it as removed and u <= r&v as added.
   Collapse    w <= r absorbs y <= z for a component y of r: r grows to
               r & z, for every current such y <= z, and again for the
               components that adds, until none adds more (chains of
@@ -192,7 +202,6 @@ class RuleId(enum.Enum):
     CLASH = "Clash"
     ELIM = "Elim"
     DECOM = "Decom"
-    PROPAGATE1 = "Propagate1"
     COLLAPSE = "Collapse"
     DESCEND1 = "Descend1"
 
@@ -203,7 +212,6 @@ class RuleId(enum.Enum):
 DEFAULT_PRIORITY: tuple[RuleId, ...] = (
     RuleId.CLASH,
     RuleId.ELIM,
-    RuleId.PROPAGATE1,
     RuleId.COLLAPSE,
     RuleId.DESCEND1,
 )
@@ -226,7 +234,7 @@ def _fire_enabled(
     store: Store,
     rule: RuleId,
     seed: Callable[[Store], Iterable],
-    keys: Callable[[Store, int, Atom], Iterable],
+    keys: Callable[[Store, int, Atom, Atom | None], Iterable],
     fire_at: Callable[[Store, Any], Firing | None],
 ) -> Firing | None:
     """Fire `rule` at the smallest key of its agenda that fires.
@@ -234,11 +242,11 @@ def _fire_enabled(
     The agenda is the rule's (keys, enabled) pair in store.agendas: its
     key function, and the keys of the instances that may be enabled.
     On the rule's first look every instance in the store (`seed`) is a
-    candidate; from then on the store adds keys(store, aid, a) for each
-    atom a it indexes at aid.  The keys checked before the one that
-    fires do not fire and leave the agenda.  Ascending order is the
-    order of the whole-store scan the agenda replaces, so the same
-    instance fires."""
+    candidate; from then on the store adds keys(store, aid, a, old) for
+    each atom a it indexes at aid in place of old.  The keys checked
+    before the one that fires do not fire and leave the agenda.
+    Ascending order is the order of the whole-store scan the agenda
+    replaces, so the same instance fires."""
     if store.contradiction:
         return None
     agenda = store.agendas.get(rule.value)
@@ -253,16 +261,10 @@ def _fire_enabled(
     return None
 
 
-def _clash_keys(store: Store, aid: int, a: Atom) -> list[Var]:
+def _clash_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[Var]:
     """The variables whose determinations atom a takes part in: those
     whose Clash status it can change."""
     return store.determined_vars(a)
-
-
-def _rhs_lacking(store: Store, aid: int, a: Sub, ids: Iterable[int]) -> list[int]:
-    """aid, and the x <= r atoms among ids with a component of the right
-    side of the y <= z at aid missing from r."""
-    return [aid] + [i for i in ids if not _includes(store.atom(i).rhs, a.rhs)]
 
 
 def _includes(u: Var, v: Var) -> bool:
@@ -336,66 +338,39 @@ def rule_elim(store: Store) -> Firing | None:
     return None
 
 
-def _grow_rhs_at(store: Store, aid: int, names: Callable[[Sub], tuple[str, ...]],
-                 follow: bool) -> Firing | None:
+def _collapse_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[int]:
+    """The x <= r atoms whose Collapse instance a new or rewritten atom
+    can enable: for a y <= z, itself and each x <= r with y and not
+    every component of z among the components of r."""
+    if not isinstance(a, Sub):
+        return []
+    return [aid] + [i for i in store.routing_ids(a.lhs.parts[0])
+                    if not _includes(store.atom(i).rhs, a.rhs)]
+
+
+def _collapse_at(store: Store, aid: int) -> Firing | None:
     """Grow the right side of the x <= r at aid by the right side of
-    every y <= z, y a base variable in names(x <= r), that adds a
-    component to it, in one firing.  With `follow`, the components
-    added are names too, until none adds more."""
+    the y <= z on each component y of r, and of the components that
+    adds, until none adds more, in one firing."""
     a = store.get(aid)
     if a is None:
         return None
     on = [a]
     parts = set(a.rhs.parts)
-    todo = list(names(a))
-    for name in todo:  # grows while it is walked when `follow` is set
+    todo = list(a.rhs.parts)
+    for name in todo:  # grows while it is walked
         for bid in store.ids(Sub, store.base_var(name)):
             b = store.atom(bid)
             new = [p for p in b.rhs.parts if p not in parts]
             if new:
                 on.append(b)
                 parts.update(new)
-                if follow:
-                    todo.extend(new)
+                todo.extend(new)
     if len(on) == 1:
         return None
     na = Sub(a.lhs, Var(tuple(parts)))
     store.rewrite(aid, na)
     return tuple(on), (a,), (na,)
-
-
-def _propagate1_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= z atoms whose Propagate1 instance a new or rewritten
-    atom can enable: for an x <= u, itself and each x <= z with a
-    component of u missing from z."""
-    if not isinstance(a, Sub):
-        return ()
-    return _rhs_lacking(store, aid, a, store._lhs[Sub][a.lhs])
-
-
-def _propagate1_at(store: Store, aid: int) -> Firing | None:
-    return _grow_rhs_at(store, aid, lambda a: a.lhs.parts, follow=False)
-
-
-def rule_propagate1(store: Store) -> Firing | None:
-    """x <= z and x <= u: grow z to z & u, for every current partner
-    x <= u in one firing.  The atom with the smallest id fires."""
-    return _fire_enabled(
-        store, RuleId.PROPAGATE1, lambda s: s.ids(Sub), _propagate1_keys, _propagate1_at
-    )
-
-
-def _collapse_keys(store: Store, aid: int, a: Atom) -> Iterable[int]:
-    """The x <= r atoms whose Collapse instance a new or rewritten atom
-    can enable: for a y <= z, itself and each x <= r with y and not
-    every component of z among the components of r."""
-    if not isinstance(a, Sub):
-        return ()
-    return _rhs_lacking(store, aid, a, store.routing_ids(a.lhs.parts[0]))
-
-
-def _collapse_at(store: Store, aid: int) -> Firing | None:
-    return _grow_rhs_at(store, aid, lambda a: a.rhs.parts, follow=True)
 
 
 def rule_collapse(store: Store) -> Firing | None:
@@ -406,19 +381,23 @@ def rule_collapse(store: Store) -> Firing | None:
     return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
 
 
-def _descend1_keys(store: Store, aid: int, a: Atom) -> list[int]:
+def _descend1_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[int]:
     """The x = f(ū) atoms whose Descend1 instance a new or rewritten atom
     can enable: a itself, and those whose left side the atom determines
     as an f(v̄) with a position that no subsumption on ū covers.  A
     y = g(v̄) or y <= g(v̄) determines y, and the left side of each
     x <= r routing through y, as g(v̄); an x <= r determines x as each
-    y = g(v̄) and y <= g(v̄) on a component y of r does."""
-    brought = [a] if not isinstance(a, Sub) else [
-        d for y in a.rhs.parts for d in determinations(store, store.base_var(y)) if d.via is None
-    ]
-    table = store._lhs[EqApp]
+    y = g(v̄) and y <= g(v̄) on a component y of r does.  Of a
+    rewritten x <= r only the components the rewrite added count."""
+    lhs = store._lhs
+    if isinstance(a, Sub):
+        had = old.rhs.parts if old is not None and old.lhs is a.lhs else ()
+        brought = [store.atom(i) for y in a.rhs.parts if y not in had
+                   for kind in (EqApp, SubApp) for i in lhs[kind].get(store.base_var(y), ())]
+    else:
+        brought = [a]
     return [aid] * isinstance(a, EqApp) + [
-        i for v in store.determined_vars(a) for i in table.get(v, ()) if i != aid
+        i for v in store.determined_vars(a) for i in lhs[EqApp].get(v, ()) if i != aid
         for b in (store.atom(i),)
         if any(d.sym == b.sym and _uncovered(store, b.args, d.args) for d in brought)
     ]
@@ -434,10 +413,13 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
         missing = _uncovered(store, a.args, d.args)
         if not missing:
             continue
-        added = tuple(Sub(u, v) for u, v in missing)
-        for na in added:
-            store.add(na)
-        return tuple(dict.fromkeys((a,) + _sources(store, d))), (), added
+        # Each u <= v joins the u <= r on u, if there is one.
+        us = dict.fromkeys(u for u, _ in missing)
+        removed = tuple(store.atom(i) for u in us for i in store.ids(Sub, u))
+        for u, v in missing:
+            store.add(Sub(u, v))
+        added = tuple(store.atom(i) for u in us for i in store.ids(Sub, u))
+        return tuple(dict.fromkeys((a,) + _sources(store, d))), removed, added
     return None
 
 
@@ -459,7 +441,6 @@ def rule_descend1(store: Store) -> Firing | None:
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.CLASH: rule_clash,
     RuleId.ELIM: rule_elim,
-    RuleId.PROPAGATE1: rule_propagate1,
     RuleId.COLLAPSE: rule_collapse,
     RuleId.DESCEND1: rule_descend1,
 }

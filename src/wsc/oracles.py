@@ -598,8 +598,9 @@ def witness_search(
 
 
 def dump_witness(sigma: Mapping[str, TermGraph]) -> str:
-    """Render an assignment as `name := term` lines."""
-    return "\n".join(f"{name} := {format_term(sigma[name])}" for name in sorted(sigma)) + "\n"
+    """Render an assignment as `name := term` lines, each ending in a
+    newline: the empty assignment is the empty string."""
+    return "".join(f"{name} := {format_term(sigma[name])}\n" for name in sorted(sigma))
 
 
 def load_witness(text: str) -> dict[str, TermGraph]:

@@ -90,12 +90,14 @@ def test_var_canonical_form():
 def test_components():
     # Descend1's covered check compares components: a position whose
     # argument is z is covered by u <= r exactly when z is one of r's
-    # parts.
+    # parts.  The u <= z it adds joins that u <= r in place, so the
+    # firing reports u <= r removed and u <= r&z added.
     eq, sub_app = EqApp(x, F1, (u,)), SubApp(x, F1, (z,))
     assert rule_descend1(Store([eq, sub_app, Sub(u, var("w", "y", "z"))])) is None
     s = Store([eq, sub_app, Sub(u, var("w", "y"))])
-    assert rule_descend1(s) == ((eq, sub_app), (), (Sub(u, z),))
-    assert Sub(u, z) in s
+    assert rule_descend1(s) == ((eq, sub_app), (Sub(u, var("w", "y")),),
+                                (Sub(u, var("w", "y", "z")),))
+    assert s.atoms()[2] == (2, Sub(u, var("w", "y", "z")))
 
 
 def test_var_rejects_empty():
@@ -262,10 +264,10 @@ def test_store_occurs_elsewhere():
 
 
 def test_store_rewrite_keeps_id_and_merges_duplicates():
-    s = Store([Sub(x, y), Sub(x, z)])
+    s = Store([Sub(x, y), Sub(z, y)])
     (i, _), (j, _) = s.atoms()
     # plain rewrite keeps the id
-    k = s.rewrite(j, Sub(x, var("z", "u")))
+    k = s.rewrite(j, Sub(z, var("y", "u")))
     assert k == j
     # rewriting into an existing atom merges, keeping the other id
     k2 = s.rewrite(j, Sub(x, y))

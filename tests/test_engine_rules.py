@@ -24,7 +24,6 @@ from wsc.engine import (
     rule_collapse,
     rule_descend1,
     rule_elim,
-    rule_propagate1,
 )
 from wsc.terms import Symbol
 
@@ -209,43 +208,42 @@ def test_elim_keeps_an_equation_until_a_side_occurs_elsewhere():
     assert atoms_of(s.store) == {Eq(x, y), Sub(z, y)}
 
 
-# --- Propagate1 ------------------------------------------------------------------
+# --- the store's join: one x <= r per name -----------------------------------------
 
 
-def test_propagate1_grows_right_side():
-    s = store_of(Sub(x, var("y", "z")), Sub(x, u))
-    assert rule_propagate1(s) == (
-        (Sub(x, var("y", "z")), Sub(x, u)),
-        (Sub(x, var("y", "z")),),
-        (Sub(x, var("u", "y", "z")),),
-    )
-    assert atoms_of(s) == {Sub(x, var("u", "y", "z")), Sub(x, u)}
+def test_a_second_subsumption_grows_the_one_atom_in_place():
+    s = Store()
+    i = s.add(Sub(x, var("y", "z")))
+    assert s.add(Sub(x, u)) == i
+    assert s.atoms() == [(i, Sub(x, var("u", "y", "z")))]
+    assert s.add(Sub(x, v)) == i
+    assert s.atoms() == [(i, Sub(x, var("u", "v", "y", "z")))]
+    # the join is silent, like the dedup
+    assert s.log == []
 
 
-def test_propagate1_applies_to_base_left_sides():
-    s = store_of(Sub(x, z), Sub(x, u))
-    assert rule_propagate1(s) is not None
-    assert atoms_of(s) == {Sub(x, var("z", "u")), Sub(x, u)}
-
-
-def test_propagate1_joins_every_component_in_one_firing():
-    s = store_of(Sub(x, z), Sub(x, u), Sub(x, v))
-    assert rule_propagate1(s) == (
-        (Sub(x, z), Sub(x, u), Sub(x, v)),
-        (Sub(x, z),),
-        (Sub(x, var("z", "u", "v")),),
-    )
-
-
-def test_propagate1_guard():
-    # z <= u is a partner for Collapse, not for Propagate1
+def test_a_covered_subsumption_adds_nothing():
     s = store_of(Sub(x, var("z", "u")), Sub(z, u))
-    assert rule_propagate1(s) is None
-    # x <= u fires, merging into x <= z&u, which then has no partner
-    s = store_of(Sub(x, var("z", "u")), Sub(x, u))
-    assert rule_propagate1(s)[2] == (Sub(x, var("z", "u")),)
-    assert atoms_of(s) == {Sub(x, var("z", "u"))}
-    assert rule_propagate1(s) is None
+    before = s.atoms()
+    assert s.add(Sub(x, u)) == before[0][0]
+    assert s.add(Sub(x, var("u", "z"))) == before[0][0]
+    assert s.atoms() == before
+    # z <= u is Collapse's partner, not a second atom on x
+    assert s.ids(Sub, x) == [before[0][0]]
+
+
+def test_elim_moving_a_subsumption_onto_a_name_with_one_joins_them():
+    # Elim moves x <= u onto y, which has y <= z: one y <= u&z stays,
+    # under the smaller id
+    s = store_of(Sub(y, z), Eq(x, y), Sub(x, u))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.atoms() == [(0, Sub(y, var("u", "z"))), (1, Eq(x, y))]
+    assert s.elim == {1: "x"}
+    # and the other way round, the moved atom having the smaller id
+    s = store_of(Sub(x, u), Eq(x, y), Sub(y, z))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.atoms() == [(0, Sub(y, var("u", "z"))), (1, Eq(x, y))]
+    assert s.log == []
 
 
 # --- Collapse --------------------------------------------------------------------
@@ -335,7 +333,6 @@ def test_rules_are_inapplicable_on_contradiction():
     for rule in (
         rule_clash,
         rule_elim,
-        rule_propagate1,
         rule_collapse,
         rule_descend1,
     ):
@@ -346,7 +343,7 @@ def test_every_firing_logs_one_event():
     # a firing reports only what it changed: removed atoms are gone from
     # the store, added ones are present
     s = store_of(Sub(x, z), Sub(x, u), Sub(w, x))
-    on, removed, added = rule_propagate1(s)
+    on, removed, added = rule_collapse(s)
     assert all(a not in s for a in removed)
     assert all(a in s for a in added)
     assert set(on) >= set(removed)

@@ -145,30 +145,28 @@ def chain(n):
 
 C3_TRACE = """\
 step 1: Collapse on x0 <= x1, x1 <= x2 => x0 <= x1&x2
-step 2: Descend1 on x0 = f(x1), x0 <= x1&x2, x2 = f(x0) => x1 <= x0
-step 3: Propagate1 on x1 <= x2, x1 <= x0 => x1 <= x0&x2
-step 4: Propagate1 on x1 <= x0, x1 <= x0&x2 => x1 <= x0&x2
-step 5: Collapse on x0 <= x1&x2, x1 <= x0&x2 => x0 <= x0&x1&x2
-step 6: Collapse on x1 <= x0&x2, x0 <= x0&x1&x2 => x1 <= x0&x1&x2
-step 7: Descend1 on x1 = f(x2), x1 <= x0&x1&x2, x2 = f(x0) => x2 <= x0
-step 8: Collapse on x2 <= x0, x0 <= x0&x1&x2 => x2 <= x0&x1&x2"""
+step 2: Descend1 on x0 = f(x1), x0 <= x1&x2, x2 = f(x0) => x1 <= x0&x2
+step 3: Collapse on x0 <= x1&x2, x1 <= x0&x2 => x0 <= x0&x1&x2
+step 4: Collapse on x1 <= x0&x2, x0 <= x0&x1&x2 => x1 <= x0&x1&x2
+step 5: Descend1 on x1 = f(x2), x1 <= x0&x1&x2, x2 = f(x0) => x2 <= x0
+step 6: Collapse on x2 <= x0, x0 <= x0&x1&x2 => x2 <= x0&x1&x2"""
 
 
-# Steps and firings per rule (Collapse, Descend1, Propagate1) of C(n).
+# Steps and firings per rule (Collapse, Descend1) of C(n).
 # A change that alters the firing order must update these on purpose.
 CHAIN_FIRINGS = {
-    3: (8, (4, 2, 2)),
-    4: (13, (6, 3, 4)),
-    5: (18, (8, 4, 6)),
-    6: (23, (10, 5, 8)),
-    7: (28, (12, 6, 10)),
-    8: (33, (14, 7, 12)),
+    3: (6, (4, 2)),
+    4: (9, (6, 3)),
+    5: (12, (8, 4)),
+    6: (15, (10, 5)),
+    7: (18, (12, 6)),
+    8: (21, (14, 7)),
 }
 
 
 def test_chain_firing_order_is_pinned():
     assert format_trace(solve(chain(3)).trace) == C3_TRACE
-    rules = (RuleId.COLLAPSE, RuleId.DESCEND1, RuleId.PROPAGATE1)
+    rules = (RuleId.COLLAPSE, RuleId.DESCEND1)
     for n, (steps, fired) in CHAIN_FIRINGS.items():
         res = solve(chain(n))
         assert res.verdict == Verdict.SAT
@@ -179,7 +177,7 @@ def test_chain_firing_order_is_pinned():
 
 
 def test_chain_steps_grow_linearly():
-    # one Propagate1 or Collapse firing takes every current partner, so
+    # one Collapse firing takes every current partner, so
     # C(n) no longer pays a step per intersection component
     for n in range(3, 17):
         assert solve(chain(n)).steps <= 11 * n
@@ -210,7 +208,7 @@ def route_digest():
 # The rule agendas and indexes find the same first instance as a scan
 # of the whole store would: a change that alters a verdict, a solved
 # store or the route to it must update this digest on purpose.
-ROUTE_DIGEST = "f2af3a2bc637bfeb1b6850bf9a76cb680e3dde463377bf5b0956ab8f2816d8cf"
+ROUTE_DIGEST = "585ad2e2629bd195a03d93fe5020291f29bacefc2d3f7c0909e96431969dee74"
 
 
 def test_routes_are_pinned():
@@ -280,22 +278,37 @@ def test_verdicts_are_pinned():
 
 
 def test_an_indexed_atom_keys_only_the_instances_it_enables():
-    # Everything x <= z brings is already in the solved store through
-    # x <= u&z: Descend1 finds y <= u covering, Propagate1 and Collapse
-    # find z in every partner's right side.  The new atom keys only its own instances (and x, whose
-    # determinations it joins, for Clash).
     s = Solver()
-    for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), Sub(x, z), Sub(x, u), Sub(w, x), Sub(v, x)):
+    for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), EqApp(p, F1, (var("q"),)),
+              Sub(x, z), Sub(w, x)):
         s.assert_atom(a)
-    assert Sub(x, var("u", "z")) in s.store
-    aid = s.store.add(Sub(x, z))
-    enabled = {rule: keys for rule, (_, keys) in s.store.agendas.items()}
-    assert enabled == {
+    ids = {a: i for i, a in s.store.atoms()}
+
+    def enabled():
+        return {rule: set(keys) for rule, (_, keys) in s.store.agendas.items()}
+
+    nothing = {"Clash": set(), "Collapse": set(), "Descend1": set()}
+    assert enabled() == nothing
+    # x <= z is in the solved store: adding it again keys nothing
+    xz = s.store.add(Sub(x, z))
+    assert enabled() == nothing
+    # x <= p grows that atom in place to x <= p&z, which keys x for
+    # Clash, itself and w <= x&z (lacking p) for Collapse, and x = f(y)
+    # for Descend1, through p = f(q)
+    assert s.store.add(Sub(x, p)) == xz
+    assert s.store.atom(xz) == Sub(x, var("p", "z"))
+    assert enabled() == {
         "Clash": {x},
-        "Propagate1": {aid},
-        "Collapse": {aid},
-        "Descend1": set(),
+        "Collapse": {xz, ids[Sub(w, var("x", "z"))]},
+        "Descend1": {ids[EqApp(x, F1, (y,))]},
     }
+    # A rewrite walks only the components it adds: p's instance was
+    # keyed when the atom was last indexed, so x <= v keys no Descend1
+    # instance.
+    for _, keys in s.store.agendas.values():
+        keys.clear()
+    s.store.add(Sub(x, v))
+    assert enabled()["Descend1"] == set()
 
 
 # --- stepping ----------------------------------------------------------------------
@@ -380,7 +393,7 @@ def test_assertions_are_normalized_through_eliminations():
 def test_trace_line_format():
     res = solve(ROUTED_CLASH)
     pat = re.compile(
-        r"^step \d+: (Clash|Elim|Decom|Propagate1|Collapse|Descend1)"
+        r"^step \d+: (Clash|Elim|Decom|Collapse|Descend1)"
         r" on .+ => .+$"
     )
     lines = format_trace(res.trace).splitlines()

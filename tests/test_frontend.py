@@ -327,10 +327,10 @@ def test_report_schema_and_stability():
     data = report(result)
     assert set(data) == {"status", "steps", "atoms", "classes"}
     assert data["status"] == "unsat"
-    assert data["steps"] == 3
+    assert data["steps"] == 1
     assert all(isinstance(s, str) for s in data["atoms"])
     with_trace = report(result, include_trace=True)
-    assert len(with_trace["trace"]) == 3
+    assert len(with_trace["trace"]) == 1
     # serializes cleanly and identically twice
     assert json.dumps(data, sort_keys=True) == json.dumps(report(result), sort_keys=True)
 
@@ -355,7 +355,7 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert run_cli(["solve", str(sat)]) == 0
     assert "sat after" in capsys.readouterr().out
     assert run_cli(["solve", str(unsat)]) == 1
-    assert "unsat after 3 step(s)" in capsys.readouterr().out
+    assert "unsat after 1 step(s)" in capsys.readouterr().out
 
 
 def test_cli_solve_reads_stdin(monkeypatch, capsys):

@@ -97,3 +97,12 @@ def test_cli_prints_the_witness(tmp_path, capsys):
     f.write_text(text + "y = a()\n")
     assert run_cli(["solve", str(f), "--witness", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["witness"] is None
+
+
+def test_cli_prints_no_witness_line_for_an_input_without_atoms(tmp_path, capsys):
+    f = tmp_path / "empty.wsc"
+    f.write_text("# no atoms\n")
+    assert run_cli(["solve", str(f), "--witness"]) == 0
+    assert capsys.readouterr().out == "sat after 0 step(s)\n"
+    assert run_cli(["solve", str(f), "--witness", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] == ""

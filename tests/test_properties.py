@@ -6,8 +6,8 @@ scratch, solving the solved atoms again gives the same verdict, every
 incremental verdict is the batch verdict of its prefix, the indexes a
 store keeps through a run answer as a fresh store's do, each
 elimination is kept once, as its solved equation, a left side never
-holds two x = f(ū) with one symbol, and a trace does not depend on
-where in memory its variables live."""
+holds two x = f(ū) with one symbol nor two x <= r, and a trace does
+not depend on where in memory its variables live."""
 
 import random
 
@@ -36,6 +36,9 @@ def instances_of(kinds):
 instances = instances_of(ATOM_KINDS)
 # Weighted towards x = y, so that Elim fires often and in chains.
 eq_heavy_instances = instances_of(("eq", "eq", "eq") + ATOM_KINDS)
+# Weighted towards x <= y, with x = y beside it, so that Elim moves
+# subsumptions onto names that have one.
+sub_heavy_instances = instances_of(("sub", "sub", "sub", "eq") + ATOM_KINDS)
 
 checked = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
@@ -233,6 +236,22 @@ def assert_one_equation_per_name_and_symbol(store):
         assert store.get(aid) is not None and not store.occurs_elsewhere(gone, aid)
 
 
+def check_after_every_insert_and_step(atoms, check):
+    """Check the store after every insert and every step of a batch run
+    and of one assert per atom, under the default and the reversed
+    priority."""
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        for batch in (True, False):
+            solver = Solver(priority=priority)
+            for k, a in enumerate(atoms, start=1):
+                solver.insert(a)
+                check(solver.store)
+                if batch and k < len(atoms):
+                    continue
+                while solver.step():
+                    check(solver.store)
+
+
 @checked
 @given(eq_heavy_instances)
 # Random draws seldom give this shape: Elim moves x0 = f(x2) onto x1
@@ -240,16 +259,20 @@ def assert_one_equation_per_name_and_symbol(store):
 @example([Eq(var("x0"), var("x1")), EqApp(var("x0"), F, (var("x2"),)),
           EqApp(var("x1"), F, (var("x0"),))])
 def test_a_left_side_keeps_one_equation_per_symbol_after_every_step(atoms):
-    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
-        for batch in (True, False):
-            solver = Solver(priority=priority)
-            for k, a in enumerate(atoms, start=1):
-                solver.insert(a)
-                assert_one_equation_per_name_and_symbol(solver.store)
-                if batch and k < len(atoms):
-                    continue
-                while solver.step():
-                    assert_one_equation_per_name_and_symbol(solver.store)
+    check_after_every_insert_and_step(atoms, assert_one_equation_per_name_and_symbol)
+
+
+def assert_one_subsumption_per_name(store):
+    for v in store.left_sides():
+        assert len(store.ids(Sub, v)) <= 1, v
+
+
+@checked
+@given(sub_heavy_instances)
+# Elim moves x0 <= x3 onto x1, which has x1 <= x2.
+@example([Sub(var("x1"), var("x2")), Eq(var("x0"), var("x1")), Sub(var("x0"), var("x3"))])
+def test_a_left_side_keeps_one_subsumption_after_every_step(atoms):
+    check_after_every_insert_and_step(atoms, assert_one_subsumption_per_name)
 
 
 def traces(atoms):
