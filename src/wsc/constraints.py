@@ -16,9 +16,9 @@ A Store holds the current conjunction as a set of atoms indexed by
 kind and left side, with at most one x = f(ȳ) per name and symbol and
 at most one x <= r per name, plus the bookkeeping a solver needs: a
 contradiction flag, the record of the equations used for elimination
-and the name each one eliminated, the log of the decompositions and
-clashes the store made itself, and an index of each variable's
-determinations that every change to an atom keeps up to date.
+and the name each one eliminated, and the log of the decompositions
+and clashes the store made itself.  A variable's determinations are
+read from the index on each request; nothing derived from them is kept.
 """
 
 from __future__ import annotations
@@ -261,12 +261,13 @@ class Store:
 
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
-    variable and the x <= r atoms by the base components of r.  It also
-    keeps what determinations() computed for each variable.  `agendas`
-    holds a (keys, enabled) pair for each rule that keeps an agenda:
-    once the store has indexed an atom a at aid in place of old (None
-    for a new id), it adds keys(store, aid, a, old) to the enabled set
-    (see determinations() and engine.py).
+    variable and the x <= r atoms by the base components of r.
+    determining_atoms() and determinations() read a variable's
+    determinations from these tables on each call; the store keeps
+    nothing derived from them.  `agendas` holds a (keys, enabled) pair
+    for each rule that keeps an agenda: once the store has indexed an
+    atom a at aid in place of old (None for a new id), it adds
+    keys(store, aid, a, old) to the enabled set (see engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -305,7 +306,6 @@ class Store:
         self.elim: dict[int, str] = {}
         self.unused_eqs: set[int] = set()
         self._base: dict[str, Var] = {}
-        self._dets: dict[Var, list[Determination]] = {}
         self.agendas: dict[str, tuple[Callable[..., Iterable], set]] = {}
         self.log: list[tuple[str, tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
         for a in atoms:
@@ -485,13 +485,7 @@ class Store:
 
     # -- index plumbing -----------------------------------------------------
 
-    def _forget_dets(self, a: Atom) -> None:
-        """Drop the kept determinations that atom a takes part in."""
-        for v in self.determined_vars(a):
-            self._dets.pop(v, None)
-
     def _index(self, aid: int, a: Atom, old: Atom | None = None) -> None:
-        self._forget_dets(a)
         self._locs[a] = aid
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
@@ -509,7 +503,6 @@ class Store:
         del self._locs[a]
         for b in atom_base_vars(a):
             _drop(self._occ, b, aid)
-        self._forget_dets(a)
         _drop(self._lhs[type(a)], a.lhs, aid)
         if isinstance(a, Eq):
             self.unused_eqs.discard(aid)
@@ -540,31 +533,27 @@ class Determination(NamedTuple):
     via: int | None
 
 
-def determinations(store: Store, v: Var) -> list[Determination]:
-    """All determinations of v, immediate and routed, in a stable order.
+def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
+    """The atoms that determine v, as (id, route) pairs read from the
+    store's left-side index: each x = f(ū) and x <= f(ū) on v, with
+    route None, then those on each component of v's x <= r, with that
+    atom's id as the route."""
+    lhs = store._lhs
+    tables = (lhs[EqApp], lhs[SubApp])
+    out = [(i, None) for t in tables for i in t.get(v, ())]
+    for sid in lhs[Sub].get(v, ()):
+        out += [(i, sid) for y in store.atom(sid).rhs.parts for yv in (store.base_var(y),)
+                for t in tables for i in t.get(yv, ())]
+    return out
 
-    The result comes from the store's index.  It is computed on the
-    first call for v and kept until an atom it depends on is added,
-    removed or rewritten: an x = f(ū) or x <= f(ū) on v, a subsumption
-    v <= r, or an x = f(ū) or x <= f(ū) on a base component of such an
-    r.  The list is shared by every caller until then and must not be
-    mutated.  Since it is recomputed whenever it could differ, it is
-    always the list a fresh computation gives, and the rules that read
-    it fire exactly as if nothing were kept.
-    """
-    out = store._dets.get(v)
-    if out is not None:
-        return out
+
+def determinations(store: Store, v: Var) -> list[Determination]:
+    """All determinations of v, immediate and routed: those of
+    determining_atoms(), sorted by symbol, arguments, atom id and route
+    (the immediate one first).  Each call builds a new list."""
     out = []
-    for aid in store.ids(EqApp, v) + store.ids(SubApp, v):
+    for aid, via in determining_atoms(store, v):
         a = store.atom(aid)
-        out.append(Determination(a.sym, a.args, aid, None))
-    for sid in store.ids(Sub, v):
-        for y in store.atom(sid).rhs.parts:
-            yv = store.base_var(y)
-            for aid in store.ids(EqApp, yv) + store.ids(SubApp, yv):
-                a = store.atom(aid)
-                out.append(Determination(a.sym, a.args, aid, sid))
+        out.append(Determination(a.sym, a.args, aid, via))
     out.sort(key=lambda d: (d.sym, d.args, d.at, -1 if d.via is None else d.via))
-    store._dets[v] = out
     return out

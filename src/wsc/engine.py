@@ -55,10 +55,11 @@ the rest of the store, or joined into the one x <= r on their name.  A
 key that fires stays, so the agenda never lacks an enabled instance,
 and the smallest key that fires is the instance the ascending scan
 would have found first: traces are the same as with a whole-store
-scan.  A Clash look at a variable with no x <= r on it and no kept
-determinations reads the symbols of its own x = f(ū) and x <= f(ū)
-from the store's left-side index, and builds determinations only if
-there are two.
+scan.  A Clash look reads the symbols of the atoms that determine its
+variable from the store's index (constraints.determining_atoms), and a
+Descend1 look the atoms there with its equation's symbol.  Sorted
+determinations() lists are built only for the product and for a Clash
+firing's on atoms; the store keeps none.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
@@ -179,6 +180,7 @@ from .constraints import (
     SubApp,
     Var,
     determinations,
+    determining_atoms,
     format_atom,
     is_base_only,
     map_vars,
@@ -293,19 +295,11 @@ def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
-    lhs = store._lhs
-    if w not in store._dets and w not in lhs[Sub]:
-        # Then w's determinations are its own x = f(ū) and x <= f(ū),
-        # and w clashes only if they carry two symbols.
-        own = [*lhs[EqApp].get(w, ()), *lhs[SubApp].get(w, ())]
-        if len({a.sym for a in map(store.atom, own)}) < 2:
-            return None
-    dw = determinations(store, w)
-    # determinations() sorts by symbol first, so the first and the last
-    # span all of its symbols.
-    if not dw or dw[0].sym == dw[-1].sym:
+    """A Clash firing on w if the atoms that determine it carry two
+    symbols; only a firing builds w's determinations, for its on atoms."""
+    if len({store.atom(i).sym for i, _ in determining_atoms(store, w)}) < 2:
         return None
-    return _clash(store, dw)
+    return _clash(store, determinations(store, w))
 
 
 def rule_clash(store: Store) -> Firing | None:
@@ -407,9 +401,15 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     a = store.get(aid)
     if a is None:
         return None
-    for d in determinations(store, a.lhs):
-        if d.at == aid or d.sym != a.sym:
-            continue
+    # The determinations of a.lhs with a's symbol, but for a itself, in
+    # determinations() order.
+    same = []
+    for i, via in determining_atoms(store, a.lhs):
+        b = store.atom(i)
+        if i != aid and b.sym == a.sym:
+            same.append(Determination(b.sym, b.args, i, via))
+    same.sort(key=lambda d: (d.args, d.at, -1 if d.via is None else d.via))
+    for d in same:
         missing = _uncovered(store, a.args, d.args)
         if not missing:
             continue
@@ -511,10 +511,10 @@ def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
 
 def _product_clash(store: Store) -> Firing | None:
     """A clash in the product of a store at a fixpoint of the rules,
-    walked from the left sides with determinations and no x = f(ū)."""
+    walked from the left sides of subsumptions with no x = f(ū).  A
+    start with no determinations is a hole and ends its walk at once."""
     lhs = store._lhs
-    starts = sorted(v.parts[0] for v in {*lhs[Sub], *lhs[SubApp]}
-                    if v not in lhs[EqApp] and determinations(store, v))
+    starts = sorted(v.parts[0] for v in {*lhs[Sub], *lhs[SubApp]} if v not in lhs[EqApp])
     return _walk(store, representatives(store), starts)[1] if starts else None
 
 

@@ -6,16 +6,21 @@ scratch, solving the solved atoms again gives the same verdict, every
 incremental verdict is the batch verdict of its prefix, the indexes a
 store keeps through a run answer as a fresh store's do, each
 elimination is kept once, as its solved equation, a left side never
-holds two x = f(ū) with one symbol nor two x <= r, and a trace does
-not depend on where in memory its variables live."""
+holds two x = f(ū) with one symbol nor two x <= r, the atoms read as
+determining a left side are those of its determinations and a Clash
+look fires exactly on two symbols among them, and a trace does not
+depend on where in memory its variables live."""
 
 import random
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wsc.constraints import Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations, var
-from wsc.engine import _RULES, DEFAULT_PRIORITY, Solver, Verdict, format_trace, solve
+from wsc.constraints import (
+    Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations, determining_atoms, var,
+)
+from wsc.engine import _RULES, DEFAULT_PRIORITY, Solver, Verdict, _clash_at, format_trace, solve
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
 
@@ -273,6 +278,28 @@ def assert_one_subsumption_per_name(store):
 @example([Sub(var("x1"), var("x2")), Eq(var("x0"), var("x1")), Sub(var("x0"), var("x3"))])
 def test_a_left_side_keeps_one_subsumption_after_every_step(atoms):
     check_after_every_insert_and_step(atoms, assert_one_subsumption_per_name)
+
+
+def assert_clash_reads_the_determinations(store):
+    """For every left side v, determining_atoms() gives the (at, via)
+    pairs of determinations(), and a Clash look at v fires exactly when
+    those determinations carry two symbols."""
+    for v in store.left_sides():
+        dets = determinations(store, v)
+        assert Counter(determining_atoms(store, v)) == Counter((d.at, d.via) for d in dets), v
+        was = store.contradiction
+        fired = _clash_at(store, v) is not None
+        store.contradiction = was  # a firing sets it; the run goes on as it was
+        assert fired == (len({d.sym for d in dets}) > 1), v
+
+
+@checked
+@given(sub_heavy_instances)
+# x0's determinations are a() on itself and f(x2) routed through x1.
+@example([Sub(var("x0"), var("x1")), EqApp(var("x1"), F, (var("x2"),)),
+          SubApp(var("x0"), Symbol("a", 0), ())])
+def test_clash_looks_read_the_determinations_after_every_step(atoms):
+    check_after_every_insert_and_step(atoms, assert_clash_reads_the_determinations)
 
 
 def traces(atoms):
