@@ -17,8 +17,12 @@ kind and left side, with at most one x = f(ȳ) per name and symbol and
 at most one x <= r per name, plus the bookkeeping a solver needs: a
 contradiction flag, the record of the equations used for elimination
 and the name each one eliminated, and the log of the decompositions
-and clashes the store made itself.  A variable's determinations are
-read from the index on each request; nothing derived from them is kept.
+and clashes the store made itself.  The x <= r atoms form a graph of
+names, each name's one x <= r leading to the components of r.  A
+variable is determined by the x = f(ȳ) and x <= f(ȳ) on it and on
+every name it reaches in that graph.  Both the reachable names and the
+determinations are read from the index on each request; nothing
+derived from them is kept.
 """
 
 from __future__ import annotations
@@ -262,12 +266,15 @@ class Store:
     One table maps each kind of atom and each left side to the ids of
     those atoms (ids()).  Beside it the store indexes the atoms by base
     variable and the x <= r atoms by the base components of r.
-    determining_atoms() and determinations() read a variable's
-    determinations from these tables on each call; the store keeps
-    nothing derived from them.  `agendas` holds a (keys, enabled) pair
+    reachable() walks the x <= r atoms forward from a variable through
+    the left-side table, and determined_vars() walks them back through
+    the right-side one.  determining_atoms() and determinations() read a variable's
+    determinations, its own and those of every name it reaches, from
+    these tables on each call; the store keeps nothing derived from
+    them, not even reachability.  `agendas` holds a (keys, enabled) pair
     for each rule that keeps an agenda: once the store has indexed an
-    atom a at aid in place of old (None for a new id), it adds
-    keys(store, aid, a, old) to the enabled set (see engine.py).
+    atom a, new or rewritten, it adds keys(store, a) to the enabled set
+    (see engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -349,7 +356,7 @@ class Store:
             return keep
         self._unindex(aid, old)
         self._atoms[aid] = a
-        self._index(aid, a, old)
+        self._index(aid, a)
         return aid
 
     def subst_all(self, x: str, y: str, skip: Iterable[int] = ()) -> None:
@@ -450,20 +457,36 @@ class Store:
         occ = self._occ.get(x, ())
         return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
-    def routing_ids(self, y: str) -> list[int]:
-        """The ids of the x <= r atoms whose right side has base variable
-        y as a component."""
-        return list(self._sub_rhs.get(y, ()))
+    def reachable(self, v: Var) -> dict[str, None]:
+        """The names reachable from v along one or more x <= r edges:
+        the components of v's x <= r, theirs, and so on, walked on each
+        call."""
+        sub, atoms, base = self._lhs[Sub], self._atoms, self._base
+        seen: dict[str, None] = {}
+        todo = [v]
+        while todo:
+            for sid in sub.get(todo.pop(), ()):
+                for y in atoms[sid].rhs.parts:
+                    if y not in seen:
+                        seen[y] = None
+                        todo.append(base.get(y) or self.base_var(y))
+        return seen
 
     def determined_vars(self, a: Atom) -> list[Var]:
         """The variables whose determinations atom a takes part in: its
-        left side, and, when a determines a base y, the left side of
-        every x <= r routing through y."""
+        left side, and every name that reaches it along x <= r edges (a
+        walk back over the right sides' index)."""
         if isinstance(a, Eq):
             return []
-        if isinstance(a, Sub):
-            return [a.lhs]
-        return [a.lhs] + [self._atoms[i].lhs for i in self.routing_ids(a.lhs.parts[0])]
+        names = [a.lhs.parts[0]]
+        seen = set(names)
+        for y in names:  # grows while it is walked
+            for sid in self._sub_rhs.get(y, ()):
+                x = self._atoms[sid].lhs.parts[0]
+                if x not in seen:
+                    seen.add(x)
+                    names.append(x)
+        return [self.base_var(n) for n in names]
 
     def ids(self, kind: type, lhs: Var | None = None) -> list[int]:
         """The ids of the atoms of this kind (Eq, EqApp, Sub or SubApp),
@@ -485,7 +508,7 @@ class Store:
 
     # -- index plumbing -----------------------------------------------------
 
-    def _index(self, aid: int, a: Atom, old: Atom | None = None) -> None:
+    def _index(self, aid: int, a: Atom) -> None:
         self._locs[a] = aid
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
@@ -497,7 +520,7 @@ class Store:
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
         for keys, enabled in self.agendas.values():
-            enabled.update(keys(self, aid, a, old))
+            enabled.update(keys(self, a))
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]
@@ -536,13 +559,14 @@ class Determination(NamedTuple):
 def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
     """The atoms that determine v, as (id, route) pairs read from the
     store's left-side index: each x = f(ū) and x <= f(ū) on v, with
-    route None, then those on each component of v's x <= r, with that
-    atom's id as the route."""
+    route None, then those on every name reachable from v along x <= r
+    edges (Store.reachable), with the id of v's one x <= r as the
+    route."""
     lhs = store._lhs
     tables = (lhs[EqApp], lhs[SubApp])
     out = [(i, None) for t in tables for i in t.get(v, ())]
     for sid in lhs[Sub].get(v, ()):
-        out += [(i, sid) for y in store.atom(sid).rhs.parts for yv in (store.base_var(y),)
+        out += [(i, sid) for y in store.reachable(v) for yv in (store.base_var(y),)
                 for t in tables for i in t.get(yv, ())]
     return out
 

@@ -1,18 +1,27 @@
 """The terminating rule engine for equations and subsumption constraints.
 
-Four rewrite rules act on a Store, the store itself decomposes
+Three rewrite rules act on a Store, the store itself decomposes
 equations and joins subsumptions as it indexes them, and a product
 read off the store at each fixpoint decides what the rules leave open.
 Each rule function either fires once — mutating the store in place and
 returning the firing as (on, removed, added) atom tuples — or returns
 None when it is inapplicable.  Every rule fires its first instance in
-a fixed order: ascending atom id (ascending variable for Clash), then
-components in sorted order.  So every firing is deterministic.
-Collapse grows one atom, and one firing takes every current partner of
-it: on is the atom, then each partner in the order it was joined.
-Such a firing is the run of fine firings, one partner each, that the
-paper's rule would make on that atom in a row, so soundness and
-termination carry over.
+a fixed order read off the store as it stands: Clash at the smallest
+variable, Elim at the smallest atom id, and Descend1 at the x = f(ū)
+whose left side reaches the fewest names, the largest id among those
+(Descend1's order, below).  So every firing is deterministic.
+
+Subsumption as reachability.  The components of a name's one x <= r
+are its successors in a graph of names, and weak subsumption, a
+preorder, holds along every path.  The paper's Collapse writes that
+transitive closure into each right side (n² components on a chain of
+n names, and an incremental step for each).  Here no rule does: the
+closure is walked on demand, as Dörre's (1994) automaton for weak
+subsumption reads the x <= y graph as its transition structure.  x is
+determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a name
+x reaches along one or more edges (constraints.determining_atoms), and
+u covers v when u reaches every component of v (Store.reachable).
+Neither is kept: each look walks the graph.
 
 Intersection variables occur only on the right side of an x <= r
 (Store.add enforces it).  The paper's Descend2 made atoms on them, and
@@ -32,34 +41,39 @@ back the name being eliminated.  The store keeps each such firing in
 Store.log, and the Solver logs it as a Decom or Clash step after the
 insert or firing that caused it, so traces hold every derivation step.
 
-Clash, Collapse and Descend1 each keep an agenda in the store: the
-rule's key function and the keys (variables for Clash, atom ids for
-the others) of the instances that may be enabled.  Whenever the store
-indexes an atom, new or rewritten, it adds the keys of the instances
-that atom enables as the store stands then.  A look checks the keys in
-ascending order and drops each one that does not fire.  An instance
-enabled at a look rests on atoms present at that look; the last of
-them to be indexed found the others present in their current form, so
-its keys include the instance.  Clash keys the variables whose
-determinations the atom takes part in.  Collapse keys the x <= r atoms
-a y <= z reaches and whose r lacks a component of z.  Descend1 keys
-the x = f(ū) that the f(v̄) the atom determines would push subsumptions
-down from.  Of a rewritten x <= r it reads only the components the
-rewrite added, and only their own y = g(v̄) and y <= g(v̄): the
-instances of the old components were keyed when the atom was last
-indexed, and the subsumptions that cover them are never taken away.
-Removals need not be reported: they only shrink determinations and the
-subsumptions Collapse reads, and the subsumptions whose absence
-Descend1 needs are never taken away, only grown, renamed along with
-the rest of the store, or joined into the one x <= r on their name.  A
-key that fires stays, so the agenda never lacks an enabled instance,
-and the smallest key that fires is the instance the ascending scan
-would have found first: traces are the same as with a whole-store
-scan.  A Clash look reads the symbols of the atoms that determine its
-variable from the store's index (constraints.determining_atoms), and a
-Descend1 look the atoms there with its equation's symbol.  Sorted
+Clash and Descend1 each keep an agenda in the store: the rule's key
+function and the keys (variables for Clash, atom ids for Descend1) of
+the instances that may be enabled.  Whenever the store indexes an
+atom, new or rewritten, it adds the keys of the instances that atom
+enables as the store stands then: Store.determined_vars, the atom's
+left side and every name that reaches it, for Clash, and the x = f(ū)
+on those for Descend1.  A look checks the keys in the rule's order and
+drops each one that does not fire.  An instance enabled at a look
+rests on atoms present at that look, a path of x <= r edges and the
+atoms at its end; the last of them to be indexed found the others
+present in their current form, so its keys include the instance.
+Removals need not be reported: they only shrink determinations, and
+no path is ever taken away, since an x <= r is only grown, renamed
+along with the rest of the store (which merges names) or joined into
+the one on its name.  A key that fires stays, so the agenda never
+lacks an enabled instance, and the first key in the rule's order that
+fires is the instance a whole-store scan in that order would find:
+traces are the same as with a scan.  A Clash look reads the symbols of
+the atoms that determine its variable from the store's index, and a
+Descend1 look the atoms there with its equation's symbol, walking
+from each argument of the equation once if there are any.  Sorted
 determinations() lists are built only for the product and for a Clash
 firing's on atoms; the store keeps none.
+
+Descend1's order.  Asserted in its own order, x_i = f(x_(i+1)) then
+x_i <= x_(i+1), the chain C(n) of the tests takes n(n − 1)/2 firings
+if the smallest id fires first: each new name pushes the first
+equation down once more, adding a shortcut edge.  The equation whose
+left side reaches the fewest names sits at the far end of a chain, and
+the subsumption it adds is reached from every name above, covering
+their positions too: C(n) takes one firing batch and at most one per
+asserted atom.  Ties go to the largest id.  That alone, without the
+count, took batch C(32) in shuffled orders up to six firings.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
@@ -85,15 +99,12 @@ The rules, and the store's own three:
               when x <= z&u does.  No step of its own, as the dedup
               has none; a Descend1 firing that grows an existing
               u <= r reports it as removed and u <= r&v as added.
-  Collapse    w <= r absorbs y <= z for a component y of r: r grows to
-              r & z, for every current such y <= z, and again for the
-              components that adds, until none adds more (chains of
-              subsumptions collapse into the right side in one firing).
   Descend1    an equation x = f(ū) whose left side is also determined
               as f(v̄) by the *rest* of the store (a determination whose
               determining atom is the equation itself is skipped) pushes
               subsumptions ū <= v̄ down to the arguments (positions
-              already covered by an existing subsumption are skipped).
+              where every component of v_k is already reachable from
+              u_k are skipped).
 
 The product.  Where the rules stop without a contradiction, several
 determinations of one name may still impose clashing structure on one
@@ -135,14 +146,17 @@ into the k-th child node.  Two symbols at one position admit no tree.
 Complete: with no clash every node carries one symbol or is a hole, so
 the nodes form a term graph; witness() maps each name to its node.  An
 x = y holds since both sides have one node, and an x = f(ū) since {x}
-is labelled from it.  For nodes S ⊆ T, the graph at S weakly subsumes
-the graph at T: T's determinations include S's, so T carries S's
-symbol, and T's children include S's.  At a fixpoint an x <= r gives x
-the determinations of every component of r (Collapse closes chains of
-subsumptions), and below an x = f(ū) Descend1 has put each u_k under
-the arguments of x's other determinations; with the inclusion above,
-the subsumptions hold.  oracles.check_witness, which shares no code
-with the product, judges the witness on every sat verdict of the tests.
+is labelled from it.  For nodes S and T where T's determinations
+include S's (as when S ⊆ T), the graph at S weakly subsumes the graph
+at T: T carries S's symbol, and T's children include S's.  A node's
+determinations are those of every name reachable from its members,
+read along the transitions of Dörre's automaton, so an x <= r gives x
+those of every component of r.  Below an x = f(ū), at a fixpoint,
+Descend1 has made u_k reach every component of the k-th arguments of
+x's other determinations, so u_k's determinations include theirs; with
+the inclusion above, the subsumptions hold.  oracles.check_witness,
+which shares no code with the product, judges the witness on every sat
+verdict of the tests.
 
 Once Clash has stopped, every singleton carries one symbol, so a clash
 sits at a node with two members.  The first such node on a path from a
@@ -154,8 +168,8 @@ recorded as a Clash firing on the atoms behind the two determinations
 that disagree.
 
 A Solver owns a store and drives the rules to a fixpoint under a
-total rule priority; the default order fires Clash first and Descend1
-last.  The verdict is sat iff a fixpoint is reached whose store and
+total rule priority; the default order fires Clash, then Elim, then
+Descend1.  The verdict is sat iff a fixpoint is reached whose store and
 product hold no contradiction — which priority is used does not
 change the verdict, only the route.
 
@@ -204,7 +218,6 @@ class RuleId(enum.Enum):
     CLASH = "Clash"
     ELIM = "Elim"
     DECOM = "Decom"
-    COLLAPSE = "Collapse"
     DESCEND1 = "Descend1"
 
     def __str__(self) -> str:
@@ -214,7 +227,6 @@ class RuleId(enum.Enum):
 DEFAULT_PRIORITY: tuple[RuleId, ...] = (
     RuleId.CLASH,
     RuleId.ELIM,
-    RuleId.COLLAPSE,
     RuleId.DESCEND1,
 )
 
@@ -236,51 +248,32 @@ def _fire_enabled(
     store: Store,
     rule: RuleId,
     seed: Callable[[Store], Iterable],
-    keys: Callable[[Store, int, Atom, Atom | None], Iterable],
+    keys: Callable[[Store, Atom], Iterable],
     fire_at: Callable[[Store, Any], Firing | None],
+    order: Callable[[Any], Any] | None = None,
 ) -> Firing | None:
-    """Fire `rule` at the smallest key of its agenda that fires.
+    """Fire `rule` at the first key of its agenda that fires, in
+    ascending order or by the sort key `order`.
 
     The agenda is the rule's (keys, enabled) pair in store.agendas: its
     key function, and the keys of the instances that may be enabled.
     On the rule's first look every instance in the store (`seed`) is a
-    candidate; from then on the store adds keys(store, aid, a, old) for
-    each atom a it indexes at aid in place of old.  The keys checked
-    before the one that fires do not fire and leave the agenda.
-    Ascending order is the order of the whole-store scan the agenda
-    replaces, so the same instance fires."""
+    candidate; from then on the store adds keys(store, a) for each atom
+    a it indexes.  The keys checked before the one that fires do not
+    fire and leave the agenda.  The order is that of a whole-store scan,
+    read off the store as it stands, so the same instance fires."""
     if store.contradiction:
         return None
     agenda = store.agendas.get(rule.value)
     if agenda is None:
         agenda = store.agendas[rule.value] = (keys, set(seed(store)))
     _, enabled = agenda
-    for k in sorted(enabled):
+    for k in sorted(enabled, key=order):
         fired = fire_at(store, k)
         if fired is not None:
             return fired
         enabled.discard(k)
     return None
-
-
-def _clash_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[Var]:
-    """The variables whose determinations atom a takes part in: those
-    whose Clash status it can change."""
-    return store.determined_vars(a)
-
-
-def _includes(u: Var, v: Var) -> bool:
-    """Is every component of v a component of u?"""
-    return set(u.parts).issuperset(v.parts)
-
-
-def _uncovered(store: Store, us: tuple[Var, ...], vs: tuple[Var, ...]) -> list[tuple[Var, Var]]:
-    """The positions (u, v) of ū <= v̄ that no u <= r with every
-    component of v in r covers."""
-    return [
-        (u, v) for u, v in zip(us, vs)
-        if not any(_includes(store.atom(bid).rhs, v) for bid in store.ids(Sub, u))
-    ]
 
 
 def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
@@ -305,7 +298,7 @@ def _clash_at(store: Store, w: Var) -> Firing | None:
 def rule_clash(store: Store) -> Firing | None:
     """Fire when some variable carries two different determined
     constructors.  The smallest such variable fires."""
-    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, _clash_keys, _clash_at)
+    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, Store.determined_vars, _clash_at)
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -332,69 +325,19 @@ def rule_elim(store: Store) -> Firing | None:
     return None
 
 
-def _collapse_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[int]:
-    """The x <= r atoms whose Collapse instance a new or rewritten atom
-    can enable: for a y <= z, itself and each x <= r with y and not
-    every component of z among the components of r."""
-    if not isinstance(a, Sub):
-        return []
-    return [aid] + [i for i in store.routing_ids(a.lhs.parts[0])
-                    if not _includes(store.atom(i).rhs, a.rhs)]
-
-
-def _collapse_at(store: Store, aid: int) -> Firing | None:
-    """Grow the right side of the x <= r at aid by the right side of
-    the y <= z on each component y of r, and of the components that
-    adds, until none adds more, in one firing."""
-    a = store.get(aid)
-    if a is None:
-        return None
-    on = [a]
-    parts = set(a.rhs.parts)
-    todo = list(a.rhs.parts)
-    for name in todo:  # grows while it is walked
-        for bid in store.ids(Sub, store.base_var(name)):
-            b = store.atom(bid)
-            new = [p for p in b.rhs.parts if p not in parts]
-            if new:
-                on.append(b)
-                parts.update(new)
-                todo.extend(new)
-    if len(on) == 1:
-        return None
-    na = Sub(a.lhs, Var(tuple(parts)))
-    store.rewrite(aid, na)
-    return tuple(on), (a,), (na,)
-
-
-def rule_collapse(store: Store) -> Firing | None:
-    """x <= r and y <= z for a component y of r: grow r to r & z, for
-    every current partner y <= z and then for those of the components
-    that adds, until none adds more: the transitive closure in one
-    firing.  The atom with the smallest id fires."""
-    return _fire_enabled(store, RuleId.COLLAPSE, lambda s: s.ids(Sub), _collapse_keys, _collapse_at)
-
-
-def _descend1_keys(store: Store, aid: int, a: Atom, old: Atom | None) -> list[int]:
+def _descend1_keys(store: Store, a: Atom) -> list[int]:
     """The x = f(ū) atoms whose Descend1 instance a new or rewritten atom
-    can enable: a itself, and those whose left side the atom determines
-    as an f(v̄) with a position that no subsumption on ū covers.  A
-    y = g(v̄) or y <= g(v̄) determines y, and the left side of each
-    x <= r routing through y, as g(v̄); an x <= r determines x as each
-    y = g(v̄) and y <= g(v̄) on a component y of r does.  Of a
-    rewritten x <= r only the components the rewrite added count."""
-    lhs = store._lhs
-    if isinstance(a, Sub):
-        had = old.rhs.parts if old is not None and old.lhs is a.lhs else ()
-        brought = [store.atom(i) for y in a.rhs.parts if y not in had
-                   for kind in (EqApp, SubApp) for i in lhs[kind].get(store.base_var(y), ())]
-    else:
-        brought = [a]
-    return [aid] * isinstance(a, EqApp) + [
-        i for v in store.determined_vars(a) for i in lhs[EqApp].get(v, ()) if i != aid
-        for b in (store.atom(i),)
-        if any(d.sym == b.sym and _uncovered(store, b.args, d.args) for d in brought)
-    ]
+    can enable: those on every variable whose determinations it takes
+    part in (Store.determined_vars), a itself among them."""
+    eqapps = store._lhs[EqApp]
+    return [i for v in store.determined_vars(a) for i in eqapps.get(v, ())]
+
+
+def _descend1_order(store: Store, aid: int) -> tuple[int, int]:
+    """Descend1 looks first at the equation whose left side reaches the
+    fewest names, and among those at the largest id."""
+    a = store.get(aid)
+    return (0 if a is None else len(store.reachable(a.lhs)), -aid)
 
 
 def _descend1_at(store: Store, aid: int) -> Firing | None:
@@ -408,9 +351,14 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
         b = store.atom(i)
         if i != aid and b.sym == a.sym:
             same.append(Determination(b.sym, b.args, i, via))
+    if not same:
+        return None
     same.sort(key=lambda d: (d.args, d.at, -1 if d.via is None else d.via))
+    # u_k covers v_k when every component of v_k is reachable from u_k.
+    reach = {u: store.reachable(u) for u in a.args}
     for d in same:
-        missing = _uncovered(store, a.args, d.args)
+        missing = [(u, v) for u, v in zip(a.args, d.args)
+                   if not all(p in reach[u] for p in v.parts)]
         if not missing:
             continue
         # Each u <= v joins the u <= r on u, if there is one.
@@ -426,22 +374,22 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
 def rule_descend1(store: Store) -> Firing | None:
     """x = f(ū) where the rest of the store also determines x as f(v̄):
     push subsumption down to the arguments, adding ū_i <= v̄_i for every
-    position not already covered by a subsumption on ū_i whose right
-    side includes all components of v̄_i.  The atom with the smallest
-    id fires.
+    position where some component of v̄_i is not reachable from ū_i.
+    The atom whose left side reaches the fewest names fires, the
+    largest id among those.
 
     Determinations made by this equation itself, immediate or routed
     back to x through some x <= r, are skipped, so an equation never
     descends on account of itself."""
     return _fire_enabled(
-        store, RuleId.DESCEND1, lambda s: s.ids(EqApp), _descend1_keys, _descend1_at
+        store, RuleId.DESCEND1, lambda s: s.ids(EqApp), _descend1_keys, _descend1_at,
+        lambda aid: _descend1_order(store, aid),
     )
 
 
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
     RuleId.CLASH: rule_clash,
     RuleId.ELIM: rule_elim,
-    RuleId.COLLAPSE: rule_collapse,
     RuleId.DESCEND1: rule_descend1,
 }
 

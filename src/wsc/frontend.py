@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import string
@@ -408,4 +409,14 @@ def run_cli(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`wsc random | head -1`).  Point
+        # stdout at the null device, so that the flush at interpreter
+        # exit writes nowhere instead of failing again, and report an
+        # output error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

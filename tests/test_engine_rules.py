@@ -21,7 +21,6 @@ from wsc.engine import (
     Solver,
     Verdict,
     rule_clash,
-    rule_collapse,
     rule_descend1,
     rule_elim,
 )
@@ -228,7 +227,7 @@ def test_a_covered_subsumption_adds_nothing():
     assert s.add(Sub(x, u)) == before[0][0]
     assert s.add(Sub(x, var("u", "z"))) == before[0][0]
     assert s.atoms() == before
-    # z <= u is Collapse's partner, not a second atom on x
+    # z <= u sits on z: it is no second atom on x
     assert s.ids(Sub, x) == [before[0][0]]
 
 
@@ -244,40 +243,6 @@ def test_elim_moving_a_subsumption_onto_a_name_with_one_joins_them():
     assert rule_elim(s) == ((Eq(x, y),), (), ())
     assert s.atoms() == [(0, Sub(y, var("u", "z"))), (1, Eq(x, y))]
     assert s.log == []
-
-
-# --- Collapse --------------------------------------------------------------------
-
-
-def test_collapse_absorbs_chained_subsumption():
-    s = store_of(Sub(x, var("y", "u")), Sub(y, z))
-    assert rule_collapse(s) == (
-        (Sub(x, var("y", "u")), Sub(y, z)),
-        (Sub(x, var("y", "u")),),
-        (Sub(x, var("y", "z", "u")),),
-    )
-    assert atoms_of(s) == {Sub(x, var("y", "z", "u")), Sub(y, z)}
-
-
-def test_collapse_on_plain_chain():
-    s = store_of(Sub(x, y), Sub(y, z))
-    assert rule_collapse(s) is not None
-    assert atoms_of(s) == {Sub(x, var("y", "z")), Sub(y, z)}
-
-
-def test_collapse_takes_the_transitive_closure_in_one_firing():
-    s = store_of(Sub(x, y), Sub(y, z), Sub(z, u))
-    assert rule_collapse(s) == (
-        (Sub(x, y), Sub(y, z), Sub(z, u)),
-        (Sub(x, y),),
-        (Sub(x, var("u", "y", "z")),),
-    )
-    assert atoms_of(s) == {Sub(x, var("u", "y", "z")), Sub(y, z), Sub(z, u)}
-
-
-def test_collapse_guard():
-    s = store_of(Sub(x, var("y", "z")), Sub(y, z))
-    assert rule_collapse(s) is None
 
 
 # --- Descend1 --------------------------------------------------------------------
@@ -330,23 +295,20 @@ def test_rules_are_inapplicable_on_contradiction():
     s = store_of(EqApp(x, A, ()), EqApp(x, B, ()))
     rule_clash(s)
     assert s.contradiction
-    for rule in (
-        rule_clash,
-        rule_elim,
-        rule_collapse,
-        rule_descend1,
-    ):
+    for rule in (rule_clash, rule_elim, rule_descend1):
         assert rule(s) is None
 
 
 def test_every_firing_logs_one_event():
     # a firing reports only what it changed: removed atoms are gone from
-    # the store, added ones are present
-    s = store_of(Sub(x, z), Sub(x, u), Sub(w, x))
-    on, removed, added = rule_collapse(s)
+    # the store, added ones are present; here Descend1 grows u <= v to
+    # u <= v&z
+    s = store_of(EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, F1, (z,)), Sub(u, v))
+    on, removed, added = rule_descend1(s)
+    assert (removed, added) == ((Sub(u, v),), (Sub(u, var("v", "z")),))
     assert all(a not in s for a in removed)
     assert all(a in s for a in added)
-    assert set(on) >= set(removed)
+    assert on == (EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, F1, (z,)))
     # one solver step logs the rule's firing, then each firing the store
     # made as it indexed atoms: Elim moves x = f(u) onto y, where it
     # decomposes against y = f(v)

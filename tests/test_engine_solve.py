@@ -143,44 +143,55 @@ def chain(n):
     ]
 
 
+# x_(n-1) = f(x0) reaches no name and x_(n-2) = f(x_(n-1)) the fewest
+# of the rest, so it fires first: x_(n-1) <= x0 closes the cycle, and
+# then every name reaches every other.
 C3_TRACE = """\
-step 1: Collapse on x0 <= x1, x1 <= x2 => x0 <= x1&x2
-step 2: Descend1 on x0 = f(x1), x0 <= x1&x2, x2 = f(x0) => x1 <= x0&x2
-step 3: Collapse on x0 <= x1&x2, x1 <= x0&x2 => x0 <= x0&x1&x2
-step 4: Collapse on x1 <= x0&x2, x0 <= x0&x1&x2 => x1 <= x0&x1&x2
-step 5: Descend1 on x1 = f(x2), x1 <= x0&x1&x2, x2 = f(x0) => x2 <= x0
-step 6: Collapse on x2 <= x0, x0 <= x0&x1&x2 => x2 <= x0&x1&x2"""
+step 1: Descend1 on x1 = f(x2), x1 <= x2, x2 = f(x0) => x2 <= x0"""
 
 
-# Steps and firings per rule (Collapse, Descend1) of C(n).
+# Steps and Descend1 firings of C(n).
 # A change that alters the firing order must update these on purpose.
 CHAIN_FIRINGS = {
-    3: (6, (4, 2)),
-    4: (9, (6, 3)),
-    5: (12, (8, 4)),
-    6: (15, (10, 5)),
-    7: (18, (12, 6)),
-    8: (21, (14, 7)),
+    3: (1, 1),
+    4: (1, 1),
+    5: (1, 1),
+    6: (1, 1),
+    7: (1, 1),
+    8: (1, 1),
 }
 
 
 def test_chain_firing_order_is_pinned():
     assert format_trace(solve(chain(3)).trace) == C3_TRACE
-    rules = (RuleId.COLLAPSE, RuleId.DESCEND1)
     for n, (steps, fired) in CHAIN_FIRINGS.items():
         res = solve(chain(n))
         assert res.verdict == Verdict.SAT
         assert res.steps == steps
-        counts = Counter(e.rule for e in res.trace)
-        assert tuple(counts[r] for r in rules) == fired
-        assert sum(fired) == steps
+        assert Counter(e.rule for e in res.trace) == Counter({RuleId.DESCEND1: fired})
+
+
+def chain_orders(n):
+    """C(n) in three orders of assertion: subsumptions first (chain(n)),
+    equations first, and the chain's own, x_i = f(x_(i+1)) then
+    x_i <= x_(i+1)."""
+    subs, eqs = chain(n)[:n - 1], chain(n)[n - 1:]
+    return [subs + eqs, eqs + subs, [a for e, s in itertools.zip_longest(eqs, subs)
+                                     for a in (e, s) if a is not None]]
 
 
 def test_chain_steps_grow_linearly():
-    # one Collapse firing takes every current partner, so
-    # C(n) no longer pays a step per intersection component
-    for n in range(3, 17):
-        assert solve(chain(n)).steps <= 11 * n
+    # A subsumption is read as reachability, so no step writes a
+    # transitive closure into a right side, and a run pays no step per
+    # pair of chain names.
+    for n in (8, 16, 32):
+        assert solve(chain(n)).steps <= n
+        for atoms in chain_orders(n):
+            s = Solver()
+            for a in atoms:
+                s.assert_atom(a)
+            assert s.verdict is Verdict.SAT
+            assert s.step_count <= 2 * n, (n, atoms[0])
 
 
 def route_digest():
@@ -208,7 +219,7 @@ def route_digest():
 # The rule agendas and indexes find the same first instance as a scan
 # of the whole store would: a change that alters a verdict, a solved
 # store or the route to it must update this digest on purpose.
-ROUTE_DIGEST = "585ad2e2629bd195a03d93fe5020291f29bacefc2d3f7c0909e96431969dee74"
+ROUTE_DIGEST = "dedc439c1dbba19240a95d3b5fc3a942ae3a2914ec2ec9aa6519018aebc2badc"
 
 
 def test_routes_are_pinned():
@@ -244,7 +255,7 @@ def base_outcome_digest():
 # What a solver decides, and the part of each batch solved store on base
 # left sides, whatever route it takes there and whether or not it keeps
 # atoms on intersection left sides.
-BASE_OUTCOME_DIGEST = "1657496e18528a70c5c6de22383ea1119e4079aa5c0b8f881df430a256be0aac"
+BASE_OUTCOME_DIGEST = "57c848eb583c77804948e73635326a9b8deb27898573797ab8da47d307925bbf"
 
 
 def test_verdicts_and_base_solved_stores_are_pinned():
@@ -278,37 +289,34 @@ def test_verdicts_are_pinned():
 
 
 def test_an_indexed_atom_keys_only_the_instances_it_enables():
+    q = var("q")
     s = Solver()
-    for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), EqApp(p, F1, (var("q"),)),
-              Sub(x, z), Sub(w, x)):
+    for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), EqApp(p, F1, (q,)),
+              Sub(x, z), Sub(w, x), EqApp(w, F1, (v,))):
         s.assert_atom(a)
     ids = {a: i for i, a in s.store.atoms()}
 
     def enabled():
         return {rule: set(keys) for rule, (_, keys) in s.store.agendas.items()}
 
-    nothing = {"Clash": set(), "Collapse": set(), "Descend1": set()}
+    nothing = {"Clash": set(), "Descend1": set()}
     assert enabled() == nothing
     # x <= z is in the solved store: adding it again keys nothing
     xz = s.store.add(Sub(x, z))
     assert enabled() == nothing
-    # x <= p grows that atom in place to x <= p&z, which keys x for
-    # Clash, itself and w <= x&z (lacking p) for Collapse, and x = f(y)
-    # for Descend1, through p = f(q)
+    # x <= p grows that atom in place to x <= p&z, which keys x and w,
+    # the one name that reaches x, for Clash, and the equations on them
+    # for Descend1
     assert s.store.add(Sub(x, p)) == xz
     assert s.store.atom(xz) == Sub(x, var("p", "z"))
-    assert enabled() == {
-        "Clash": {x},
-        "Collapse": {xz, ids[Sub(w, var("x", "z"))]},
-        "Descend1": {ids[EqApp(x, F1, (y,))]},
-    }
-    # A rewrite walks only the components it adds: p's instance was
-    # keyed when the atom was last indexed, so x <= v keys no Descend1
-    # instance.
+    eqs = {ids[EqApp(x, F1, (y,))], ids[EqApp(w, F1, (v,))]}
+    assert enabled() == {"Clash": {x, w}, "Descend1": eqs}
+    # An atom on p keys p and every name that reaches p, but not z,
+    # which reaches no p.
     for _, keys in s.store.agendas.values():
         keys.clear()
-    s.store.add(Sub(x, v))
-    assert enabled()["Descend1"] == set()
+    s.store.add(SubApp(p, F1, (q,)))
+    assert enabled() == {"Clash": {p, x, w}, "Descend1": eqs | {ids[EqApp(p, F1, (q,))]}}
 
 
 # --- stepping ----------------------------------------------------------------------
@@ -393,7 +401,7 @@ def test_assertions_are_normalized_through_eliminations():
 def test_trace_line_format():
     res = solve(ROUTED_CLASH)
     pat = re.compile(
-        r"^step \d+: (Clash|Elim|Decom|Collapse|Descend1)"
+        r"^step \d+: (Clash|Elim|Decom|Descend1)"
         r" on .+ => .+$"
     )
     lines = format_trace(res.trace).splitlines()

@@ -483,6 +483,26 @@ def test_python_m_wsc_runs_the_cli():
     assert len(done.stdout.strip().split("\n")) == len(corpus_problems())
 
 
+def test_a_closed_stdout_ends_in_exit_2_without_a_traceback():
+    """`wsc random | head -1`: when the reader closes stdout early, the
+    command exits 2, an output error, not 1 ("unsat"), and writes
+    nothing on stderr, even with warnings as errors."""
+    src = str(Path(wsc.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # Far more output than a pipe buffers, so the pipe breaks mid-run.
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "wsc", "random", "--count", "4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b"0-0: ")
+    assert (proc.wait(timeout=60), err) == (2, b"")
+
+
 def test_cli_random_deterministic(capsys):
     args = ["random", "--seed", "k", "--count", "5", "--oracle-check"]
     assert run_cli(args) == 0

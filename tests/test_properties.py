@@ -8,8 +8,9 @@ store keeps through a run answer as a fresh store's do, each
 elimination is kept once, as its solved equation, a left side never
 holds two x = f(ū) with one symbol nor two x <= r, the atoms read as
 determining a left side are those of its determinations and a Clash
-look fires exactly on two symbols among them, and a trace does not
-depend on where in memory its variables live."""
+look fires exactly on two symbols among them, a left side is determined
+by the atoms on every name it reaches along x <= r edges, and a trace
+does not depend on where in memory its variables live."""
 
 import random
 from collections import Counter
@@ -165,8 +166,17 @@ def index_answers(store):
     def at(ids):
         return [store.atom(i) for i in ids]
 
-    def at_set(ids):
-        return sorted(map(str, at(ids)))
+    def reaching(y):
+        """The names that reach y along x <= r edges, walked back over
+        the index of right sides."""
+        out, todo = set(), [y]
+        while todo:
+            for i in store._sub_rhs.get(todo.pop(), ()):
+                x = store.atom(i).lhs.parts[0]
+                if x not in out:
+                    out.add(x)
+                    todo.append(x)
+        return out
 
     return {
         "ids": {
@@ -176,7 +186,7 @@ def index_answers(store):
         },
         "left sides": store.left_sides(),
         "base vars": names,
-        "routing": {y: at_set(store.routing_ids(y)) for y in names},
+        "reaching": {y: reaching(y) for y in names},
         "determinations": {
             v: [
                 (d.sym, d.args, store.atom(d.at), None if d.via is None else store.atom(d.via))
@@ -300,6 +310,45 @@ def assert_clash_reads_the_determinations(store):
           SubApp(var("x0"), Symbol("a", 0), ())])
 def test_clash_looks_read_the_determinations_after_every_step(atoms):
     check_after_every_insert_and_step(atoms, assert_clash_reads_the_determinations)
+
+
+def naive_reach(store, v):
+    """The names reachable from v along one or more x <= r edges, by a
+    naive fixpoint over the store's x <= r atoms."""
+    edges = {a.lhs: set(a.rhs.parts) for a in store.atom_list() if isinstance(a, Sub)}
+    reach = set(edges.get(v, ()))
+    while True:
+        more = reach.union(*(edges.get(var(y), ()) for y in reach))
+        if more == reach:
+            return reach
+        reach = more
+
+
+def assert_determining_atoms_are_those_of_every_reachable_name(store):
+    """For every left side v, determining_atoms() gives each x = f(ū)
+    and x <= f(ū) on v, unrouted, and each on a name v reaches, routed
+    by v's x <= r."""
+    for v in store.left_sides():
+        reach = naive_reach(store, v)
+        (route,) = store.ids(Sub, v) or (None,)
+        want = Counter()
+        for i, a in store.atoms():
+            if isinstance(a, (EqApp, SubApp)):
+                if a.lhs is v:
+                    want[i, None] += 1
+                if a.lhs.parts[0] in reach:
+                    want[i, route] += 1
+        assert Counter(determining_atoms(store, v)) == want, v
+
+
+@checked
+@given(sub_heavy_instances)
+# x0 reaches x2 through x1 only, and x2 reaches x0 back.
+@example([Sub(var("x0"), var("x1")), Sub(var("x1"), var("x2")), Sub(var("x2"), var("x0")),
+          EqApp(var("x2"), F, (var("x0"),)), SubApp(var("x0"), Symbol("a", 0), ())])
+def test_a_name_is_determined_by_every_name_it_reaches_after_every_step(atoms):
+    check_after_every_insert_and_step(
+        atoms, assert_determining_atoms_are_those_of_every_reachable_name)
 
 
 def traces(atoms):
