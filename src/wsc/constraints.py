@@ -21,8 +21,9 @@ and clashes the store made itself.  The x <= r atoms form a graph of
 names, each name's one x <= r leading to the components of r.  A
 variable is determined by the x = f(ȳ) and x <= f(ȳ) on it and on
 every name it reaches in that graph.  Both the reachable names and the
-determinations are read from the index on each request; nothing
-derived from them is kept.
+determinations are read from the index on each request.  What the
+store keeps beside the atoms is each name's set of determining symbols,
+which only grows as atoms are indexed; reachability is not kept.
 """
 
 from __future__ import annotations
@@ -268,13 +269,28 @@ class Store:
     variable and the x <= r atoms by the base components of r.
     reachable() walks the x <= r atoms forward from a variable through
     the left-side table, and determined_vars() walks them back through
-    the right-side one.  determining_atoms() and determinations() read a variable's
-    determinations, its own and those of every name it reaches, from
-    these tables on each call; the store keeps nothing derived from
-    them, not even reachability.  `agendas` holds a (keys, enabled) pair
-    for each rule that keeps an agenda: once the store has indexed an
-    atom a, new or rewritten, it adds keys(store, a) to the enabled set
-    (see engine.py).
+    the right-side one.  determining_atoms() and determinations() read a
+    variable's determinations, its own and those of every name it
+    reaches, from these tables on each call.
+
+    `syms` maps each base name to the symbols of its determinations, an
+    interned frozenset shared by every name with the same symbols.  An
+    indexed x = f(ū) or x <= f(ū) adds f to x and to every name that
+    reaches x, and an indexed x <= r adds the symbols of r's components
+    to x and to those names: a walk back over the right sides' index,
+    which stops at a name that holds them already (a name holds those of
+    every name it reaches).  Nothing takes a symbol away from a live
+    name: the store removes atoms only as duplicates, by Decom, which
+    leaves the symbol on its name, or by merging, and an x <= r only
+    grows or is renamed.  subst_all(x, y) drops x's set, since x
+    determines nothing after it.  So the sets are exact, unless a
+    caller's own remove() leaves one too large.  `clash_candidates`
+    holds the names whose sets hold two symbols.
+
+    `agenda` is None until Descend1 first looks, and then holds the ids
+    of the x = f(ū) whose Descend1 instance may be enabled: once the
+    store has indexed an atom a, new or rewritten, it adds the x = f(ū)
+    on every name in determined_vars(a) (see engine.py).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -313,7 +329,10 @@ class Store:
         self.elim: dict[int, str] = {}
         self.unused_eqs: set[int] = set()
         self._base: dict[str, Var] = {}
-        self.agendas: dict[str, tuple[Callable[..., Iterable], set]] = {}
+        self.syms: dict[str, frozenset[Symbol]] = {}
+        self._symsets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
+        self.clash_candidates: set[str] = set()
+        self.agenda: set[int] | None = None
         self.log: list[tuple[str, tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
         for a in atoms:
             self.add(a)
@@ -379,6 +398,8 @@ class Store:
             elif isinstance(a, Sub) and len(self._lhs[Sub][a.lhs]) > 1:
                 # the larger id goes and joins the smaller
                 self.add(self.remove(max(self._lhs[Sub][a.lhs])))
+        self.syms.pop(x, None)
+        self.clash_candidates.discard(x)
 
     def _meet(self, aid: int, a: EqApp) -> None:
         """Meet the x = f(ū) at aid with another on its left side, if
@@ -496,10 +517,6 @@ class Store:
             return sorted(i for ids in table.values() for i in ids)
         return sorted(table.get(lhs, ()))
 
-    def left_sides(self) -> set[Var]:
-        """The variables that are the left side of some atom."""
-        return {v for table in self._lhs.values() for v in table}
-
     def __str__(self) -> str:
         body = ", ".join(format_atom(a) for a in self.atom_list())
         return "bottom" if self.contradiction else "{" + body + "}"
@@ -519,8 +536,29 @@ class Store:
         elif isinstance(a, Sub):
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
-        for keys, enabled in self.agendas.values():
-            enabled.update(keys(self, a))
+            new = frozenset().union(*(self.syms.get(y, ()) for y in a.rhs.parts))
+            self._spread(a.lhs.parts[0], new)
+        else:
+            self._spread(a.lhs.parts[0], frozenset((a.sym,)))
+        if self.agenda is not None:
+            eqapps = self._lhs[EqApp]
+            self.agenda.update(i for v in self.determined_vars(a) for i in eqapps.get(v, ()))
+
+    def _spread(self, name: str, new: frozenset[Symbol]) -> None:
+        """Add the symbols `new` to the set of name and of every name
+        that reaches it, stopping at a name that holds them already."""
+        syms, atoms, sub_rhs = self.syms, self._atoms, self._sub_rhs
+        todo = [name]
+        while todo:
+            n = todo.pop()
+            old = syms.get(n, frozenset())
+            if new <= old:
+                continue
+            s = old | new
+            syms[n] = self._symsets.setdefault(s, s)
+            if len(s) > 1:
+                self.clash_candidates.add(n)
+            todo += [atoms[sid].lhs.parts[0] for sid in sub_rhs.get(n, ())]
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]

@@ -21,7 +21,9 @@ subsumption reads the x <= y graph as its transition structure.  x is
 determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a name
 x reaches along one or more edges (constraints.determining_atoms), and
 u covers v when u reaches every component of v (Store.reachable).
-Neither is kept: each look walks the graph.
+Neither is kept, and a Descend1 look walks the graph.  What the store
+keeps is each name's set of determining symbols (Store.syms), so that
+a Clash look walks nothing.
 
 Intersection variables occur only on the right side of an x <= r
 (Store.add enforces it).  The paper's Descend2 made atoms on them, and
@@ -41,27 +43,44 @@ back the name being eliminated.  The store keeps each such firing in
 Store.log, and the Solver logs it as a Decom or Clash step after the
 insert or firing that caused it, so traces hold every derivation step.
 
-Clash and Descend1 each keep an agenda in the store: the rule's key
-function and the keys (variables for Clash, atom ids for Descend1) of
-the instances that may be enabled.  Whenever the store indexes an
-atom, new or rewritten, it adds the keys of the instances that atom
-enables as the store stands then: Store.determined_vars, the atom's
-left side and every name that reaches it, for Clash, and the x = f(ū)
-on those for Descend1.  A look checks the keys in the rule's order and
-drops each one that does not fire.  An instance enabled at a look
-rests on atoms present at that look, a path of x <= r edges and the
-atoms at its end; the last of them to be indexed found the others
-present in their current form, so its keys include the instance.
-Removals need not be reported: they only shrink determinations, and
-no path is ever taken away, since an x <= r is only grown, renamed
-along with the rest of the store (which merges names) or joined into
-the one on its name.  A key that fires stays, so the agenda never
-lacks an enabled instance, and the first key in the rule's order that
-fires is the instance a whole-store scan in that order would find:
-traces are the same as with a scan.  A Clash look reads the symbols of
-the atoms that determine its variable from the store's index, and a
-Descend1 look the atoms there with its equation's symbol, walking
-from each argument of the equation once if there are any.  Sorted
+Clash reads the store's symbol sets.  Whenever the store indexes an
+atom, new or rewritten, it adds the atom's symbol, or for an x <= r the
+symbols of r's components, to its left side's set and to the set of
+every name that reaches it, walking back over the x <= r edges and
+stopping at a name that holds them already; a name whose set reaches
+two symbols becomes a Clash candidate (Store.clash_candidates).  A
+Clash look at a name is then one test, two symbols in its set, and the
+smallest candidate fires.  The sets are exact, since no live name loses
+a determining symbol (the Store docstring says why), so the first
+candidate is the variable a whole-store scan in name order would find.
+Only a firing builds that name's determinations(), for its on atoms;
+they also confirm the set, which a caller's own Store.remove can leave
+too large.  The bound: a name gains each symbol at most once, and a
+walk goes on from a name, over the edges into it, only where it gained
+one.  So over a whole run the walks cost O(|Σ| · (names + edges)) of
+the x <= r graph, where Σ is the store's symbols, besides O(1) for
+each indexed atom and O(|r|) to join the sets of an x <= r's
+components.
+
+Descend1 keeps an agenda in the store (Store.agenda): the ids of the
+x = f(ū) whose instance may be enabled.  It holds every x = f(ū) at
+Descend1's first look; from then on, whenever the store indexes an
+atom, it adds the x = f(ū) on every name whose determinations that atom
+takes part in: Store.determined_vars, the atom's left side and every
+name that reaches it.  A look checks the ids in Descend1's order and
+drops each one that does not fire.  An instance enabled at a look rests
+on atoms present at that look, a path of x <= r edges and the atoms at
+its end; the last of them to be indexed found the others present in
+their current form, so its keys include the instance.  Removals need
+not be reported: they only shrink determinations, and no path is ever
+taken away, since an x <= r is only grown, renamed along with the rest
+of the store (which merges names) or joined into the one on its name.
+An id that fires stays, so the agenda never lacks an enabled instance,
+and the first id in Descend1's order that fires is the instance a
+whole-store scan in that order would find: traces are the same as with
+a scan.  A Descend1 look reads the atoms with its equation's symbol
+that determine its left side from the store's index, walking from each
+argument of the equation once if there are any.  Sorted
 determinations() lists are built only for the product and for a Clash
 firing's on atoms; the store keeps none.
 
@@ -182,7 +201,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .constraints import (
     Atom,
@@ -244,38 +263,6 @@ def _sources(store: Store, d: Determination) -> tuple[Atom, ...]:
     return (at,) if d.via is None else (store.atom(d.via), at)
 
 
-def _fire_enabled(
-    store: Store,
-    rule: RuleId,
-    seed: Callable[[Store], Iterable],
-    keys: Callable[[Store, Atom], Iterable],
-    fire_at: Callable[[Store, Any], Firing | None],
-    order: Callable[[Any], Any] | None = None,
-) -> Firing | None:
-    """Fire `rule` at the first key of its agenda that fires, in
-    ascending order or by the sort key `order`.
-
-    The agenda is the rule's (keys, enabled) pair in store.agendas: its
-    key function, and the keys of the instances that may be enabled.
-    On the rule's first look every instance in the store (`seed`) is a
-    candidate; from then on the store adds keys(store, a) for each atom
-    a it indexes.  The keys checked before the one that fires do not
-    fire and leave the agenda.  The order is that of a whole-store scan,
-    read off the store as it stands, so the same instance fires."""
-    if store.contradiction:
-        return None
-    agenda = store.agendas.get(rule.value)
-    if agenda is None:
-        agenda = store.agendas[rule.value] = (keys, set(seed(store)))
-    _, enabled = agenda
-    for k in sorted(enabled, key=order):
-        fired = fire_at(store, k)
-        if fired is not None:
-            return fired
-        enabled.discard(k)
-    return None
-
-
 def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
     """A contradiction, on the atoms behind the first determination and
     the first after it with another symbol, if dets carry two symbols."""
@@ -288,17 +275,27 @@ def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
-    """A Clash firing on w if the atoms that determine it carry two
-    symbols; only a firing builds w's determinations, for its on atoms."""
-    if len({store.atom(i).sym for i, _ in determining_atoms(store, w)}) < 2:
+    """A Clash firing on w if the store's set of w's determining symbols
+    holds two; only a firing builds w's determinations, for its on
+    atoms.  They confirm the set, which a caller's own Store.remove can
+    leave too large."""
+    if len(store.syms.get(w.parts[0], ())) < 2:
         return None
-    return _clash(store, determinations(store, w))
+    dets = determinations(store, w)
+    return _clash(store, dets) if dets else None
 
 
 def rule_clash(store: Store) -> Firing | None:
     """Fire when some variable carries two different determined
-    constructors.  The smallest such variable fires."""
-    return _fire_enabled(store, RuleId.CLASH, Store.left_sides, Store.determined_vars, _clash_at)
+    constructors.  The smallest such variable fires: the candidates are
+    store.clash_candidates, smallest name first."""
+    if store.contradiction:
+        return None
+    for n in sorted(store.clash_candidates):
+        fired = _clash_at(store, store.base_var(n))
+        if fired is not None:
+            return fired
+    return None
 
 
 def rule_elim(store: Store) -> Firing | None:
@@ -323,14 +320,6 @@ def rule_elim(store: Store) -> Firing | None:
         store.elim[aid] = gone
         return (a,), (), ()
     return None
-
-
-def _descend1_keys(store: Store, a: Atom) -> list[int]:
-    """The x = f(ū) atoms whose Descend1 instance a new or rewritten atom
-    can enable: those on every variable whose determinations it takes
-    part in (Store.determined_vars), a itself among them."""
-    eqapps = store._lhs[EqApp]
-    return [i for v in store.determined_vars(a) for i in eqapps.get(v, ())]
 
 
 def _descend1_order(store: Store, aid: int) -> tuple[int, int]:
@@ -376,15 +365,21 @@ def rule_descend1(store: Store) -> Firing | None:
     push subsumption down to the arguments, adding ū_i <= v̄_i for every
     position where some component of v̄_i is not reachable from ū_i.
     The atom whose left side reaches the fewest names fires, the
-    largest id among those.
+    largest id among those; the candidates are store.agenda.
 
     Determinations made by this equation itself, immediate or routed
     back to x through some x <= r, are skipped, so an equation never
     descends on account of itself."""
-    return _fire_enabled(
-        store, RuleId.DESCEND1, lambda s: s.ids(EqApp), _descend1_keys, _descend1_at,
-        lambda aid: _descend1_order(store, aid),
-    )
+    if store.contradiction:
+        return None
+    if store.agenda is None:
+        store.agenda = set(store.ids(EqApp))
+    for aid in sorted(store.agenda, key=lambda aid: _descend1_order(store, aid)):
+        fired = _descend1_at(store, aid)
+        if fired is not None:
+            return fired
+        store.agenda.discard(aid)
+    return None
 
 
 _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {

@@ -1,10 +1,17 @@
 """Reference definitions that only the tests use.
 
 `instance_member` is the bounded membership probe that the term and
-oracle tests check the deciders against.
+oracle tests check the deciders against.  `left_sides` lists the
+variables a store's property tests look at.
 """
 
+from wsc.constraints import Store, Var
 from wsc.terms import TermGraph
+
+
+def left_sides(store: Store) -> set[Var]:
+    """The variables that are the left side of some atom of store."""
+    return {v for table in store._lhs.values() for v in table}
 
 
 def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:

@@ -32,6 +32,8 @@ from wsc.constraints import (
 from wsc.engine import rule_descend1, solve
 from wsc.terms import Symbol
 
+from reference import left_sides
+
 A = Symbol("a", 0)
 F1 = Symbol("f", 1)
 F2 = Symbol("f", 2)
@@ -244,10 +246,10 @@ def test_store_indices_track_removal():
     s = Store()
     i = s.add(Sub(x, var("y", "z")))
     j = s.add(EqApp(y, F1, (u,)))
-    assert s.left_sides() == {x, y}
+    assert left_sides(s) == {x, y}
     assert s.base_vars() == {"x", "y", "z", "u"}
     s.remove(i)
-    assert s.left_sides() == {y}
+    assert left_sides(s) == {y}
     assert s.base_vars() == {"y", "u"}
     assert s.ids(EqApp, y) == [j]
     assert s.ids(Sub) == []

@@ -155,6 +155,21 @@ def test_clash_on_a_base_variable_with_one_atom_of_its_own_and_one_routed():
     assert s.contradiction
 
 
+def test_clash_confirms_a_set_left_stale_by_a_removal():
+    # The store keeps x's symbols {a, b}; removing atoms by hand leaves
+    # the set as it was, and a look at x reads the determinations first.
+    s = store_of(EqApp(x, A, ()), SubApp(x, B, ()))
+    assert s.syms["x"] == {A, B} and s.clash_candidates == {"x"}
+    s.remove(1)
+    assert rule_clash(s) is None
+    s.remove(0)
+    assert rule_clash(s) is None and not s.contradiction
+    # x stays a candidate, so a clash brought back by new atoms fires
+    s.add(EqApp(x, A, ()))
+    s.add(SubApp(x, B, ()))
+    assert rule_clash(s) == ((EqApp(x, A, ()), SubApp(x, B, ())), (), ())
+
+
 # --- Elim ----------------------------------------------------------------------
 
 

@@ -295,28 +295,33 @@ def test_an_indexed_atom_keys_only_the_instances_it_enables():
               Sub(x, z), Sub(w, x), EqApp(w, F1, (v,))):
         s.assert_atom(a)
     ids = {a: i for i, a in s.store.atoms()}
+    store = s.store
 
-    def enabled():
-        return {rule: set(keys) for rule, (_, keys) in s.store.agendas.items()}
+    def kept():
+        """The Descend1 agenda, the Clash candidates and the kept sets."""
+        return store.agenda, store.clash_candidates, store.syms
 
-    nothing = {"Clash": set(), "Descend1": set()}
-    assert enabled() == nothing
+    only_f = {n: {F1} for n in "xzpw"}
+    assert kept() == (set(), set(), only_f)
+    # Every name holding {f} holds the one interned set.
+    assert len({id(syms) for syms in store.syms.values()}) == 1
     # x <= z is in the solved store: adding it again keys nothing
-    xz = s.store.add(Sub(x, z))
-    assert enabled() == nothing
-    # x <= p grows that atom in place to x <= p&z, which keys x and w,
-    # the one name that reaches x, for Clash, and the equations on them
-    # for Descend1
-    assert s.store.add(Sub(x, p)) == xz
-    assert s.store.atom(xz) == Sub(x, var("p", "z"))
+    xz = store.add(Sub(x, z))
+    assert kept() == (set(), set(), only_f)
+    # x <= p grows that atom in place to x <= p&z, which keys the
+    # equations on x and on w, the one name that reaches x, for
+    # Descend1; x holds p's f already, so no set grows
+    assert store.add(Sub(x, p)) == xz
+    assert store.atom(xz) == Sub(x, var("p", "z"))
     eqs = {ids[EqApp(x, F1, (y,))], ids[EqApp(w, F1, (v,))]}
-    assert enabled() == {"Clash": {x, w}, "Descend1": eqs}
+    assert kept() == (eqs, set(), only_f)
     # An atom on p keys p and every name that reaches p, but not z,
-    # which reaches no p.
-    for _, keys in s.store.agendas.values():
-        keys.clear()
-    s.store.add(SubApp(p, F1, (q,)))
-    assert enabled() == {"Clash": {p, x, w}, "Descend1": eqs | {ids[EqApp(p, F1, (q,))]}}
+    # which reaches no p: g joins their sets, each now a Clash candidate
+    store.agenda.clear()
+    store.add(SubApp(p, G1, (q,)))
+    f_g = {F1, G1}
+    assert kept() == (eqs | {ids[EqApp(p, F1, (q,))]}, {"p", "x", "w"},
+                      {"x": f_g, "z": {F1}, "p": f_g, "w": f_g})
 
 
 # --- stepping ----------------------------------------------------------------------

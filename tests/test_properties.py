@@ -9,8 +9,9 @@ elimination is kept once, as its solved equation, a left side never
 holds two x = f(ū) with one symbol nor two x <= r, the atoms read as
 determining a left side are those of its determinations and a Clash
 look fires exactly on two symbols among them, a left side is determined
-by the atoms on every name it reaches along x <= r edges, and a trace
-does not depend on where in memory its variables live."""
+by the atoms on every name it reaches along x <= r edges, the store
+keeps each name's determining symbols exactly, and a trace does not
+depend on where in memory its variables live."""
 
 import random
 from collections import Counter
@@ -24,6 +25,8 @@ from wsc.constraints import (
 from wsc.engine import _RULES, DEFAULT_PRIORITY, Solver, Verdict, _clash_at, format_trace, solve
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
+
+from reference import left_sides
 
 N_VARS = 6
 F = Symbol("f", 1)
@@ -184,7 +187,7 @@ def index_answers(store):
             for kind in (Eq, EqApp, Sub, SubApp)
             for v in variables | {None}
         },
-        "left sides": store.left_sides(),
+        "left sides": left_sides(store),
         "base vars": names,
         "reaching": {y: reaching(y) for y in names},
         "determinations": {
@@ -244,7 +247,7 @@ def test_each_elimination_is_kept_once_as_its_solved_equation(atoms):
 def assert_one_equation_per_name_and_symbol(store):
     """No left side holds two x = f(ū) with one symbol, and every name
     in store.elim occurs in its own equation only."""
-    for v in store.left_sides():
+    for v in left_sides(store):
         syms = [store.atom(i).sym for i in store.ids(EqApp, v)]
         assert len(syms) == len(set(syms)), v
     for aid, gone in store.elim.items():
@@ -278,7 +281,7 @@ def test_a_left_side_keeps_one_equation_per_symbol_after_every_step(atoms):
 
 
 def assert_one_subsumption_per_name(store):
-    for v in store.left_sides():
+    for v in left_sides(store):
         assert len(store.ids(Sub, v)) <= 1, v
 
 
@@ -294,7 +297,7 @@ def assert_clash_reads_the_determinations(store):
     """For every left side v, determining_atoms() gives the (at, via)
     pairs of determinations(), and a Clash look at v fires exactly when
     those determinations carry two symbols."""
-    for v in store.left_sides():
+    for v in left_sides(store):
         dets = determinations(store, v)
         assert Counter(determining_atoms(store, v)) == Counter((d.at, d.via) for d in dets), v
         was = store.contradiction
@@ -328,7 +331,7 @@ def assert_determining_atoms_are_those_of_every_reachable_name(store):
     """For every left side v, determining_atoms() gives each x = f(ū)
     and x <= f(ū) on v, unrouted, and each on a name v reaches, routed
     by v's x <= r."""
-    for v in store.left_sides():
+    for v in left_sides(store):
         reach = naive_reach(store, v)
         (route,) = store.ids(Sub, v) or (None,)
         want = Counter()
@@ -349,6 +352,30 @@ def assert_determining_atoms_are_those_of_every_reachable_name(store):
 def test_a_name_is_determined_by_every_name_it_reaches_after_every_step(atoms):
     check_after_every_insert_and_step(
         atoms, assert_determining_atoms_are_those_of_every_reachable_name)
+
+
+def assert_kept_symbols_are_those_of_the_determinations(store):
+    """Every name's kept set of symbols is that of the atoms
+    determining_atoms() reads for it, and the Clash candidates are the
+    names whose sets hold two."""
+    for n in store.base_vars() | store.syms.keys():
+        want = {store.atom(i).sym for i, _ in determining_atoms(store, var(n))}
+        assert store.syms.get(n, frozenset()) == want, n
+    assert store.clash_candidates == {n for n, syms in store.syms.items() if len(syms) > 1}
+
+
+@checked
+@given(st.one_of(sub_heavy_instances, eq_heavy_instances))
+# A cycle of subsumptions: a() on x2 and f on x1 go round it.
+@example([Sub(var("x0"), var("x1")), Sub(var("x1"), var("x2")), Sub(var("x2"), var("x0")),
+          EqApp(var("x1"), F, (var("x0"),)), SubApp(var("x2"), Symbol("a", 0), ())])
+# Elim eliminates x0, which holds {f, a}; under the reversed priority
+# it fires before Clash.
+@example([Sub(var("x3"), var("x0")), EqApp(var("x0"), F, (var("x2"),)),
+          SubApp(var("x0"), Symbol("a", 0), ()), Eq(var("x0"), var("x1"))])
+def test_each_name_keeps_the_symbols_that_determine_it_after_every_step(atoms):
+    check_after_every_insert_and_step(
+        atoms, assert_kept_symbols_are_those_of_the_determinations)
 
 
 def traces(atoms):
