@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Container, Iterable, NamedTuple, Union
 from weakref import KeyedRef
 
 from .terms import Symbol
@@ -268,10 +268,10 @@ class Store:
     those atoms (ids()).  Beside it the store indexes the atoms by base
     variable and the x <= r atoms by the base components of r.
     reachable() walks the x <= r atoms forward from a variable through
-    the left-side table, and determined_vars() walks them back through
-    the right-side one.  determining_atoms() and determinations() read a
-    variable's determinations, its own and those of every name it
-    reaches, from these tables on each call.
+    the left-side table, and the symbol sets and the agenda below walk
+    them back through the right-side one.  determining_atoms() and
+    determinations() read a variable's determinations, its own and those
+    of every name it reaches, from these tables on each call.
 
     `syms` maps each base name to the symbols of its determinations, an
     interned frozenset shared by every name with the same symbols.  An
@@ -288,9 +288,13 @@ class Store:
     holds the names whose sets hold two symbols.
 
     `agenda` is None until Descend1 first looks, and then holds the ids
-    of the x = f(ū) whose Descend1 instance may be enabled: once the
-    store has indexed an atom a, new or rewritten, it adds the x = f(ū)
-    on every name in determined_vars(a) (see engine.py).
+    of the x = f(ū) whose Descend1 instance may be enabled.  Descend1
+    reads a name only as far as the nearest names with an x = f(ū) of
+    their own, and the agenda is keyed to match: once the store has
+    indexed an atom, new or rewritten, it adds the equations with the
+    atom's symbols on the names that read it that far, walking back
+    over the right sides' index and stopping at each name with an
+    equation (_key; engine.py says why no instance is missed).
 
     `elim` maps the id of each x = y that Elim used to the name it
     eliminated.  That name occurs in no other atom, so the equation is
@@ -478,10 +482,11 @@ class Store:
         occ = self._occ.get(x, ())
         return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
-    def reachable(self, v: Var) -> dict[str, None]:
+    def reachable(self, v: Var, stop: Container[Var] = ()) -> dict[str, None]:
         """The names reachable from v along one or more x <= r edges:
         the components of v's x <= r, theirs, and so on, walked on each
-        call."""
+        call.  The walk does not go on past a name whose variable is in
+        `stop`."""
         sub, atoms, base = self._lhs[Sub], self._atoms, self._base
         seen: dict[str, None] = {}
         todo = [v]
@@ -490,24 +495,10 @@ class Store:
                 for y in atoms[sid].rhs.parts:
                     if y not in seen:
                         seen[y] = None
-                        todo.append(base.get(y) or self.base_var(y))
+                        yv = base.get(y) or self.base_var(y)
+                        if yv not in stop:
+                            todo.append(yv)
         return seen
-
-    def determined_vars(self, a: Atom) -> list[Var]:
-        """The variables whose determinations atom a takes part in: its
-        left side, and every name that reaches it along x <= r edges (a
-        walk back over the right sides' index)."""
-        if isinstance(a, Eq):
-            return []
-        names = [a.lhs.parts[0]]
-        seen = set(names)
-        for y in names:  # grows while it is walked
-            for sid in self._sub_rhs.get(y, ()):
-                x = self._atoms[sid].lhs.parts[0]
-                if x not in seen:
-                    seen.add(x)
-                    names.append(x)
-        return [self.base_var(n) for n in names]
 
     def ids(self, kind: type, lhs: Var | None = None) -> list[int]:
         """The ids of the atoms of this kind (Eq, EqApp, Sub or SubApp),
@@ -538,11 +529,11 @@ class Store:
                 self._sub_rhs.setdefault(y, set()).add(aid)
             new = frozenset().union(*(self.syms.get(y, ()) for y in a.rhs.parts))
             self._spread(a.lhs.parts[0], new)
+            self._key(a.lhs.parts[0], new, through=False)
         else:
-            self._spread(a.lhs.parts[0], frozenset((a.sym,)))
-        if self.agenda is not None:
-            eqapps = self._lhs[EqApp]
-            self.agenda.update(i for v in self.determined_vars(a) for i in eqapps.get(v, ()))
+            new = frozenset((a.sym,))
+            self._spread(a.lhs.parts[0], new)
+            self._key(a.lhs.parts[0], new, through=isinstance(a, EqApp))
 
     def _spread(self, name: str, new: frozenset[Symbol]) -> None:
         """Add the symbols `new` to the set of name and of every name
@@ -559,6 +550,28 @@ class Store:
             if len(s) > 1:
                 self.clash_candidates.add(n)
             todo += [atoms[sid].lhs.parts[0] for sid in sub_rhs.get(n, ())]
+
+    def _key(self, name: str, syms: frozenset[Symbol], through: bool) -> None:
+        """Add to the agenda, once Descend1 keeps one, the x = f(ū) with
+        a symbol in syms on name and on every name found walking back
+        from it over the x <= r edges.  The walk does not go on past a
+        name with an x = f(ū) of its own, nor past name itself if it has
+        one, unless `through`."""
+        if self.agenda is None or not syms:
+            return
+        eqapps, atoms, sub_rhs = self._lhs[EqApp], self._atoms, self._sub_rhs
+        names, seen = [name], {name}
+        for n in names:  # grows while it is walked
+            own = eqapps.get(self.base_var(n))
+            if own:
+                self.agenda.update(i for i in own if atoms[i].sym in syms)
+                if not (through and n == name):
+                    continue
+            for sid in sub_rhs.get(n, ()):
+                x = atoms[sid].lhs.parts[0]
+                if x not in seen:
+                    seen.add(x)
+                    names.append(x)
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]
@@ -594,18 +607,23 @@ class Determination(NamedTuple):
     via: int | None
 
 
-def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
+def determining_atoms(store: Store, v: Var, frontier: bool = False) -> list[tuple[int, int | None]]:
     """The atoms that determine v, as (id, route) pairs read from the
     store's left-side index: each x = f(ū) and x <= f(ū) on v, with
     route None, then those on every name reachable from v along x <= r
     edges (Store.reachable), with the id of v's one x <= r as the
-    route."""
+    route.  With `frontier`, the walk stops at each name with an
+    x = f(ū) of its own and reads only that: Descend1's reading, which
+    engine.py shows is enough."""
     lhs = store._lhs
     tables = (lhs[EqApp], lhs[SubApp])
+    stop = tables[0] if frontier else ()
     out = [(i, None) for t in tables for i in t.get(v, ())]
     for sid in lhs[Sub].get(v, ()):
-        out += [(i, sid) for y in store.reachable(v) for yv in (store.base_var(y),)
-                for t in tables for i in t.get(yv, ())]
+        for y in store.reachable(v, stop):
+            yv = store.base_var(y)
+            out += [(i, sid) for t in (tables[:1] if yv in stop else tables)
+                    for i in t.get(yv, ())]
     return out
 
 

@@ -62,27 +62,62 @@ the x <= r graph, where Σ is the store's symbols, besides O(1) for
 each indexed atom and O(|r|) to join the sets of an x <= r's
 components.
 
+Descend1 reads a name only as far as its nearest equations.  The
+same-symbol determinations it pairs with x = f(ū) are the x = f(v̄) and
+x <= f(v̄) on x, and then, walking forward over the x <= r edges from
+x, for each name y reached: y's own y = f(v̄) if it has one, in which
+case the walk does not go past y, else y's y <= f(v̄), and the walk
+goes on (constraints.determining_atoms with frontier).  Each equation
+stands for everything behind it, as a state of Dörre's automaton does.
+A look sorts those, skips the equation itself, and walks from each
+argument of the equation once if there are any, for the cover test.
+
+Complete: a fixpoint of Descend1 so read is a fixpoint of the paper's
+rule, which pairs x = f(ū) with every determination f(w̄) of x, on x
+or on a name z that x reaches.  By induction on the shortest path from
+x to z: if no name after x on it has an equation of its own, Descend1
+read f(w̄), and each u_k covers w_k.  Else let y be the first that
+has one, b = y = g(v̄).  If g differs from f, y holds two symbols (f
+comes from z behind it), and Clash ends the run as unsat.  Otherwise
+Descend1 read b for x, so u_k covers v_k; and f(w̄) determines y along
+a shorter path, so v_k covers w_k (f(w̄) on y itself is read for b
+directly).  v_k is a base name, so u_k reaches or is every component
+of w_k, by transitivity.  The product's completeness below rests on
+exactly this.
+
 Descend1 keeps an agenda in the store (Store.agenda): the ids of the
 x = f(ū) whose instance may be enabled.  It holds every x = f(ū) at
 Descend1's first look; from then on, whenever the store indexes an
-atom, it adds the x = f(ū) on every name whose determinations that atom
-takes part in: Store.determined_vars, the atom's left side and every
-name that reaches it.  A look checks the ids in Descend1's order and
-drops each one that does not fire.  An instance enabled at a look rests
-on atoms present at that look, a path of x <= r edges and the atoms at
-its end; the last of them to be indexed found the others present in
-their current form, so its keys include the instance.  Removals need
-not be reported: they only shrink determinations, and no path is ever
-taken away, since an x <= r is only grown, renamed along with the rest
-of the store (which merges names) or joined into the one on its name.
-An id that fires stays, so the agenda never lacks an enabled instance,
-and the first id in Descend1's order that fires is the instance a
+atom, it adds the equations that can read that atom (Store._key).  An
+x = f(v̄) or x <= f(v̄) on y adds the equations with symbol f on y, and
+on every name found walking back from y over the x <= r edges; the walk
+goes on only through names with no equation of their own, and for an
+x <= f(v̄) on a name with an equation it does not leave y.  An x <= r
+adds only the equations with a symbol that r's components hold
+(Store.syms), x's own if it has one and else those the same walk back
+from x finds; with no such symbol it adds nothing.  A look checks the
+ids in Descend1's order and drops each one that does not fire.  An
+instance enabled at a look rests on atoms present at that look: its
+equation, a path of x <= r edges through names with no equation, and
+the determining atom at its end.  The last of them to be indexed found
+the others present in their current form, and no name loses its only
+equation but by being eliminated, so its keys include the instance:
+the determining atom's walk back reaches the equation, and an edge's
+components hold the determining symbol.  Removals need not be
+reported: they only shrink determinations, and no path is ever taken
+away, since an x <= r is only grown, renamed along with the rest of the
+store (which merges names) or joined into the one on its name.  An id
+that fires stays, so the agenda never lacks an enabled instance, and
+the first id in Descend1's order that fires is the instance a
 whole-store scan in that order would find: traces are the same as with
-a scan.  A Descend1 look reads the atoms with its equation's symbol
-that determine its left side from the store's index, walking from each
-argument of the equation once if there are any.  Sorted
-determinations() lists are built only for the product and for a Clash
-firing's on atoms; the store keeps none.
+a scan.  Sorted determinations() lists are built only for the product
+and for a Clash firing's on atoms; the store keeps none.
+
+The cost.  An indexed atom walks back only as far as the nearest
+equations, and a look reads only as far as them; on a chain whose
+names all carry an equation, each is O(1) names.  What is left is the
+cover test's walk from each argument and Descend1's order, which walks
+from each key's left side: O(names reached), on a short agenda.
 
 Descend1's order.  Asserted in its own order, x_i = f(x_(i+1)) then
 x_i <= x_(i+1), the chain C(n) of the tests takes n(n − 1)/2 firings
@@ -336,7 +371,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     # The determinations of a.lhs with a's symbol, but for a itself, in
     # determinations() order.
     same = []
-    for i, via in determining_atoms(store, a.lhs):
+    for i, via in determining_atoms(store, a.lhs, frontier=True):
         b = store.atom(i)
         if i != aid and b.sym == a.sym:
             same.append(Determination(b.sym, b.args, i, via))

@@ -14,12 +14,15 @@ from wsc.constraints import (
     Store,
     Sub,
     SubApp,
+    determining_atoms,
     var,
 )
 from wsc.engine import (
+    DEFAULT_PRIORITY,
     RuleId,
     Solver,
     Verdict,
+    _descend1_at,
     rule_clash,
     rule_descend1,
     rule_elim,
@@ -301,6 +304,67 @@ def test_descend1_adds_all_uncovered_positions_at_once():
     assert rule_descend1(s)[2] == (Sub(u, z), Sub(v, z))
     assert Sub(u, z) in s
     assert Sub(v, z) in s
+
+
+def solvers(atoms):
+    """A solver run batch and one run asserting one atom at a time, each
+    under the default and the reversed priority."""
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        batch = Solver(priority=priority)
+        for a in atoms:
+            batch.insert(a)
+        batch.run()
+        yield batch
+        one_by_one = Solver(priority=priority)
+        for a in atoms:
+            one_by_one.assert_atom(a)
+        yield one_by_one
+
+
+def test_descend1_reads_up_to_the_nearest_equation():
+    # x reads y = f(v), the first equation on its way, and not z = f(w)
+    # behind it: with u <= v in place, a look at x = f(u) fires nothing
+    chain = (EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, F1, (v,)), Sub(y, z), EqApp(z, F1, (w,)))
+    s = store_of(*chain, Sub(u, v))
+    assert _descend1_at(s, 0) is None
+    # y = f(v) pushes v <= w, and u reaches w through v
+    assert rule_descend1(s) == (chain[2:], (), (Sub(v, w),))
+    assert rule_descend1(s) is None
+    assert "w" in s.reachable(u)
+    for solver in solvers(chain):
+        assert solver.verdict is Verdict.SAT
+        assert not any({chain[0], chain[4]} <= set(e.on) for e in solver.trace)
+        assert "w" in solver.store.reachable(u)
+
+
+def test_descend1_reads_past_a_name_with_no_equation():
+    # y carries y <= f(v) and no equation, so x reads it and goes on to
+    # z = f(w): both are pushed down to u
+    s = store_of(EqApp(x, F1, (u,)), Sub(x, y), SubApp(y, F1, (v,)), Sub(y, z), EqApp(z, F1, (w,)))
+    assert rule_descend1(s) == ((EqApp(x, F1, (u,)), Sub(x, y), SubApp(y, F1, (v,))), (), (Sub(u, v),))
+    assert rule_descend1(s) == ((EqApp(x, F1, (u,)), Sub(x, y), EqApp(z, F1, (w,))),
+                                (Sub(u, v),), (Sub(u, var("v", "w")),))
+    assert rule_descend1(s) is None
+
+
+def test_a_nearest_equation_with_another_symbol_clashes():
+    # x stops at y = g(v) and never reads z = f(w) behind it; y holds g
+    # and f, so Clash ends the run whatever the priority
+    atoms = (EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, G1, (v,)), Sub(y, z), EqApp(z, F1, (w,)))
+    for solver in solvers(atoms):
+        assert solver.verdict is Verdict.UNSAT
+
+
+def test_descend1_stops_at_its_own_equation_round_a_cycle():
+    # x <= y <= x: the walk from x passes y, which has no equation, and
+    # stops at x, reading x's own equation routed, which is skipped
+    s = store_of(EqApp(x, F1, (u,)), Sub(x, y), Sub(y, x))
+    assert determining_atoms(s, x, frontier=True) == [(0, None), (0, 1)]
+    assert rule_descend1(s) is None
+    # y <= f(v) on the way is read once
+    s.add(SubApp(y, F1, (v,)))
+    assert rule_descend1(s) == ((EqApp(x, F1, (u,)), Sub(x, y), SubApp(y, F1, (v,))), (), (Sub(u, v),))
+    assert rule_descend1(s) is None
 
 
 # --- general rule behavior ---------------------------------------------------------

@@ -289,7 +289,7 @@ def test_verdicts_are_pinned():
 
 
 def test_an_indexed_atom_keys_only_the_instances_it_enables():
-    q = var("q")
+    q, r, t = var("q"), var("r"), var("t")
     s = Solver()
     for a in (EqApp(x, F1, (y,)), EqApp(z, F1, (u,)), EqApp(p, F1, (q,)),
               Sub(x, z), Sub(w, x), EqApp(w, F1, (v,))):
@@ -308,20 +308,30 @@ def test_an_indexed_atom_keys_only_the_instances_it_enables():
     # x <= z is in the solved store: adding it again keys nothing
     xz = store.add(Sub(x, z))
     assert kept() == (set(), set(), only_f)
-    # x <= p grows that atom in place to x <= p&z, which keys the
-    # equations on x and on w, the one name that reaches x, for
-    # Descend1; x holds p's f already, so no set grows
+    # x <= p grows that atom in place to x <= p&z, which brings f and
+    # keys x's own equation; w, which reaches x, reads x's equation and
+    # nothing past it, so the walk stops at x.  x holds p's f already,
+    # so no set grows
     assert store.add(Sub(x, p)) == xz
     assert store.atom(xz) == Sub(x, var("p", "z"))
-    eqs = {ids[EqApp(x, F1, (y,))], ids[EqApp(w, F1, (v,))]}
-    assert kept() == (eqs, set(), only_f)
-    # An atom on p keys p and every name that reaches p, but not z,
-    # which reaches no p: g joins their sets, each now a Clash candidate
+    assert kept() == ({ids[EqApp(x, F1, (y,))]}, set(), only_f)
+    # z <= r and r <= t bring no symbol and key nothing
+    store.agenda.clear()
+    store.add(Sub(z, r))
+    store.add(Sub(r, t))
+    assert kept() == (set(), set(), only_f)
+    # An atom on t walks back through r, which has no equation, to z,
+    # which has one: z's equation is keyed, and not x's or w's behind it
+    store.add(SubApp(t, F1, (q,)))
+    assert kept() == ({ids[EqApp(z, F1, (u,))]}, set(), {**only_f, "r": {F1}, "t": {F1}})
+    # An atom on p, which has an equation, keys only p's equations with
+    # its symbol: none for g.  g joins the sets of p and of every name
+    # that reaches p, each now a Clash candidate
     store.agenda.clear()
     store.add(SubApp(p, G1, (q,)))
     f_g = {F1, G1}
-    assert kept() == (eqs | {ids[EqApp(p, F1, (q,))]}, {"p", "x", "w"},
-                      {"x": f_g, "z": {F1}, "p": f_g, "w": f_g})
+    assert kept() == (set(), {"p", "x", "w"},
+                      {"x": f_g, "z": {F1}, "p": f_g, "w": f_g, "r": {F1}, "t": {F1}})
 
 
 # --- stepping ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ holds two x = f(ū) with one symbol nor two x <= r, the atoms read as
 determining a left side are those of its determinations and a Clash
 look fires exactly on two symbols among them, a left side is determined
 by the atoms on every name it reaches along x <= r edges, the store
-keeps each name's determining symbols exactly, and a trace does not
-depend on where in memory its variables live."""
+keeps each name's determining symbols exactly, a Descend1 fixpoint
+covers every determination, and a trace does not depend on where in
+memory its variables live."""
 
 import random
 from collections import Counter
@@ -376,6 +377,38 @@ def assert_kept_symbols_are_those_of_the_determinations(store):
 def test_each_name_keeps_the_symbols_that_determine_it_after_every_step(atoms):
     check_after_every_insert_and_step(
         atoms, assert_kept_symbols_are_those_of_the_determinations)
+
+
+def assert_descend1_covers_every_determination(store):
+    """For each x = f(ū) and each determination of x with symbol f, but
+    for the equation itself, every component of its k-th argument is
+    u_k or a name u_k reaches: Descend1 reads only as far as the nearest
+    equation, and its fixpoint still covers the full determinations."""
+    for aid in store.ids(EqApp):
+        a = store.atom(aid)
+        reach = {u: store.reachable(u) for u in a.args}
+        for d in determinations(store, a.lhs):
+            if d.at != aid and d.sym == a.sym:
+                for u, v in zip(a.args, d.args):
+                    assert all(p in u.parts or p in reach[u] for p in v.parts), (a, d)
+
+
+@checked
+@given(st.one_of(instances, sub_heavy_instances))
+# x1 has no equation of its own, so x0 = f(x3) reads both x1's f(x4)
+# and x2's f(x5) behind it.
+@example([EqApp(var("x0"), F, (var("x3"),)), Sub(var("x0"), var("x1")),
+          SubApp(var("x1"), F, (var("x4"),)), Sub(var("x1"), var("x2")),
+          EqApp(var("x2"), F, (var("x5"),))])
+def test_a_descend1_fixpoint_covers_every_determination(atoms):
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        result = solve(atoms, priority=priority)
+        if result.verdict is Verdict.SAT:
+            assert_descend1_covers_every_determination(result.store)
+        solver = Solver(priority=priority)
+        for a in atoms:
+            if solver.assert_atom(a) is Verdict.SAT:
+                assert_descend1_covers_every_determination(solver.store)
 
 
 def traces(atoms):
