@@ -20,7 +20,8 @@ closure is walked on demand, as Dörre's (1994) automaton for weak
 subsumption reads the x <= y graph as its transition structure.  x is
 determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a name
 x reaches along one or more edges (constraints.determining_atoms), and
-u covers v when u reaches every component of v (Store.reachable).
+u covers v when every component of v is u or reached from u
+(Store.reachable).
 Neither is kept, and a Descend1 look walks the graph.  What the store
 keeps is each name's set of determining symbols (Store.syms), so that
 a Clash look walks nothing.
@@ -157,8 +158,8 @@ The rules, and the store's own three:
               as f(v̄) by the *rest* of the store (a determination whose
               determining atom is the equation itself is skipped) pushes
               subsumptions ū <= v̄ down to the arguments (positions
-              where every component of v_k is already reachable from
-              u_k are skipped).
+              where every component of v_k is u_k or already reachable
+              from it are skipped).
 
 The product.  Where the rules stop without a contradiction, several
 determinations of one name may still impose clashing structure on one
@@ -206,8 +207,9 @@ at T: T carries S's symbol, and T's children include S's.  A node's
 determinations are those of every name reachable from its members,
 read along the transitions of Dörre's automaton, so an x <= r gives x
 those of every component of r.  Below an x = f(ū), at a fixpoint,
-Descend1 has made u_k reach every component of the k-th arguments of
-x's other determinations, so u_k's determinations include theirs; with
+Descend1 has made every component of the k-th arguments of x's other
+determinations u_k or a name u_k reaches, so u_k's determinations
+include theirs; with
 the inclusion above, the subsumptions hold.  oracles.check_witness,
 which shares no code with the product, judges the witness on every sat
 verdict of the tests.
@@ -378,11 +380,12 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     if not same:
         return None
     same.sort(key=lambda d: (d.args, d.at, -1 if d.via is None else d.via))
-    # u_k covers v_k when every component of v_k is reachable from u_k.
+    # u_k covers v_k when every component of v_k is u_k or reachable
+    # from it: weak subsumption is reflexive.
     reach = {u: store.reachable(u) for u in a.args}
     for d in same:
         missing = [(u, v) for u, v in zip(a.args, d.args)
-                   if not all(p in reach[u] for p in v.parts)]
+                   if not all(p in u.parts or p in reach[u] for p in v.parts)]
         if not missing:
             continue
         # Each u <= v joins the u <= r on u, if there is one.
@@ -396,9 +399,10 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
 
 
 def rule_descend1(store: Store) -> Firing | None:
-    """x = f(ū) where the rest of the store also determines x as f(v̄):
-    push subsumption down to the arguments, adding ū_i <= v̄_i for every
-    position where some component of v̄_i is not reachable from ū_i.
+    """x = f(ū) where the rest of the store also determines x as f(v̄),
+    read as far as the nearest equations: push subsumption down to the
+    arguments, adding ū_i <= v̄_i for every position where some
+    component of v̄_i is neither ū_i nor reachable from it.
     The atom whose left side reaches the fewest names fires, the
     largest id among those; the candidates are store.agenda.
 

@@ -297,6 +297,9 @@ def test_descend1_covered_positions_are_skipped():
     # the subsumption x <= y already covers what f(y)'s argument asks for
     s = store_of(Sub(x, y), EqApp(x, F1, (x,)), SubApp(x, F1, (y,)))
     assert rule_descend1(s) is None
+    # u covers u itself, by reflexivity, with no u <= u
+    assert rule_descend1(store_of(EqApp(x, F1, (u,)), Sub(x, y), EqApp(y, F1, (u,)))) is None
+    assert rule_descend1(store_of(EqApp(x, F1, (u,)), SubApp(x, F1, (u,)))) is None
 
 
 def test_descend1_adds_all_uncovered_positions_at_once():

@@ -219,7 +219,7 @@ def route_digest():
 # The rule agendas and indexes find the same first instance as a scan
 # of the whole store would: a change that alters a verdict, a solved
 # store or the route to it must update this digest on purpose.
-ROUTE_DIGEST = "dedc439c1dbba19240a95d3b5fc3a942ae3a2914ec2ec9aa6519018aebc2badc"
+ROUTE_DIGEST = "b5243bb01162a2080150650cec0a1b1bf9d2c88f923ce418c1462ce12e4fc62b"
 
 
 def test_routes_are_pinned():
@@ -255,7 +255,7 @@ def base_outcome_digest():
 # What a solver decides, and the part of each batch solved store on base
 # left sides, whatever route it takes there and whether or not it keeps
 # atoms on intersection left sides.
-BASE_OUTCOME_DIGEST = "57c848eb583c77804948e73635326a9b8deb27898573797ab8da47d307925bbf"
+BASE_OUTCOME_DIGEST = "1e7a430b6ab9e91b73d53824900bbddd1ac615b596f90800604ff77d36ceb590"
 
 
 def test_verdicts_and_base_solved_stores_are_pinned():
