@@ -21,10 +21,9 @@ subsumption reads the x <= y graph as its transition structure.  x is
 determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a name
 x reaches along one or more edges (constraints.determining_atoms), and
 u covers v when every component of v is u or reached from u
-(Store.reachable).
-Neither is kept, and a Descend1 look walks the graph.  What the store
-keeps is each name's set of determining symbols (Store.syms), so that
-a Clash look walks nothing.
+(Store.reachable).  Neither is kept, and a Descend1 look walks the
+graph.  What the store keeps is each name's set of determining symbols
+(Store.syms), so that a Clash look walks nothing.
 
 Intersection variables occur only on the right side of an x <= r
 (Store.add enforces it).  The paper's Descend2 made atoms on them, and
@@ -101,15 +100,17 @@ ids in Descend1's order and drops each one that does not fire.  An
 instance enabled at a look rests on atoms present at that look: its
 equation, a path of x <= r edges through names with no equation, and
 the determining atom at its end.  The last of them to be indexed found
-the others present in their current form, and no name loses its only
-equation but by being eliminated, so its keys include the instance:
-the determining atom's walk back reaches the equation, and an edge's
-components hold the determining symbol.  Removals need not be
-reported: they only shrink determinations, and no path is ever taken
-away, since an x <= r is only grown, renamed along with the rest of the
-store (which merges names) or joined into the one on its name.  An id
-that fires stays, so the agenda never lacks an enabled instance, and
-the first id in Descend1's order that fires is the instance a
+the others present in their current form, and the names on the path
+without an equation as they are, since a live name keeps an equation
+once it has one (Decom leaves one of the pair).  So its keys include
+the instance: the determining atom's walk back reaches the equation,
+and an edge's components hold the determining symbol.  Removals need
+not be reported: they only shrink determinations, take no equation
+from a live name, so no read reaches further than before, and take no
+path away, since an x <= r is only grown, renamed along with the rest
+of the store (which merges names) or joined into the one on its name.
+An id that fires stays, so the agenda never lacks an enabled instance,
+and the first id in Descend1's order that fires is the instance a
 whole-store scan in that order would find: traces are the same as with
 a scan.  Sorted determinations() lists are built only for the product
 and for a Clash firing's on atoms; the store keeps none.
