@@ -17,10 +17,10 @@ kind and left side, with at most one x = f(ȳ) per name and symbol and
 at most one x <= r per name, plus the bookkeeping a solver needs: a
 contradiction flag, the record of the equations used for elimination
 and the name each one eliminated, and the log of the decompositions
-and clashes the store made itself.  The x <= r atoms form a graph of
-names, each name's one x <= r leading to the components of r.  A
-variable is determined by the x = f(ȳ) and x <= f(ȳ) on it and on
-every name it reaches in that graph.  Both the reachable names and the
+the store made itself.  The x <= r atoms form a graph of names, each
+name's one x <= r leading to the components of r.  A variable is
+determined by the x = f(ȳ) and x <= f(ȳ) on it and on every name it
+reaches in that graph.  Both the reachable names and the
 determinations are read from the index on each request.  What the
 store keeps beside the atoms is each name's set of determining symbols,
 which only grows as atoms are indexed; reachability is not kept.
@@ -305,16 +305,17 @@ class Store:
     `elim` records it, and unindexing drops it.  Elim drops the id it
     uses.
 
-    A name carries at most one x = f(ū), and once the store is
-    contradicted at most one per symbol: the class table of
+    A name carries at most one x = f(ū) per symbol: the class table of
     unification.  add() and subst_all() meet a second one with the same
     symbol at once (Decom): the atom with the smaller id goes, and the
     argument equations ū = v̄ are added.  Inside subst_all they meet
     only after the whole substitution, else an argument equation could
-    bring back the name being eliminated.  A second symbol sets
-    `contradiction` (Clash) and both atoms stay.  `log` holds each such
-    firing, as (rule name, on, removed, added), until a solver reads
-    and clears it; once the store is contradicted it logs nothing more.
+    bring back the name being eliminated.  One with another symbol
+    stays, and its name's set of symbols makes it a Clash candidate:
+    the store normalises and never decides unsat, so nothing here sets
+    `contradiction`.  `log` holds each decomposition, as ("Decom", on,
+    removed, added), until a solver reads and clears it; once a rule
+    has contradicted the store it logs nothing more.
 
     Likewise a name carries at most one x <= r: add() grows it in place
     to x <= r&u, keeping its id, and subst_all() joins one moved onto a
@@ -406,32 +407,23 @@ class Store:
         self.clash_candidates.discard(x)
 
     def _meet(self, aid: int, a: EqApp) -> None:
-        """Meet the x = f(ū) at aid with another on its left side, if
-        there is one.  With the same symbol the pair decomposes (Decom):
-        the smaller id goes, and the argument equations are added.  With
-        another symbol both stay and the store is contradicted (Clash)."""
-        ids = self._lhs[EqApp][a.lhs]
-        if len(ids) == 1:
-            return
-        others = [i for i in ids if i != aid]
-        same = [i for i in others if self._atoms[i].sym == a.sym]
-        first, second = sorted((aid, same[0] if same else min(others)))
-        pair = (self._atoms[first], self._atoms[second])
+        """Meet the x = f(ū) at aid with another with the same symbol on
+        its left side, if there is one: the pair decomposes (Decom), the
+        smaller id goes, and the argument equations are added.  One with
+        another symbol stays beside it, for Clash to fire on the name's
+        symbol set.  Nothing is logged once the store is contradicted:
+        nothing follows bottom."""
+        same = [i for i in self._lhs[EqApp][a.lhs] if i != aid and self._atoms[i].sym == a.sym]
         if not same:
-            self._log("Clash", pair, (), ())
-            self.contradiction = True
             return
+        first, second = sorted((aid, same[0]))
+        pair = (self._atoms[first], self._atoms[second])
         self.remove(first)
         added = tuple(Eq(u, v) for u, v in zip(pair[0].args, pair[1].args))
-        self._log("Decom", pair, pair[:1], added)
+        if not self.contradiction:
+            self.log.append(("Decom", pair, pair[:1], added))
         for eq in added:
             self.add(eq)
-
-    def _log(self, rule: str, *fired: tuple[Atom, ...]) -> None:
-        """Record a firing of the store's own, unless it is already
-        contradicted: nothing follows bottom."""
-        if not self.contradiction:
-            self.log.append((rule, *fired))
 
     # -- queries -----------------------------------------------------------
 

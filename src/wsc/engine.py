@@ -7,9 +7,8 @@ Each rule function either fires once — mutating the store in place and
 returning the firing as (on, removed, added) atom tuples — or returns
 None when it is inapplicable.  Every rule fires its first instance in
 a fixed order read off the store as it stands: Clash at the smallest
-variable, Elim at the smallest atom id, and Descend1 at the x = f(ū)
-whose left side reaches the fewest names, the largest id among those
-(Descend1's order, below).  So every firing is deterministic.
+variable, Elim and Descend1 at the smallest atom id.  So every firing
+is deterministic.
 
 Subsumption as reachability.  The components of a name's one x <= r
 are its successors in a graph of names, and weak subsumption, a
@@ -31,17 +30,20 @@ its Propagate2 wrote them into the arguments of an x <= f(ū); the
 product below replaces both rules.
 
 The equation phase is a class table, as in Huet's unification and in
-oracles.rational_unify: a live name carries at most one x = f(ū).
-When the store indexes a second x = f(·) on a name, new or moved there
-by Elim, it makes the paper's Decom step on the pair at once if the
-symbols agree: it keeps the larger id and adds the argument equations.
-If they differ, that is the paper's Clash on the two equations.
-That is Decom and Clash given precedence over every rule, which the
+oracles.rational_unify: a live name carries at most one x = f(ū) per
+symbol.  When the store indexes a second x = f(·) with the same symbol
+on a name, new or moved there by Elim, it makes the paper's Decom step
+on the pair at once: it keeps the larger id and adds the argument
+equations.  That is Decom given precedence over every rule, which the
 verdict does not depend on.  Inside Elim's substitution the pairs meet
 only once every atom is rewritten, so that no argument equation brings
-back the name being eliminated.  The store keeps each such firing in
-Store.log, and the Solver logs it as a Decom or Clash step after the
-insert or firing that caused it, so traces hold every derivation step.
+back the name being eliminated.  The store keeps each decomposition in
+Store.log, and the Solver logs it as a Decom step after the insert or
+firing that caused it, so traces hold every derivation step.  An
+x = g(·) with another symbol stays beside the first: its name then
+holds two symbols, and Clash fires on it like on any other name.  So
+the store only normalises, and only the rules and the product decide
+unsat.
 
 Clash reads the store's symbol sets.  Whenever the store indexes an
 atom, new or rewritten, it adds the atom's symbol, or for an x <= r the
@@ -96,7 +98,7 @@ x <= f(v̄) on a name with an equation it does not leave y.  An x <= r
 adds only the equations with a symbol that r's components hold
 (Store.syms), x's own if it has one and else those the same walk back
 from x finds; with no such symbol it adds nothing.  A look checks the
-ids in Descend1's order and drops each one that does not fire.  An
+ids in ascending order and drops each one that does not fire.  An
 instance enabled at a look rests on atoms present at that look: its
 equation, a path of x <= r edges through names with no equation, and
 the determining atom at its end.  The last of them to be indexed found
@@ -110,37 +112,31 @@ from a live name, so no read reaches further than before, and take no
 path away, since an x <= r is only grown, renamed along with the rest
 of the store (which merges names) or joined into the one on its name.
 An id that fires stays, so the agenda never lacks an enabled instance,
-and the first id in Descend1's order that fires is the instance a
-whole-store scan in that order would find: traces are the same as with
-a scan.  Sorted determinations() lists are built only for the product
-and for a Clash firing's on atoms; the store keeps none.
+and the smallest id that fires is the instance a whole-store scan in
+id order would find: traces are the same as with a scan.  Sorted
+determinations() lists are built only for the product and for a Clash
+firing's on atoms; the store keeps none.
 
 The cost.  An indexed atom walks back only as far as the nearest
 equations, and a look reads only as far as them; on a chain whose
 names all carry an equation, each is O(1) names.  What is left is the
-cover test's walk from each argument and Descend1's order, which walks
-from each key's left side: O(names reached), on a short agenda.
-
-Descend1's order.  Asserted in its own order, x_i = f(x_(i+1)) then
-x_i <= x_(i+1), the chain C(n) of the tests takes n(n − 1)/2 firings
-if the smallest id fires first: each new name pushes the first
-equation down once more, adding a shortcut edge.  The equation whose
-left side reaches the fewest names sits at the far end of a chain, and
-the subsumption it adds is reached from every name above, covering
-their positions too: C(n) takes one firing batch and at most one per
-asserted atom.  Ties go to the largest id.  That alone, without the
-count, took batch C(32) in shuffled orders up to six firings.
+cover test's walk from each argument: O(names reached).  Read that far,
+each x_i = f(x_(i+1)) of a chain C(n) sees only x_(i+1) = f(x_(i+2)),
+which x_(i+1) <= x_(i+2) covers, but for the last, x_(n−2) = f(x_(n−1)),
+whose firing adds x_(n−1) <= x0 and closes the cycle.  So batch C(n)
+takes one firing, whatever the order of its atoms, and one atom at a
+time at most one firing per atom.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
 atoms with two sides that it has not used, in ascending order.  This
 is not an agenda: an equation whose sides occur nowhere else does not
 fire, yet must stay, since a later atom can give a side an occurrence.
 
-The rules, and the store's own three:
+The rules, and the store's own two:
 
   Clash       two incompatible constructors determined for a
-              variable: contradiction.  The store fires it on a second
-              x = f(ū) with another symbol.
+              variable, two equations x = f(ū), x = g(v̄) included:
+              contradiction.
   Elim        use an equation x = y to substitute one side away
               everywhere else (deep, inside intersection variables);
               each equation is used at most once.
@@ -360,13 +356,6 @@ def rule_elim(store: Store) -> Firing | None:
     return None
 
 
-def _descend1_order(store: Store, aid: int) -> tuple[int, int]:
-    """Descend1 looks first at the equation whose left side reaches the
-    fewest names, and among those at the largest id."""
-    a = store.get(aid)
-    return (0 if a is None else len(store.reachable(a.lhs)), -aid)
-
-
 def _descend1_at(store: Store, aid: int) -> Firing | None:
     a = store.get(aid)
     if a is None:
@@ -404,8 +393,7 @@ def rule_descend1(store: Store) -> Firing | None:
     read as far as the nearest equations: push subsumption down to the
     arguments, adding ū_i <= v̄_i for every position where some
     component of v̄_i is neither ū_i nor reachable from it.
-    The atom whose left side reaches the fewest names fires, the
-    largest id among those; the candidates are store.agenda.
+    The candidates are store.agenda, smallest id first.
 
     Determinations made by this equation itself, immediate or routed
     back to x through some x <= r, are skipped, so an equation never
@@ -414,7 +402,7 @@ def rule_descend1(store: Store) -> Firing | None:
         return None
     if store.agenda is None:
         store.agenda = set(store.ids(EqApp))
-    for aid in sorted(store.agenda, key=lambda aid: _descend1_order(store, aid)):
+    for aid in sorted(store.agenda):
         fired = _descend1_at(store, aid)
         if fired is not None:
             return fired
@@ -504,8 +492,10 @@ def _product_clash(store: Store) -> Firing | None:
 def witness(store: Store) -> dict[str, TermGraph] | None:
     """A model of a solved store read off its product: each base name of
     the store maps to the term graph at its node.  A singleton hole is
-    named after its representative, and any other hole gets a fresh
-    name.  None when the store or its product holds a contradiction.
+    named after its representative, unless that is `rec`, the term
+    syntax's binder keyword, and any other hole gets a fresh name, so
+    that format_term's text reads back.  None when the store or its
+    product holds a contradiction.
     On a store that is not at a fixpoint of the rules, the product need
     not be a model."""
     if store.contradiction:
@@ -524,7 +514,7 @@ def witness(store: Store) -> dict[str, TermGraph] | None:
     for node, (sym, kids) in nodes.items():
         i = number[node]
         if sym is None:
-            holes[i] = next(iter(node)) if len(node) == 1 else next(fresh)
+            holes[i] = next(iter(node)) if len(node) == 1 and "rec" not in node else next(fresh)
         else:
             labels[i], children[i] = sym, tuple(number[k] for k in kids)
     graphs: dict[int, TermGraph] = {}
@@ -630,9 +620,9 @@ class Solver:
         return False
 
     def _record(self, firings: list[tuple]) -> bool:
-        """Log the (rule, on, removed, added) firings, and then those
-        the store made as it indexed atoms (Store.log), one step each;
-        read a contradiction."""
+        """Log the (rule, on, removed, added) firings, and then the
+        decompositions the store made as it indexed atoms (Store.log),
+        one step each; read a contradiction."""
         for rule, *fired in firings + self.store.log:
             self.step_count += 1
             self.trace.append(TraceEntry(self.step_count, RuleId(rule), *fired))

@@ -372,7 +372,9 @@ def format_term(g: TermGraph) -> str:
     """Print a graph in the textual syntax; cycles get `rec X. ...` binders.
 
     Acyclic sharing is unfolded (the denoted tree is unchanged).
-    Round trip: graph_equal(parse_term(format_term(g)), g).
+    Round trip: graph_equal(parse_term(format_term(g)), g) holds when
+    every symbol and hole name is a NAME of the syntax above and no hole
+    is named `rec`, the binder keyword.
     """
     binder: dict[int, str] = {}
     used = set(g.holes.values())

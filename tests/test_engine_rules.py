@@ -70,11 +70,13 @@ def test_decom_needs_two_equations_same_lhs_same_symbol():
     for atoms in ((EqApp(x, F1, (u,)),), (EqApp(x, F1, (u,)), EqApp(y, F1, (v,)))):
         s = store_of(*atoms)
         assert (s.log, atoms_of(s)) == ([], set(atoms))
-    # another symbol is a clash at once, on both equations, which stay
-    s = store_of(EqApp(x, F1, (u,)), EqApp(x, G1, (v,)))
-    assert s.log == [("Clash", (EqApp(x, F1, (u,)), EqApp(x, G1, (v,))), (), ())]
-    assert s.contradiction
-    assert atoms_of(s) == {EqApp(x, F1, (u,)), EqApp(x, G1, (v,))}
+    # another symbol is no Decom: both equations stay, and x holds two
+    # symbols, for Clash to fire on
+    atoms = (EqApp(x, F1, (u,)), EqApp(x, G1, (v,)))
+    s = store_of(*atoms)
+    assert (s.log, atoms_of(s)) == ([], set(atoms))
+    assert not s.contradiction
+    assert s.clash_candidates == {"x"}
 
 
 def test_decom_inside_elim_waits_for_the_whole_substitution():
@@ -95,16 +97,17 @@ def test_decom_inside_elim_waits_for_the_whole_substitution():
 
 
 def test_clash_on_double_equation():
-    # the store finds this clash as it adds the second equation, and
-    # the solver logs it as the insert's step
+    # the store keeps both equations and logs nothing; x holds two
+    # symbols, and Clash fires on it as the solver's first step
     s = store_of(EqApp(x, A, ()), EqApp(x, B, ()))
-    assert s.log == [("Clash", (EqApp(x, A, ()), EqApp(x, B, ())), (), ())]
+    assert (s.log, s.contradiction, s.clash_candidates) == ([], False, {"x"})
+    assert rule_clash(s) == ((EqApp(x, A, ()), EqApp(x, B, ())), (), ())
     assert s.contradiction
-    assert rule_clash(s) is None
     solver = Solver()
     solver.insert(EqApp(x, A, ()))
     solver.insert(EqApp(x, B, ()))
-    assert solver.verdict == Verdict.UNSAT
+    assert solver.trace == []
+    assert solver.run() == Verdict.UNSAT
     assert [str(e) for e in solver.trace] == ["step 1: Clash on x = a(), x = b() => bottom"]
     assert not solver.step()
 

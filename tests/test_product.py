@@ -99,6 +99,18 @@ def test_cli_prints_the_witness(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["witness"] is None
 
 
+def test_a_hole_named_rec_reads_back(tmp_path, capsys):
+    # `rec` is the term syntax's binder keyword, so the hole of the name
+    # rec gets a fresh name, as a hole with no name of its own does
+    f = tmp_path / "rec.wsc"
+    f.write_text("x <= f(rec)\n")
+    assert run_cli(["solve", str(f), "--witness"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("rec := h1\nx := f(h1)\n")
+    sigma = load_witness(out[out.index("rec := "):])
+    assert check_witness(sigma, [SubApp(var("x"), F1, (var("rec"),))])
+
+
 def test_cli_prints_no_witness_line_for_an_input_without_atoms(tmp_path, capsys):
     f = tmp_path / "empty.wsc"
     f.write_text("# no atoms\n")

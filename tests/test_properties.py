@@ -11,8 +11,9 @@ determining a left side are those of its determinations and a Clash
 look fires exactly on two symbols among them, a left side is determined
 by the atoms on every name it reaches along x <= r edges, the store
 keeps each name's determining symbols exactly, a Descend1 fixpoint
-covers every determination, and a trace does not depend on where in
-memory its variables live."""
+covers every determination, an unsat trace ends in its one Clash, on
+atoms in the store, and a trace does not depend on where in memory its
+variables live."""
 
 import random
 from collections import Counter
@@ -23,7 +24,9 @@ from hypothesis import strategies as st
 from wsc.constraints import (
     Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations, determining_atoms, var,
 )
-from wsc.engine import _RULES, DEFAULT_PRIORITY, Solver, Verdict, _clash_at, format_trace, solve
+from wsc.engine import (
+    _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at, format_trace, solve,
+)
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
 
@@ -409,6 +412,51 @@ def test_a_descend1_fixpoint_covers_every_determination(atoms):
         for a in atoms:
             if solver.assert_atom(a) is Verdict.SAT:
                 assert_descend1_covers_every_determination(solver.store)
+
+
+def assert_unsat_runs_end_in_one_clash(atoms):
+    """Batch and one atom at a time, under the default and the reversed
+    priority: an unsat run logs exactly one Clash entry, as its last
+    entry, and each of its on atoms is in the store right after the
+    insert or step that logged it.  One atom at a time, the inserts go
+    on after the verdict is unsat, and log nothing more."""
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        for batch in (True, False):
+            solver = Solver(priority=priority)
+            clashes = []
+
+            def logged(done):
+                for e in solver.trace[done:]:
+                    if e.rule is RuleId.CLASH:
+                        clashes.append(e)
+                        assert all(a in solver.store for a in e.on), e
+
+            for k, a in enumerate(atoms, start=1):
+                done = len(solver.trace)
+                solver.insert(a)
+                logged(done)
+                if batch and k < len(atoms):
+                    continue
+                stepped = True
+                while stepped:
+                    done = len(solver.trace)
+                    stepped = solver.step()
+                    logged(done)
+            if solver.verdict is Verdict.UNSAT:
+                assert len(clashes) == 1 and solver.trace[-1] is clashes[0], atoms
+            else:
+                assert clashes == [], atoms
+
+
+@checked
+@given(st.one_of(instances, eq_heavy_instances))
+# Elim moves x0 = a() onto x1, which holds x1 = f(x0), and then
+# rewrites that to x1 = f(x1): Clash must name the pair as it stands
+# after the whole substitution.
+@example([Eq(var("x0"), var("x1")), EqApp(var("x0"), Symbol("a", 0), ()),
+          EqApp(var("x1"), F, (var("x0"),))])
+def test_an_unsat_trace_ends_in_one_clash_on_atoms_in_the_store(atoms):
+    assert_unsat_runs_end_in_one_clash(atoms)
 
 
 def traces(atoms):
