@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Callable, Container, Iterable, NamedTuple, Union
+from typing import Callable, Collection, Container, Iterable, NamedTuple, Union
 from weakref import KeyedRef
 
 from .terms import Symbol
@@ -474,19 +474,26 @@ class Store:
         occ = self._occ.get(x, ())
         return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
-    def reachable(self, v: Var, stop: Container[Var] = ()) -> dict[str, None]:
+    def reachable(self, v: Var, stop: Container[Var] = (),
+                  until: Collection[str] = ()) -> dict[str, None]:
         """The names reachable from v along one or more x <= r edges:
         the components of v's x <= r, theirs, and so on, walked on each
         call.  The walk does not go on past a name whose variable is in
-        `stop`."""
+        `stop`, and it ends once it has reached every name in `until`,
+        if that is not empty."""
         sub, atoms, base = self._lhs[Sub], self._atoms, self._base
         seen: dict[str, None] = {}
+        left = len(until)
         todo = [v]
         while todo:
             for sid in sub.get(todo.pop(), ()):
                 for y in atoms[sid].rhs.parts:
                     if y not in seen:
                         seen[y] = None
+                        if y in until:
+                            left -= 1
+                            if not left:
+                                return seen
                         yv = base.get(y) or self.base_var(y)
                         if yv not in stop:
                             todo.append(yv)

@@ -71,8 +71,9 @@ x, for each name y reached: y's own y = f(v̄) if it has one, in which
 case the walk does not go past y, else y's y <= f(v̄), and the walk
 goes on (constraints.determining_atoms with frontier).  Each equation
 stands for everything behind it, as a state of Dörre's automaton does.
-A look sorts those, skips the equation itself, and walks from each
-argument of the equation once if there are any, for the cover test.
+A look sorts those and skips the equation itself.  For the cover test
+it walks once from each argument asked for a name other than itself,
+and only until it has reached every name it is asked for.
 
 Complete: a fixpoint of Descend1 so read is a fixpoint of the paper's
 rule, which pairs x = f(ū) with every determination f(w̄) of x, on x
@@ -119,11 +120,12 @@ firing's on atoms; the store keeps none.
 
 The cost.  An indexed atom walks back only as far as the nearest
 equations, and a look reads only as far as them; on a chain whose
-names all carry an equation, each is O(1) names.  What is left is the
-cover test's walk from each argument: O(names reached).  Read that far,
-each x_i = f(x_(i+1)) of a chain C(n) sees only x_(i+1) = f(x_(i+2)),
-which x_(i+1) <= x_(i+2) covers, but for the last, x_(n−2) = f(x_(n−1)),
-whose firing adds x_(n−1) <= x0 and closes the cycle.  So batch C(n)
+names all carry an equation, each is O(1) names.  So is the cover
+test's walk from each argument, which ends at the names asked for.
+Read that far, each x_i = f(x_(i+1)) of a chain C(n) sees only
+x_(i+1) = f(x_(i+2)), which x_(i+1) <= x_(i+2) covers, one edge from
+x_(i+1), but for the last, x_(n−2) = f(x_(n−1)), whose firing adds
+x_(n−1) <= x0 and closes the cycle.  So batch C(n)
 takes one firing, whatever the order of its atoms, and one atom at a
 time at most one firing per atom.
 
@@ -249,7 +251,6 @@ from .constraints import (
     determinations,
     determining_atoms,
     format_atom,
-    is_base_only,
     map_vars,
 )
 from .terms import Symbol, TermGraph
@@ -371,8 +372,15 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
         return None
     same.sort(key=lambda d: (d.args, d.at, -1 if d.via is None else d.via))
     # u_k covers v_k when every component of v_k is u_k or reachable
-    # from it: weak subsumption is reflexive.
-    reach = {u: store.reachable(u) for u in a.args}
+    # from it: weak subsumption is reflexive.  Each u walks once, only
+    # if it is asked for a name other than itself, and only until it has
+    # reached every name it is asked for.
+    asked: dict[Var, set[str]] = {}
+    for d in same:
+        for u, v in zip(a.args, d.args):
+            if v is not u:
+                asked.setdefault(u, set()).update(v.parts)
+    reach = {u: store.reachable(u, until=names - {u.parts[0]}) for u, names in asked.items()}
     for d in same:
         missing = [(u, v) for u, v in zip(a.args, d.args)
                    if not all(p in u.parts or p in reach[u] for p in v.parts)]
@@ -589,14 +597,23 @@ class Solver:
         self.verdict = Verdict.SAT  # the empty conjunction is satisfiable
 
     def _normalize(self, a: Atom) -> Atom:
-        return map_vars(a, lambda v: self.store.base_var(self.store.current(v.parts[0])))
+        """a with each base variable mapped to the name that stands for
+        it now (Store.current), and an intersection variable kept, for
+        Store.add to reject.  While no name is eliminated that is a
+        itself, and a is returned unbuilt: current() is the identity
+        then, and since variables are interned, base_var(n) is the very
+        Var that a holds."""
+        store = self.store
+        if not store.elim:
+            return a
+        return map_vars(a, lambda v: store.base_var(store.current(v.parts[0])) if v.is_base else v)
 
     def insert(self, a: Atom) -> None:
-        """Add one atom without running rules (input validation applies)."""
-        if not is_base_only(a):
-            raise ValueError(
-                f"input atoms must use base variables only: {format_atom(a)}"
-            )
+        """Add one atom without running rules.  Input atoms use base
+        variables only: Store.add rejects an intersection anywhere but
+        on the right side of an x <= r, and insert that one."""
+        if isinstance(a, Sub) and not a.rhs.is_base:
+            raise ValueError(f"input atoms must use base variables only: {format_atom(a)}")
         self.store.add(self._normalize(a))
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.UNKNOWN

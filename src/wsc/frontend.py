@@ -15,6 +15,12 @@ verdict; the solve and corpus commands verify it when present.
 Intersection variables (`x&y`) appear in solver output only; in input
 a `&` is a parse error.
 
+Names are ASCII identifiers, and only spaces and tabs separate tokens.
+One regular expression reads each statement, and each name's variable
+is built once per parse.  A token scan runs only on a line that the
+expression refuses or whose symbol arities conflict: it locates the
+error and raises it, with its line and column.
+
 Exit codes of run_cli: 0 satisfiable (or command succeeded), 1
 unsatisfiable, 2 usage or parse error, 3 a recorded expectation or an
 independent oracle disagrees with the engine.
@@ -31,7 +37,7 @@ import string
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
 from .engine import Solver, SolveResult, Verdict, format_trace, representatives, solve, witness
@@ -54,17 +60,40 @@ class ProblemFile:
     expect: Optional[str]  # "sat", "unsat", or None
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# One statement, or blanks only: a name, the operator, and a name or a
+# symbol with its parenthesised arguments, with spaces and tabs between
+# any two tokens, as _TOKEN reads them.
+_STATEMENT = re.compile(
+    rf"[ \t]*(?:({_NAME})[ \t]*(<?=)[ \t]*({_NAME})"
+    rf"(?:[ \t]*\([ \t]*((?:{_NAME}(?:[ \t]*,[ \t]*{_NAME})*)?)[ \t]*\))?[ \t]*)?")
 # A token of the format, or any other single character: a stray one.
-_TOKEN = re.compile(r"[ \t]*(<=|[A-Za-z_][A-Za-z0-9_]*|[=()&,.]|[^ \t])")
+_TOKEN = re.compile(rf"[ \t]*(<=|{_NAME}|[=()&,.]|[^ \t])")
 _ONE_CHARACTER_TOKENS = frozenset("=()&,._" + string.ascii_letters)
+
+
+class _Variables(dict):
+    """The variable of each name read so far in one parse, each built
+    once."""
+
+    def __missing__(self, name: str) -> Var:
+        v = self[name] = Var((name,))
+        return v
 
 
 def parse(text: str, *, name: str = "<input>") -> ProblemFile:
     """Parse constraint text into an ordered atom list plus the
-    optional expected verdict."""
+    optional expected verdict.
+
+    Each `.`-separated statement of a line is read by one match of
+    _STATEMENT, and every statement of a line is matched before any of
+    its atoms is built.  The token scan (_locate_error) reads only a
+    line that _STATEMENT refuses or whose symbol arities conflict, to
+    raise the ParseError that says where."""
     atoms: list[Atom] = []
     expect: Optional[str] = None
-    arities: dict[str, tuple[int, int, int]] = {}  # name -> (arity, line, col)
+    symbols: dict[str, tuple[Symbol, int, int]] = {}  # name -> (symbol, line, col)
+    variables = _Variables()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, _, comment = raw.partition("#")
@@ -77,34 +106,64 @@ def parse(text: str, *, name: str = "<input>") -> ProblemFile:
             if expect is not None and expect != value:
                 raise ParseError("conflicting expect directives", lineno, len(line) + 2)
             expect = value
-        # The whole line is tokenized before any statement on it is read.
-        statements: list[list[tuple[str, int]]] = [[]]
-        pos = 0
-        while m := _TOKEN.match(line, pos):
-            tok, pos = m[1], m.end()
-            if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
-                raise ParseError(f"unexpected character {tok!r}", lineno, m.start(1) + 1)
-            if tok == ".":
-                statements.append([])
-            else:
-                statements[-1].append((tok, m.start(1) + 1))
-        for tokens in statements:
-            if tokens:
-                atoms.append(_parse_atom(tokens, lineno, arities))
+        matches = [_STATEMENT.fullmatch(s) for s in line.split(".")]
+        if not all(matches):
+            _locate_error(line, lineno, symbols)
+        col = 1  # the column at which the statement starts
+        for m in matches:
+            lhs, op, rhs, args = m.groups()
+            if lhs is not None:
+                if args is None:
+                    atoms.append((Eq if op == "=" else Sub)(variables[lhs], variables[rhs]))
+                else:
+                    names = [n.strip(" \t") for n in args.split(",")] if args else ()
+                    seen = symbols.get(rhs)
+                    if seen is None:
+                        seen = symbols[rhs] = (Symbol(rhs, len(names)), lineno, col + m.start(3))
+                    elif seen[0].arity != len(names):
+                        _locate_error(line, lineno, symbols)
+                    atoms.append((EqApp if op == "=" else SubApp)(
+                        variables[lhs], seen[0], tuple(variables[n] for n in names)))
+            col += len(m.string) + 1
     return ProblemFile(name=name, atoms=tuple(atoms), expect=expect)
 
 
-def _parse_atom(
+def _locate_error(line: str, lineno: int, symbols: dict[str, tuple[Symbol, int, int]]
+                  ) -> NoReturn:
+    """Raise the ParseError of a line that _STATEMENT refuses or whose
+    arities conflict, read token by token: a stray character anywhere
+    on the line first, then the first statement that is malformed or
+    gives a symbol another arity."""
+    # The whole line is tokenized before any statement on it is read.
+    statements: list[list[tuple[str, int]]] = [[]]
+    pos = 0
+    while m := _TOKEN.match(line, pos):
+        tok, pos = m[1], m.end()
+        if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
+            raise ParseError(f"unexpected character {tok!r}", lineno, m.start(1) + 1)
+        if tok == ".":
+            statements.append([])
+        else:
+            statements[-1].append((tok, m.start(1) + 1))
+    for tokens in statements:
+        if tokens:
+            _check_statement(tokens, lineno, symbols)
+    raise AssertionError(f"_STATEMENT refuses a line the token scan reads: {line!r}")
+
+
+def _check_statement(
     tokens: list[tuple[str, int]],
     lineno: int,
-    arities: dict[str, tuple[int, int, int]],
-) -> Atom:
-    """One statement, read by position: a variable at 0 and the
-    operator at 1, then a variable at 2, or a symbol at 2 with `(` at
-    3, arguments at 4, 6, ... separated by commas, and a closing `)`."""
+    symbols: dict[str, tuple[Symbol, int, int]],
+) -> None:
+    """Raise the ParseError of one statement, if it has one, and record
+    its symbol with the place of its first use.  It is read by
+    position: a variable at 0 and the operator at 1, then a variable at
+    2, or a symbol at 2 with `(` at 3, arguments at 4, 6, ... separated
+    by commas, and a closing `)`."""
     n = len(tokens)
     end = tokens[-1][1] + len(tokens[-1][0])  # the column a missing token reports
-    lhs = _var_at(tokens, 0, lineno, end)
+    _check_var_at(tokens, 0, lineno, end)
     if n < 2:
         raise ParseError("statement ends early", lineno, end)
     op, op_col = tokens[1]
@@ -112,39 +171,37 @@ def _parse_atom(
         raise ParseError(f"expected '=' or '<=', found {op!r}", lineno, op_col)
     if n > 3 and tokens[3][0] == "(" and tokens[2][0].isidentifier():
         fname, fcol = tokens[2]
-        args: list[Var] = []
+        arity = 0
         i = 4
         if i >= n or tokens[i][0] != ")":
-            args.append(_var_at(tokens, i, lineno, end))
-            i += 1
+            _check_var_at(tokens, i, lineno, end)
+            arity, i = 1, i + 1
             while i < n and tokens[i][0] == ",":
-                args.append(_var_at(tokens, i + 1, lineno, end))
-                i += 2
+                _check_var_at(tokens, i + 1, lineno, end)
+                arity, i = arity + 1, i + 2
         if i >= n:
             raise ParseError("statement ends early, expected ')'", lineno, end)
         if tokens[i][0] != ")":
             raise ParseError(f"expected ')', found {tokens[i][0]!r}", lineno, tokens[i][1])
         i += 1
-        seen = arities.get(fname)
-        if seen is not None and seen[0] != len(args):
-            raise ParseError(
-                f"symbol {fname} takes {seen[0]} argument(s) at line {seen[1]}, "
-                f"col {seen[2]}, but {len(args)} here", lineno, fcol)
+        seen = symbols.get(fname)
         if seen is None:
-            arities[fname] = (len(args), lineno, fcol)
-        atom: Atom = (EqApp if op == "=" else SubApp)(lhs, Symbol(fname, len(args)), tuple(args))
+            symbols[fname] = (Symbol(fname, arity), lineno, fcol)
+        elif seen[0].arity != arity:
+            raise ParseError(
+                f"symbol {fname} takes {seen[0].arity} argument(s) at line {seen[1]}, "
+                f"col {seen[2]}, but {arity} here", lineno, fcol)
     else:
-        atom = (Eq if op == "=" else Sub)(lhs, _var_at(tokens, 2, lineno, end))
+        _check_var_at(tokens, 2, lineno, end)
         i = 3
     if i < n:
         raise ParseError(f"unexpected {tokens[i][0]!r} after statement", lineno, tokens[i][1])
-    return atom
 
 
-def _var_at(tokens: list[tuple[str, int]], i: int, lineno: int, end: int) -> Var:
-    """The input variable at position i of a statement's tokens.  Stray
-    characters are rejected before a statement is read, so a token is a
-    name exactly when it is an identifier."""
+def _check_var_at(tokens: list[tuple[str, int]], i: int, lineno: int, end: int) -> None:
+    """Raise the ParseError of a statement whose position i holds no
+    input variable.  Stray characters are rejected before a statement
+    is read, so a token is a name exactly when it is an identifier."""
     if i >= len(tokens):
         raise ParseError("statement ends early", lineno, end)
     tok, col = tokens[i]
@@ -153,7 +210,6 @@ def _var_at(tokens: list[tuple[str, int]], i: int, lineno: int, end: int) -> Var
     if i + 1 < len(tokens) and tokens[i + 1][0] == "&":
         raise ParseError("intersection variables are not allowed in input",
                          lineno, tokens[i + 1][1])
-    return var(tok)
 
 
 # --- random instances ---------------------------------------------------------
@@ -234,7 +290,7 @@ def report(result: SolveResult, *, include_trace: bool = False) -> dict:
 def oracle_check(atoms: Sequence[Atom], verdict: Verdict) -> Optional[str]:
     """Compare a verdict against the independent oracles; a message
     describes the first disagreement, None means all consistent."""
-    if naive_solve(atoms, budget=300) == NaiveResult.UNSAT and verdict == Verdict.SAT:
+    if verdict == Verdict.SAT and naive_solve(atoms, budget=300) == NaiveResult.UNSAT:
         return "naive rewriting refutes an input judged satisfiable"
     if not any(isinstance(a, (Sub, SubApp)) for a in atoms):
         if rational_unify(atoms) != verdict:

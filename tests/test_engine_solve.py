@@ -443,6 +443,16 @@ def test_solve_rejects_intersection_variables():
     s = Solver()
     with pytest.raises(ValueError):
         s.assert_atom(Sub(var("x", "y"), z))
+    # also once a name is eliminated, when inserted atoms are mapped
+    # through the names that stand for theirs
+    s.assert_atom(Eq(x, y))
+    s.assert_atom(EqApp(x, F1, (u,)))
+    assert s.store.elim
+    before = s.store.atom_list()
+    for a in (SubApp(var("x", "u"), F1, (z,)), Eq(z, var("x", "u")), Sub(z, var("x", "u"))):
+        with pytest.raises(ValueError):
+            s.assert_atom(a)
+    assert s.store.atom_list() == before
 
 
 def test_priority_must_cover_every_rule():

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,8 @@ def test_parse_errors_carry_positions():
         ("x = y z", 1, 7),          # two right sides
         ("x = = y. @", 1, 10),      # a stray character is found before the statement is read
         ("x\xa0= y", 1, 2),         # only spaces and tabs separate tokens
+        ("x = y. z @ w", 1, 10),    # a valid statement before the bad one
+        ("x = y. z = f(", 1, 14),
     ]
     for text, line, col in cases:
         with pytest.raises(ParseError) as err:
@@ -111,6 +114,13 @@ def test_parse_arity_conflict_is_rejected():
         parse("x = f(y)\nz = f(u, v)\n")
     assert err.value.line == 2
     assert "f" in err.value.message
+    # the first use is reported where the symbol stands on its line
+    for text, line, col in (("f = y. x = f(y). z = f(u, v)", 1, 22),
+                            ("f = y. x = f(y)\nz = f(u, v)", 2, 5)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert "at line 1, col 12" in err.value.message, text
     # consistent reuse across operators is fine
     problem = parse("x = f(y)\nz <= f(u)\n")
     assert problem.atoms == (EqApp(x, F1, (y,)), SubApp(z, F1, (u,)))
@@ -118,14 +128,28 @@ def test_parse_arity_conflict_is_rejected():
 
 def test_parse_reads_back_formatted_atoms():
     """parse() reads format_atom's lines back as the atoms they print,
-    whatever mix of separators joins them."""
-    rng = random.Random(3)
+    whatever mix of separators joins them, and with a run of spaces and
+    tabs at every gap between tokens, one to three statements a line."""
+    rng, spacing = random.Random(3), random.Random(4)
+
+    def blanks():
+        return "".join(spacing.choice(" \t") for _ in range(spacing.choice((0, 0, 1, 2, 3))))
+
     for _ in range(3000):
         atoms = random_atoms(rng, n_vars=6, n_symbols=3, n_atoms=10)
         text = format_atom(atoms[0])
         for a in atoms[1:]:
             text += rng.choice(("\n", ". ", " . ")) + format_atom(a)
         text += rng.choice(("", "  # note"))
+        assert parse(text).atoms == tuple(atoms), text
+        statements = ["".join(blanks() + t for t in re.findall(r"<=|\w+|[=(),]", format_atom(a)))
+                      + blanks() for a in atoms]
+        lines = []
+        while statements:
+            k = spacing.randint(1, 3)
+            lines.append(".".join(statements[:k]) + spacing.choice(("", ".", "# note")))
+            del statements[:k]
+        text = "\n".join(lines)
         assert parse(text).atoms == tuple(atoms), text
 
 
