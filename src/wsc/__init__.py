@@ -6,7 +6,7 @@ The public API in one place:
   terms        Symbol, TermGraph, TermSyntaxError, hole, app,
                parse_term, format_term, weak_subsumes, graph_equal
   constraints  Atom, Var, var, Eq, EqApp, Sub, SubApp,
-               Store, determinations, format_atom
+               Store, format_atom
   engine       Solver, solve, SolveResult, Verdict, RuleId,
                DEFAULT_PRIORITY, TraceEntry, format_trace,
                witness (a model read off a solved store)
@@ -24,7 +24,6 @@ from .constraints import (
     Sub,
     SubApp,
     Var,
-    determinations,
     format_atom,
     var,
 )
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom", "Eq", "EqApp", "Store", "Sub", "SubApp", "Var",
-    "determinations", "format_atom", "var",
+    "format_atom", "var",
     "DEFAULT_PRIORITY", "RuleId", "SolveResult", "Solver", "TraceEntry",
     "Verdict", "format_trace", "solve", "witness",
     "ParseError", "ProblemFile", "parse", "random_atoms", "report", "run_cli",

@@ -20,10 +20,13 @@ and the name each one eliminated, and the log of the decompositions
 the store made itself.  The x <= r atoms form a graph of names, each
 name's one x <= r leading to the components of r.  A variable is
 determined by the x = f(ȳ) and x <= f(ȳ) on it and on every name it
-reaches in that graph.  Both the reachable names and the
-determinations are read from the index on each request.  What the
-store keeps beside the atoms is each name's set of determining symbols,
-which only grows as atoms are indexed; reachability is not kept.
+reaches in that graph, but its determinations are read only as far as
+the nearest names with an x = f(ȳ) of their own, each of which stands
+for everything behind it (engine.py shows that nothing is lost).  Both
+the reachable names and the determinations are read from the index on
+each request.  What the store keeps beside the atoms is each name's
+set of determining symbols, those of every name it reaches, which only
+grows as atoms are indexed; reachability is not kept.
 """
 
 from __future__ import annotations
@@ -270,11 +273,13 @@ class Store:
     reachable() walks the x <= r atoms forward from a variable through
     the left-side table, and the symbol sets and the agenda below walk
     them back through the right-side one.  determining_atoms() and
-    determinations() read a variable's determinations, its own and those
-    of every name it reaches, from these tables on each call.
+    determinations() read a variable's determinations from these tables
+    on each call: its own, and those of the names it reaches, as far as
+    the nearest ones with an x = f(ū) of their own.
 
-    `syms` maps each base name to the symbols of its determinations, an
-    interned frozenset shared by every name with the same symbols.  An
+    `syms` maps each base name to the symbols of its determinations on
+    it and on every name it reaches, past equations too, an interned
+    frozenset shared by every name with the same symbols.  An
     indexed x = f(ū) or x <= f(ū) adds f to x and to every name that
     reaches x, and an indexed x <= r adds the symbols of r's components
     to x and to those names: a walk back over the right sides' index,
@@ -606,30 +611,29 @@ class Determination(NamedTuple):
     via: int | None
 
 
-def determining_atoms(store: Store, v: Var, frontier: bool = False) -> list[tuple[int, int | None]]:
-    """The atoms that determine v, as (id, route) pairs read from the
-    store's left-side index: each x = f(ū) and x <= f(ū) on v, with
-    route None, then those on every name reachable from v along x <= r
-    edges (Store.reachable), with the id of v's one x <= r as the
-    route.  With `frontier`, the walk stops at each name with an
-    x = f(ū) of its own and reads only that: Descend1's reading, which
-    engine.py shows is enough."""
+def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
+    """The atoms that determine v as far as its nearest equations, as
+    (id, route) pairs read from the store's left-side index: each
+    x = f(ū) and x <= f(ū) on v, with route None, then, walking forward
+    from v along x <= r edges (Store.reachable), for each name y
+    reached, y's y = f(ū) if it has one, and the walk does not go past
+    y, else y's y <= f(ū), with the id of v's one x <= r as the route.
+    Each equation stands for everything behind it; engine.py shows
+    that this reading is enough for every rule and for the product."""
     lhs = store._lhs
-    tables = (lhs[EqApp], lhs[SubApp])
-    stop = tables[0] if frontier else ()
-    out = [(i, None) for t in tables for i in t.get(v, ())]
+    eqapps, subapps = lhs[EqApp], lhs[SubApp]
+    out = [(i, None) for t in (eqapps, subapps) for i in t.get(v, ())]
     for sid in lhs[Sub].get(v, ()):
-        for y in store.reachable(v, stop):
+        for y in store.reachable(v, eqapps):
             yv = store.base_var(y)
-            out += [(i, sid) for t in (tables[:1] if yv in stop else tables)
-                    for i in t.get(yv, ())]
+            out += [(i, sid) for i in eqapps.get(yv) or subapps.get(yv, ())]
     return out
 
 
 def determinations(store: Store, v: Var) -> list[Determination]:
-    """All determinations of v, immediate and routed: those of
-    determining_atoms(), sorted by symbol, arguments, atom id and route
-    (the immediate one first).  Each call builds a new list."""
+    """The determinations of v as far as its nearest equations: those
+    of determining_atoms(), sorted by symbol, arguments, atom id and
+    route (the immediate one first).  Each call builds a new list."""
     out = []
     for aid, via in determining_atoms(store, v):
         a = store.atom(aid)

@@ -16,13 +16,18 @@ preorder, holds along every path.  The paper's Collapse writes that
 transitive closure into each right side (n² components on a chain of
 n names, and an incremental step for each).  Here no rule does: the
 closure is walked on demand, as Dörre's (1994) automaton for weak
-subsumption reads the x <= y graph as its transition structure.  x is
-determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a name
-x reaches along one or more edges (constraints.determining_atoms), and
-u covers v when every component of v is u or reached from u
-(Store.reachable).  Neither is kept, and a Descend1 look walks the
-graph.  What the store keeps is each name's set of determining symbols
-(Store.syms), so that a Clash look walks nothing.
+subsumption reads the x <= y graph as its transition structure.  x
+is determined as f(v̄) by each x = f(v̄) and x <= f(v̄) on x or on a
+name x reaches along one or more edges (its full read), and u covers v
+when every component of v is u or reached from u (Store.reachable).
+Neither is kept.  The rules and the product read a name's
+determinations only as far as its nearest equations
+(constraints.determining_atoms, below), as one state of the automaton
+stands for everything behind it; the Clash lemma and the product's
+frontier paragraph below show that nothing is lost.  What the store
+keeps is each name's set of determining symbols, those of its full
+read (Store.syms), so that Clash walks only from a name whose set
+holds two.
 
 Intersection variables occur only on the right side of an x <= r
 (Store.add enforces it).  The paper's Descend2 made atoms on them, and
@@ -51,40 +56,61 @@ symbols of r's components, to its left side's set and to the set of
 every name that reaches it, walking back over the x <= r edges and
 stopping at a name that holds them already; a name whose set reaches
 two symbols becomes a Clash candidate (Store.clash_candidates).  A
-Clash look at a name is then one test, two symbols in its set, and the
-smallest candidate fires.  The sets are exact, since no live name loses
-a determining symbol (the Store docstring says why), so the first
-candidate is the variable a whole-store scan in name order would find.
-Only a firing builds that name's determinations(), for its on atoms;
-they also confirm the set, which a caller's own Store.remove can leave
-too large.  The bound: a name gains each symbol at most once, and a
-walk goes on from a name, over the edges into it, only where it gained
-one.  So over a whole run the walks cost O(|Σ| · (names + edges)) of
-the x <= r graph, where Σ is the store's symbols, besides O(1) for
-each indexed atom and O(|r|) to join the sets of an x <= r's
-components.
+Clash look at a name is then one test, two symbols in its set, and only
+a candidate's determinations() are built, read as far as its nearest
+equations: the smallest candidate whose read shows two symbols fires,
+on the atoms behind the first two that differ.  A candidate's read can
+show one, with its second symbol behind an equation, but the sets are
+exact, since no live name loses a determining symbol (the Store
+docstring says why), and then some candidate's read shows two:
+
+Clash lemma: if some name's full read carries two symbols, some name's
+read to its nearest equations does.  By induction on p + q, over a
+name x and two atoms of its full read with symbols f ≠ g, on names at
+shortest path lengths p and q from x.  x's read is not empty, since
+the walk towards either atom reads it or stops at an equation; suppose
+it shows one symbol only, h, and say g ≠ h, on atom b.  b is not in
+x's read, so q > 0, and the walk from x stopped, on the shortest path
+to b's name, at a name y with an equation of its own: before that
+name, or at it, with b a y <= g(·), which a read of y's equations
+skips.  x's read holds y's equation, so its symbol is h, and y is
+determined by h on itself and by g at a path length less than q:
+0 plus that is less than p + q, so by induction some name's read
+shows two symbols.  (If p + q = 0, both atoms are x's own, and its
+read holds both.)
+
+So Clash is enabled in exactly the states in which a read past the
+equations would enable it, and only the name it fires at and its on
+atoms differ.  The read also confirms the set, which a caller's own
+Store.remove can leave too large.  The bound: a name gains each symbol
+at most once, and a walk goes on from a name, over the edges into it,
+only where it gained one.  So over a whole run the walks cost
+O(|Σ| · (names + edges)) of the x <= r graph, where Σ is the store's
+symbols, besides O(1) for each indexed atom and O(|r|) to join the
+sets of an x <= r's components.
 
 Descend1 reads a name only as far as its nearest equations.  The
 same-symbol determinations it pairs with x = f(ū) are the x = f(v̄) and
 x <= f(v̄) on x, and then, walking forward over the x <= r edges from
 x, for each name y reached: y's own y = f(v̄) if it has one, in which
 case the walk does not go past y, else y's y <= f(v̄), and the walk
-goes on (constraints.determining_atoms with frontier).  Each equation
-stands for everything behind it, as a state of Dörre's automaton does.
-A look sorts those and skips the equation itself.  For the cover test
-it walks once from each argument asked for a name other than itself,
-and only until it has reached every name it is asked for.
+goes on (constraints.determining_atoms, the one read of determinations
+in the engine).  Each equation stands for everything behind it, as a
+state of Dörre's automaton does.  A look sorts those and skips the
+equation itself.  For the cover test it walks once from each argument
+asked for a name other than itself, and only until it has reached every
+name it is asked for.
 
 Complete: a fixpoint of Descend1 so read is a fixpoint of the paper's
 rule, which pairs x = f(ū) with every determination f(w̄) of x, on x
 or on a name z that x reaches.  By induction on the shortest path from
 x to z: if no name after x on it has an equation of its own, Descend1
 read f(w̄), and each u_k covers w_k.  Else let y be the first that
-has one, b = y = g(v̄).  If g differs from f, y holds two symbols (f
-comes from z behind it), and Clash ends the run as unsat.  Otherwise
-Descend1 read b for x, so u_k covers v_k; and f(w̄) determines y along
-a shorter path, so v_k covers w_k (f(w̄) on y itself is read for b
-directly).  v_k is a base name, so u_k reaches or is every component
+has one, b = y = g(v̄).  If g differs from f, y's full read holds two
+symbols (f comes from z behind it), and by the Clash lemma Clash ends
+the run as unsat.  Otherwise Descend1 read b for x, so u_k covers v_k;
+and f(w̄) determines y along a shorter path, so v_k covers w_k (f(w̄)
+on y itself is read for b directly).  v_k is a base name, so u_k reaches or is every component
 of w_k, by transitivity.  The product's completeness below rests on
 exactly this.
 
@@ -116,7 +142,7 @@ An id that fires stays, so the agenda never lacks an enabled instance,
 and the smallest id that fires is the instance a whole-store scan in
 id order would find: traces are the same as with a scan.  Sorted
 determinations() lists are built only for the product and for a Clash
-firing's on atoms; the store keeps none.
+look at a candidate; the store keeps none.
 
 The cost.  An indexed atom walks back only as far as the nearest
 equations, and a look reads only as far as them; on a chain whose
@@ -136,8 +162,9 @@ fire, yet must stay, since a later atom can give a side an occurrence.
 
 The rules, and the store's own two:
 
-  Clash       two incompatible constructors determined for a
-              variable, two equations x = f(ū), x = g(v̄) included:
+  Clash       two incompatible constructors among a variable's
+              determinations, read as far as its nearest equations,
+              two equations x = f(ū), x = g(v̄) included:
               contradiction.
   Elim        use an equation x = y to substitute one side away
               everywhere else (deep, inside intersection variables);
@@ -177,19 +204,23 @@ of its variables' structures:
     equation.
   - A node is a set of representatives.  A singleton whose name has an
     x = f(ū) is labelled f, with the singletons of ū as children.  Any
-    other node takes the one symbol of its members' determinations;
-    its k-th child is the set of the representatives of every
-    component of every member determination's k-th argument.  A node
-    with no determinations is a hole.
+    other node takes the one symbol of its members' determinations,
+    each member read as far as its nearest equations, and one with no
+    Store.syms entry, which has none, skipped in O(1); its k-th child
+    is the set of the representatives of every component of every
+    member determination's k-th argument.  A node with no
+    determinations is a hole.
 
 A node whose members' determinations carry two symbols is a clash.
 
 The k-th child of the node {x} of a name with no x = f(ū) is the join
-of the k-th arguments of all of x's determinations: the argument that
+of the k-th arguments of x's determinations: the argument that
 Propagate2 grows each x <= f(ū) to, and the intersection variable
-whose atoms Descend2 would make.  So the product takes Propagate2's
-intersection and Descend2's atoms once, at the fixpoint, and the
-soundness and completeness below cover both rules.
+whose atoms Descend2 would make.  The paper joins those of x's full
+read; at a fixpoint the join read to the nearest equations reaches the
+same names (the frontier paragraph below).  So the product takes
+Propagate2's intersection and Descend2's atoms once, at the fixpoint,
+and the soundness and completeness below cover both rules.
 
 Sound: reached from a name x along a path π, every member of a node
 constrains the same position π of σ(x).  Each determination f(v̄) of a
@@ -197,21 +228,48 @@ member says that the tree there is rooted f and that its k-th child
 lies below every component of v_k, which is what puts those components
 into the k-th child node.  Two symbols at one position admit no tree.
 
+Read to the nearest equations, the product loses nothing at a fixpoint
+of the rules.  There a name that occurs in an atom other than an x = y
+is its own representative (Elim has used every equation with a side
+that occurs elsewhere), so nodes are sets of names.  Let cl(S) be the
+names of S and those they reach.  Take a name n and an atom d of its
+full read, on a name z.  Either n's read holds d, or the walk from n
+stopped, on the shortest path to z, at a name y whose equation
+y = f(v̄) n's read holds, and y is z or reaches it.  Then y's full read
+holds d and f, so by the Clash lemma d carries f, and Descend1,
+complete for the paper's rule (above), has made every component of d's
+k-th argument v_k or a name v_k reaches.  So a node N, read either
+way, carries the symbols of the full read of cl(N): a singleton with
+an equation carries that equation's symbol, which by Clash is then the
+only one.  And its k-th child has the cl of the k-th arguments of
+every atom of that read: Descend1 covers them by the v_k of the
+equations read, or of N's own equation.  Both depend on cl(N) alone.
+The two walks start at the same singletons, so along each path they
+meet nodes with the same cl, and a node with two symbols at the end of
+a path in one walk is there in the other: both walks find the same
+clashes, and only the on atoms of a clash, read to the nearest
+equations, differ.
+
 Complete: with no clash every node carries one symbol or is a hole, so
 the nodes form a term graph; witness() maps each name to its node.  An
 x = y holds since both sides have one node, and an x = f(ū) since {x}
-is labelled from it.  For nodes S and T where T's determinations
-include S's (as when S ⊆ T), the graph at S weakly subsumes the graph
-at T: T carries S's symbol, and T's children include S's.  A node's
-determinations are those of every name reachable from its members,
-read along the transitions of Dörre's automaton, so an x <= r gives x
-those of every component of r.  Below an x = f(ū), at a fixpoint,
-Descend1 has made every component of the k-th arguments of x's other
-determinations u_k or a name u_k reaches, so u_k's determinations
-include theirs; with
-the inclusion above, the subsumptions hold.  oracles.check_witness,
-which shares no code with the product, judges the witness on every sat
-verdict of the tests.
+is labelled from it.  For nodes S and T with S ⊆ cl(T), the graph at S
+weakly subsumes the graph at T.  Read to the nearest equations, T's
+determinations need not include S's, so the argument goes through the
+full reads.  If S is no hole, the full read of cl(T) holds that of
+cl(S), so T is no hole, and since T carries the symbols of that read
+and is no clash, it carries S's one symbol.  And S's k-th child is
+within cl of T's: an atom of S's read is in the full read of cl(T),
+so, by the paragraph above, the components of its k-th argument are in
+T's k-th child or are reached from the v_k there of an equation
+y = f(v̄) that T reads, or of T's own.  So the pairs with S ⊆ cl(T)
+form a simulation.  An x <= r holds, since {y} ⊆ cl({x}) for each
+component y of r, and oracles.check_witness reads r as the merge of
+its components.  An x <= f(ū) holds, since {x} carries f and each u_k
+is in x's k-th child or, under an x = f(v̄) of x's own, is v_k or
+reached from it (Descend1): {u_k} ⊆ cl of x's k-th child.
+oracles.check_witness, which shares no code with the product, judges
+the witness on every sat verdict of the tests.
 
 Once Clash has stopped, every singleton carries one symbol, so a clash
 sits at a node with two members.  The first such node on a path from a
@@ -310,10 +368,12 @@ def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
 
 
 def _clash_at(store: Store, w: Var) -> Firing | None:
-    """A Clash firing on w if the store's set of w's determining symbols
-    holds two; only a firing builds w's determinations, for its on
-    atoms.  They confirm the set, which a caller's own Store.remove can
-    leave too large."""
+    """A Clash firing on w if w's determinations, read as far as its
+    nearest equations, carry two symbols.  They are built only where
+    the store's set of w's symbols, that of its full read, holds two,
+    and may still show one, with the second behind an equation.  They
+    also confirm the set, which a caller's own Store.remove can leave
+    too large."""
     if len(store.syms.get(w.parts[0], ())) < 2:
         return None
     dets = determinations(store, w)
@@ -321,9 +381,11 @@ def _clash_at(store: Store, w: Var) -> Firing | None:
 
 
 def rule_clash(store: Store) -> Firing | None:
-    """Fire when some variable carries two different determined
-    constructors.  The smallest such variable fires: the candidates are
-    store.clash_candidates, smallest name first."""
+    """Fire when some variable's determinations, read as far as its
+    nearest equations, carry two different constructors.  The smallest
+    such variable fires: the candidates are store.clash_candidates,
+    smallest name first.  By the Clash lemma (module docstring) one
+    fires whenever some variable's full read carries two."""
     if store.contradiction:
         return None
     for n in sorted(store.clash_candidates):
@@ -364,7 +426,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     # The determinations of a.lhs with a's symbol, but for a itself, in
     # determinations() order.
     same = []
-    for i, via in determining_atoms(store, a.lhs, frontier=True):
+    for i, via in determining_atoms(store, a.lhs):
         b = store.atom(i)
         if i != aid and b.sym == a.sym:
             same.append(Determination(b.sym, b.args, i, via))
@@ -459,9 +521,13 @@ def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
     """The nodes reached from the singletons of roots, depth first in
     the order of roots and of child positions, without recursion: each
     node's symbol and children (None and () for a hole), in the order
-    first reached.  The walk stops at the first node whose members'
-    determinations carry two symbols and returns its Clash firing."""
-    eqapps = store._lhs[EqApp]
+    first reached.  Each member of a node other than a singleton with
+    an equation is read through determinations(), as far as its nearest
+    equations, and a member with no Store.syms entry is skipped: it has
+    no determinations, since the sets are never too small.  The walk
+    stops at the first node whose members' determinations carry two
+    symbols and returns its Clash firing."""
+    eqapps, syms = store._lhs[EqApp], store.syms
     nodes: dict[Node, tuple[Symbol | None, tuple[Node, ...]]] = {}
     stack = [Node((find(r),)) for r in reversed(roots)]
     while stack:
@@ -473,7 +539,8 @@ def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
             a = store.atom(min(own))
             sym, kids = a.sym, tuple(Node((find(u.parts[0]),)) for u in a.args)
         else:
-            dets = [d for n in sorted(node) for d in determinations(store, store.base_var(n))]
+            dets = [d for n in sorted(node) if n in syms
+                    for d in determinations(store, store.base_var(n))]
             if not dets:
                 nodes[node] = (None, ())
                 continue

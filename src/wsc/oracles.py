@@ -47,7 +47,6 @@ from .terms import (
     format_term,
     graph_equal,
     hole,
-    parse_term,
     simulates,
     weak_subsumes,
 )
@@ -601,20 +600,3 @@ def dump_witness(sigma: Mapping[str, TermGraph]) -> str:
     """Render an assignment as `name := term` lines, each ending in a
     newline: the empty assignment is the empty string."""
     return "".join(f"{name} := {format_term(sigma[name])}\n" for name in sorted(sigma))
-
-
-def load_witness(text: str) -> dict[str, TermGraph]:
-    """Parse `name := term` lines; `#` starts a comment."""
-    out: dict[str, TermGraph] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":=" not in line:
-            raise ValueError(f"line {lineno}: expected `name := term`")
-        name, term = line.split(":=", 1)
-        name = name.strip()
-        if not name or not name.isidentifier():
-            raise ValueError(f"line {lineno}: bad variable name {name!r}")
-        out[name] = parse_term(term.strip())
-    return out

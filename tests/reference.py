@@ -2,11 +2,13 @@
 
 `instance_member` is the bounded membership probe that the term and
 oracle tests check the deciders against.  `left_sides` lists the
-variables a store's property tests look at.
+variables a store's property tests look at.  `load_witness` reads back
+the `name := term` text that oracles.dump_witness and
+`wsc solve --witness` write.
 """
 
 from wsc.constraints import Store, Var
-from wsc.terms import TermGraph
+from wsc.terms import TermGraph, parse_term
 
 
 def left_sides(store: Store) -> set[Var]:
@@ -34,3 +36,20 @@ def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:
         return all(go(ti, si, d - 1) for ti, si in zip(t.children[tn], s.children[sn]))
 
     return go(t.root, s.root, depth)
+
+
+def load_witness(text: str) -> dict[str, TermGraph]:
+    """Parse `name := term` lines; `#` starts a comment."""
+    out: dict[str, TermGraph] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":=" not in line:
+            raise ValueError(f"line {lineno}: expected `name := term`")
+        name, term = line.split(":=", 1)
+        name = name.strip()
+        if not name or not name.isidentifier():
+            raise ValueError(f"line {lineno}: bad variable name {name!r}")
+        out[name] = parse_term(term.strip())
+    return out

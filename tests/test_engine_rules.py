@@ -161,6 +161,18 @@ def test_clash_on_a_base_variable_with_one_atom_of_its_own_and_one_routed():
     assert s.contradiction
 
 
+def test_clash_fires_where_the_read_to_the_nearest_equations_shows_two_symbols():
+    # x and y both hold {f, g}, but x reads only y = f(u), the nearest
+    # equation: Clash fires at y, on y's own atoms
+    s = store_of(Sub(x, y), EqApp(y, F1, (u,)), SubApp(y, G1, (v,)))
+    assert s.clash_candidates == {"x", "y"}
+    assert rule_clash(s) == ((EqApp(y, F1, (u,)), SubApp(y, G1, (v,))), (), ())
+    # g comes to y through y <= z, which the firing names, and x's edge
+    # does not appear
+    s = store_of(Sub(x, y), EqApp(y, F1, (u,)), Sub(y, z), EqApp(z, G1, (w,)))
+    assert rule_clash(s) == ((EqApp(y, F1, (u,)), Sub(y, z), EqApp(z, G1, (w,))), (), ())
+
+
 def test_clash_confirms_a_set_left_stale_by_a_removal():
     # The store keeps x's symbols {a, b}; removing atoms by hand leaves
     # the set as it was, and a look at x reads the determinations first.
@@ -365,7 +377,7 @@ def test_descend1_stops_at_its_own_equation_round_a_cycle():
     # x <= y <= x: the walk from x passes y, which has no equation, and
     # stops at x, reading x's own equation routed, which is skipped
     s = store_of(EqApp(x, F1, (u,)), Sub(x, y), Sub(y, x))
-    assert determining_atoms(s, x, frontier=True) == [(0, None), (0, 1)]
+    assert determining_atoms(s, x) == [(0, None), (0, 1)]
     assert rule_descend1(s) is None
     # y <= f(v) on the way is read once
     s.add(SubApp(y, F1, (v,)))

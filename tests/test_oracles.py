@@ -20,7 +20,6 @@ from wsc.oracles import (
     check_witness,
     dump_witness,
     enumerate_graphs,
-    load_witness,
     merge_graphs,
     naive_solve,
     rational_unify,
@@ -36,7 +35,7 @@ from wsc.terms import (
     weak_subsumes,
 )
 
-from reference import instance_member
+from reference import instance_member, load_witness
 
 A = Symbol("a", 0)
 B = Symbol("b", 0)

@@ -8,10 +8,11 @@ store keeps through a run answer as a fresh store's do, each
 elimination is kept once, as its solved equation, a left side never
 holds two x = f(ū) with one symbol nor two x <= r, the atoms read as
 determining a left side are those of its determinations and a Clash
-look fires exactly on two symbols among them, a left side is determined
-by the atoms on every name it reaches along x <= r edges, the store
-keeps each name's determining symbols exactly, a Descend1 fixpoint
-covers every determination, an unsat trace ends in its one Clash, on
+look fires exactly on two symbols among them, a left side is read along
+x <= r edges as far as its nearest equations, the store keeps the
+symbols of every atom on a name and on every name it reaches, some left
+side's read shows two symbols iff some full read does, a Descend1
+fixpoint covers the full read, an unsat trace ends in its one Clash, on
 atoms in the store, and a trace does not depend on where in memory its
 variables live."""
 
@@ -331,21 +332,49 @@ def naive_reach(store, v):
         reach = more
 
 
-def assert_determining_atoms_are_those_of_every_reachable_name(store):
+def naive_full_read(store, v):
+    """Every x = f(ū) and x <= f(ū) on v or on a name v reaches: the
+    determinations of v, read without stopping at equations."""
+    names = naive_reach(store, v) | {v.parts[0]}
+    return [a for a in store.atom_list()
+            if isinstance(a, (EqApp, SubApp)) and a.lhs.parts[0] in names]
+
+
+def naive_frontier_read(store, v):
+    """The (id, route) pairs of the atoms that determine v as far as its
+    nearest equations, by a naive walk over the store's atoms: each
+    x = f(ū) and x <= f(ū) on v, unrouted, and for each name the walk
+    from v along x <= r edges reaches, never going on past a name with
+    an x = f(ū), that name's x = f(ū) if it has one, else its x <= f(ū),
+    routed by v's x <= r."""
+    atoms = store.atoms()
+    edges = {a.lhs.parts[0]: a.rhs.parts for _, a in atoms if isinstance(a, Sub)}
+    has_eq = {a.lhs.parts[0] for _, a in atoms if isinstance(a, EqApp)}
+    (route,) = store.ids(Sub, v) or (None,)
+    reached, todo = set(), [v.parts[0]]
+    while todo:
+        for y in edges.get(todo.pop(), ()):
+            if y not in reached:
+                reached.add(y)
+                if y not in has_eq:
+                    todo.append(y)
+    want = Counter()
+    for i, a in atoms:
+        if isinstance(a, (EqApp, SubApp)):
+            n = a.lhs.parts[0]
+            if a.lhs is v:
+                want[i, None] += 1
+            if n in reached and (isinstance(a, EqApp) or n not in has_eq):
+                want[i, route] += 1
+    return want
+
+
+def assert_determining_atoms_read_as_far_as_the_nearest_equations(store):
     """For every left side v, determining_atoms() gives each x = f(ū)
-    and x <= f(ū) on v, unrouted, and each on a name v reaches, routed
-    by v's x <= r."""
+    and x <= f(ū) on v, unrouted, and, routed by v's x <= r, those that
+    a naive walk from v reads as far as the nearest equations."""
     for v in left_sides(store):
-        reach = naive_reach(store, v)
-        (route,) = store.ids(Sub, v) or (None,)
-        want = Counter()
-        for i, a in store.atoms():
-            if isinstance(a, (EqApp, SubApp)):
-                if a.lhs is v:
-                    want[i, None] += 1
-                if a.lhs.parts[0] in reach:
-                    want[i, route] += 1
-        assert Counter(determining_atoms(store, v)) == want, v
+        assert Counter(determining_atoms(store, v)) == naive_frontier_read(store, v), v
 
 
 @checked
@@ -353,17 +382,21 @@ def assert_determining_atoms_are_those_of_every_reachable_name(store):
 # x0 reaches x2 through x1 only, and x2 reaches x0 back.
 @example([Sub(var("x0"), var("x1")), Sub(var("x1"), var("x2")), Sub(var("x2"), var("x0")),
           EqApp(var("x2"), F, (var("x0"),)), SubApp(var("x0"), Symbol("a", 0), ())])
+# x1 has an equation, so x0 reads it and not x1 <= a() nor x2's atoms.
+@example([Sub(var("x0"), var("x1")), EqApp(var("x1"), F, (var("x3"),)),
+          SubApp(var("x1"), Symbol("a", 0), ()), Sub(var("x1"), var("x2")),
+          SubApp(var("x2"), F, (var("x4"),))])
 def test_a_name_is_determined_by_every_name_it_reaches_after_every_step(atoms):
     check_after_every_insert_and_step(
-        atoms, assert_determining_atoms_are_those_of_every_reachable_name)
+        atoms, assert_determining_atoms_read_as_far_as_the_nearest_equations)
 
 
-def assert_kept_symbols_are_those_of_the_determinations(store):
-    """Every name's kept set of symbols is that of the atoms
-    determining_atoms() reads for it, and the Clash candidates are the
-    names whose sets hold two."""
+def assert_kept_symbols_are_those_of_the_full_read(store):
+    """Every name's kept set of symbols is that of the atoms on it and
+    on every name it reaches, read without stopping at equations, and
+    the Clash candidates are the names whose sets hold two."""
     for n in store.base_vars() | store.syms.keys():
-        want = {store.atom(i).sym for i, _ in determining_atoms(store, var(n))}
+        want = {a.sym for a in naive_full_read(store, var(n))}
         assert store.syms.get(n, frozenset()) == want, n
     assert store.clash_candidates == {n for n, syms in store.syms.items() if len(syms) > 1}
 
@@ -378,22 +411,48 @@ def assert_kept_symbols_are_those_of_the_determinations(store):
 @example([Sub(var("x3"), var("x0")), EqApp(var("x0"), F, (var("x2"),)),
           SubApp(var("x0"), Symbol("a", 0), ()), Eq(var("x0"), var("x1"))])
 def test_each_name_keeps_the_symbols_that_determine_it_after_every_step(atoms):
+    check_after_every_insert_and_step(atoms, assert_kept_symbols_are_those_of_the_full_read)
+
+
+def assert_a_clash_shows_in_some_read_to_the_nearest_equations(store):
+    """Some left side's determining_atoms() carry two symbols iff some
+    left side's full read does: where a full read finds a second symbol
+    behind one of the nearest equations, that equation's own name reads
+    both, nearer to the second (engine.py's Clash lemma)."""
+    def two(atoms):
+        return len({a.sym for a in atoms}) > 1
+
+    sides = left_sides(store)
+    nearest = any(two([store.atom(i) for i, _ in determining_atoms(store, v)]) for v in sides)
+    assert nearest == any(two(naive_full_read(store, v)) for v in sides)
+
+
+@checked
+@given(st.one_of(instances, sub_heavy_instances, eq_heavy_instances))
+# x0 reads only x1 = f(x2); x1 reads it and x1 <= g(x3).
+@example([Sub(var("x0"), var("x1")), EqApp(var("x1"), F, (var("x2"),)),
+          SubApp(var("x1"), Symbol("g", 1), (var("x3"),))])
+# x0 stops at x1 = f(x2); g comes to x1 from x3, two edges on.
+@example([Sub(var("x0"), var("x1")), EqApp(var("x1"), F, (var("x2"),)), Sub(var("x1"), var("x4")),
+          Sub(var("x4"), var("x3")), EqApp(var("x3"), Symbol("g", 1), (var("x5"),))])
+def test_a_clash_shows_as_far_as_the_nearest_equations_after_every_step(atoms):
     check_after_every_insert_and_step(
-        atoms, assert_kept_symbols_are_those_of_the_determinations)
+        atoms, assert_a_clash_shows_in_some_read_to_the_nearest_equations)
 
 
 def assert_descend1_covers_every_determination(store):
-    """For each x = f(ū) and each determination of x with symbol f, but
-    for the equation itself, every component of its k-th argument is
-    u_k or a name u_k reaches: Descend1 reads only as far as the nearest
-    equation, and its fixpoint still covers the full determinations."""
+    """For each x = f(ū) and each x = f(w̄) or x <= f(w̄) with symbol f
+    on x or on a name x reaches, but for the equation itself, every
+    component of w_k is u_k or a name u_k reaches: Descend1 reads only
+    as far as the nearest equation, and its fixpoint still covers the
+    full read."""
     for aid in store.ids(EqApp):
         a = store.atom(aid)
         reach = {u: store.reachable(u) for u in a.args}
-        for d in determinations(store, a.lhs):
-            if d.at != aid and d.sym == a.sym:
-                for u, v in zip(a.args, d.args):
-                    assert all(p in u.parts or p in reach[u] for p in v.parts), (a, d)
+        for b in naive_full_read(store, a.lhs):
+            if b != a and b.sym == a.sym:
+                for u, w in zip(a.args, b.args):
+                    assert all(p in u.parts or p in reach[u] for p in w.parts), (a, b)
 
 
 @checked
