@@ -13,20 +13,22 @@ Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 children, i.e. there is a u with x <= u and u = f(ȳ)).
 
 A Store holds the current conjunction as a set of atoms indexed by
-kind and left side, with at most one x = f(ȳ) per name and symbol and
-at most one x <= r per name, plus the bookkeeping a solver needs: a
-contradiction flag, the record of the equations used for elimination
-and the name each one eliminated, and the log of the decompositions
-the store made itself.  The x <= r atoms form a graph of names, each
-name's one x <= r leading to the components of r.  A variable is
-determined by the x = f(ȳ) and x <= f(ȳ) on it and on every name it
-reaches in that graph, but its determinations are read only as far as
-the nearest names with an x = f(ȳ) of their own, each of which stands
-for everything behind it (engine.py shows that nothing is lost).  Both
-the reachable names and the determinations are read from the index on
-each request.  What the store keeps beside the atoms is each name's
-set of determining symbols, those of every name it reaches, which only
-grows as atoms are indexed; reachability is not kept.
+kind and by the name of the left side, always a base variable, with
+at most one x = f(ȳ) per name and symbol and at most one x <= r per
+name, plus the bookkeeping a solver needs: a contradiction flag, the
+record of the equations used for elimination and the name each one
+eliminated, and the log of the decompositions the store made itself.
+The x <= r atoms form a graph of names, each name's one x <= r
+leading to the components of r, and the store walks it in names.  A
+name is determined by the x = f(ȳ) and x <= f(ȳ) on it and on every
+name it reaches in that graph, but its determinations are read only
+as far as the nearest names with an x = f(ȳ) of their own, each of
+which stands for everything behind it (engine.py shows that nothing is
+lost).  Both the reachable names and the determinations are read from
+the index on each request.  What the store keeps beside the atoms is
+each name's set of determining symbols, those of every name it
+reaches, which only grows as atoms are indexed; reachability is not
+kept.
 """
 
 from __future__ import annotations
@@ -267,15 +269,17 @@ class Store:
     that is the shape every reachable solver state has, and add()
     enforces it.
 
-    One table maps each kind of atom and each left side to the ids of
-    those atoms (ids()).  Beside it the store indexes the atoms by base
-    variable and the x <= r atoms by the base components of r.
-    reachable() walks the x <= r atoms forward from a variable through
-    the left-side table, and the symbol sets and the agenda below walk
-    them back through the right-side one.  determining_atoms() and
-    determinations() read a variable's determinations from these tables
-    on each call: its own, and those of the names it reaches, as far as
-    the nearest ones with an x = f(ū) of their own.
+    One table maps each kind of atom and the name of each left side to
+    the ids of those atoms (ids()).  Beside it the store indexes the
+    atoms by base variable and the x <= r atoms by the base components
+    of r.  So every index is keyed by name, and a walk over the x <= r
+    graph goes from name to name with no Var built: reachable() walks
+    the x <= r atoms forward from a name through the left-side table,
+    and the symbol sets and the agenda below walk them back through the
+    right-side one.  determining_atoms() and determinations() read a
+    name's determinations from these tables on each call: its own, and
+    those of the names it reaches, as far as the nearest ones with an
+    x = f(ū) of their own.
 
     `syms` maps each base name to the symbols of its determinations on
     it and on every name it reaches, past equations too, an interned
@@ -334,11 +338,10 @@ class Store:
         self._next_id = 0
         self._locs: dict[Atom, int] = {}
         self._occ: dict[str, set[int]] = {}
-        self._lhs: dict[type, dict[Var, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
+        self._lhs: dict[type, dict[str, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
         self.elim: dict[int, str] = {}
         self.unused_eqs: set[int] = set()
-        self._base: dict[str, Var] = {}
         self.syms: dict[str, frozenset[Symbol]] = {}
         self._symsets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         self.clash_candidates: set[str] = set()
@@ -356,8 +359,8 @@ class Store:
             raise ValueError(f"intersection variable off a right side of <=: {format_atom(a)}")
         if a in self._locs:
             return self._locs[a]
-        if isinstance(a, Sub) and a.lhs in self._lhs[Sub]:
-            (aid,) = self._lhs[Sub][a.lhs]
+        if isinstance(a, Sub) and a.lhs.parts[0] in self._lhs[Sub]:
+            (aid,) = self._lhs[Sub][a.lhs.parts[0]]
             return self.rewrite(aid, Sub(a.lhs, Var(self._atoms[aid].rhs.parts + a.rhs.parts)))
         aid = self._next_id
         self._next_id += 1
@@ -405,9 +408,9 @@ class Store:
             a = self._atoms.get(aid)
             if isinstance(a, EqApp):  # may have met a larger id already
                 self._meet(aid, a)
-            elif isinstance(a, Sub) and len(self._lhs[Sub][a.lhs]) > 1:
+            elif isinstance(a, Sub) and len(self._lhs[Sub][a.lhs.parts[0]]) > 1:
                 # the larger id goes and joins the smaller
-                self.add(self.remove(max(self._lhs[Sub][a.lhs])))
+                self.add(self.remove(max(self._lhs[Sub][a.lhs.parts[0]])))
         self.syms.pop(x, None)
         self.clash_candidates.discard(x)
 
@@ -418,7 +421,8 @@ class Store:
         another symbol stays beside it, for Clash to fire on the name's
         symbol set.  Nothing is logged once the store is contradicted:
         nothing follows bottom."""
-        same = [i for i in self._lhs[EqApp][a.lhs] if i != aid and self._atoms[i].sym == a.sym]
+        own = self._lhs[EqApp][a.lhs.parts[0]]
+        same = [i for i in own if i != aid and self._atoms[i].sym == a.sym]
         if not same:
             return
         first, second = sorted((aid, same[0]))
@@ -438,14 +442,6 @@ class Store:
     def get(self, aid: int) -> Atom | None:
         """The atom at aid, or None once it is removed or merged away."""
         return self._atoms.get(aid)
-
-    def base_var(self, name: str) -> Var:
-        """The base variable `name`, kept per store, so that a rule or
-        a lookup asking for it reads a dict instead of calling Var."""
-        v = self._base.get(name)
-        if v is None:
-            v = self._base[name] = Var((name,))
-        return v
 
     def current(self, name: str) -> str:
         """The name that stands for base variable `name` now: the other
@@ -479,14 +475,14 @@ class Store:
         occ = self._occ.get(x, ())
         return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
 
-    def reachable(self, v: Var, stop: Container[Var] = (),
+    def reachable(self, v: str, stop: Container[str] = (),
                   until: Collection[str] = ()) -> dict[str, None]:
-        """The names reachable from v along one or more x <= r edges:
-        the components of v's x <= r, theirs, and so on, walked on each
-        call.  The walk does not go on past a name whose variable is in
-        `stop`, and it ends once it has reached every name in `until`,
-        if that is not empty."""
-        sub, atoms, base = self._lhs[Sub], self._atoms, self._base
+        """The names reachable from name v along one or more x <= r
+        edges: the components of v's x <= r, theirs, and so on, walked
+        on each call.  The walk does not go on past a name in `stop`,
+        and it ends once it has reached every name in `until`, if that
+        is not empty."""
+        sub, atoms = self._lhs[Sub], self._atoms
         seen: dict[str, None] = {}
         left = len(until)
         todo = [v]
@@ -499,14 +495,14 @@ class Store:
                             left -= 1
                             if not left:
                                 return seen
-                        yv = base.get(y) or self.base_var(y)
-                        if yv not in stop:
-                            todo.append(yv)
+                        if y not in stop:
+                            todo.append(y)
         return seen
 
-    def ids(self, kind: type, lhs: Var | None = None) -> list[int]:
+    def ids(self, kind: type, lhs: str | None = None) -> list[int]:
         """The ids of the atoms of this kind (Eq, EqApp, Sub or SubApp),
-        only those on left side lhs if it is given, in ascending order."""
+        only those whose left side is the name lhs if it is given, in
+        ascending order."""
         table = self._lhs[kind]
         if lhs is None:
             return sorted(i for ids in table.values() for i in ids)
@@ -524,7 +520,8 @@ class Store:
         self._locs[a] = aid
         for b in atom_base_vars(a):
             self._occ.setdefault(b, set()).add(aid)
-        self._lhs[type(a)].setdefault(a.lhs, set()).add(aid)
+        x = a.lhs.parts[0]
+        self._lhs[type(a)].setdefault(x, set()).add(aid)
         if isinstance(a, Eq):
             if a.lhs != a.rhs and aid not in self.elim:
                 self.unused_eqs.add(aid)
@@ -532,12 +529,12 @@ class Store:
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
             new = frozenset().union(*(self.syms.get(y, ()) for y in a.rhs.parts))
-            self._spread(a.lhs.parts[0], new)
-            self._key(a.lhs.parts[0], new, through=False)
+            self._spread(x, new)
+            self._key(x, new, through=False)
         else:
             new = frozenset((a.sym,))
-            self._spread(a.lhs.parts[0], new)
-            self._key(a.lhs.parts[0], new, through=isinstance(a, EqApp))
+            self._spread(x, new)
+            self._key(x, new, through=isinstance(a, EqApp))
 
     def _spread(self, name: str, new: frozenset[Symbol]) -> None:
         """Add the symbols `new` to the set of name and of every name
@@ -566,7 +563,7 @@ class Store:
         eqapps, atoms, sub_rhs = self._lhs[EqApp], self._atoms, self._sub_rhs
         names, seen = [name], {name}
         for n in names:  # grows while it is walked
-            own = eqapps.get(self.base_var(n))
+            own = eqapps.get(n)
             if own:
                 self.agenda.update(i for i in own if atoms[i].sym in syms)
                 if not (through and n == name):
@@ -581,7 +578,7 @@ class Store:
         del self._locs[a]
         for b in atom_base_vars(a):
             _drop(self._occ, b, aid)
-        _drop(self._lhs[type(a)], a.lhs, aid)
+        _drop(self._lhs[type(a)], a.lhs.parts[0], aid)
         if isinstance(a, Eq):
             self.unused_eqs.discard(aid)
         elif isinstance(a, Sub):
@@ -611,9 +608,9 @@ class Determination(NamedTuple):
     via: int | None
 
 
-def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
-    """The atoms that determine v as far as its nearest equations, as
-    (id, route) pairs read from the store's left-side index: each
+def determining_atoms(store: Store, v: str) -> list[tuple[int, int | None]]:
+    """The atoms that determine name v as far as its nearest equations,
+    as (id, route) pairs read from the store's left-side index: each
     x = f(ū) and x <= f(ū) on v, with route None, then, walking forward
     from v along x <= r edges (Store.reachable), for each name y
     reached, y's y = f(ū) if it has one, and the walk does not go past
@@ -625,15 +622,14 @@ def determining_atoms(store: Store, v: Var) -> list[tuple[int, int | None]]:
     out = [(i, None) for t in (eqapps, subapps) for i in t.get(v, ())]
     for sid in lhs[Sub].get(v, ()):
         for y in store.reachable(v, eqapps):
-            yv = store.base_var(y)
-            out += [(i, sid) for i in eqapps.get(yv) or subapps.get(yv, ())]
+            out += [(i, sid) for i in eqapps.get(y) or subapps.get(y, ())]
     return out
 
 
-def determinations(store: Store, v: Var) -> list[Determination]:
-    """The determinations of v as far as its nearest equations: those
-    of determining_atoms(), sorted by symbol, arguments, atom id and
-    route (the immediate one first).  Each call builds a new list."""
+def determinations(store: Store, v: str) -> list[Determination]:
+    """The determinations of name v as far as its nearest equations:
+    those of determining_atoms(), sorted by symbol, arguments, atom id
+    and route (the immediate one first).  Each call builds a new list."""
     out = []
     for aid, via in determining_atoms(store, v):
         a = store.atom(aid)

@@ -199,17 +199,21 @@ graph of sets of names instead, as Dörre's (1994) automaton
 construction for weak subsumption reads a conjunction as the product
 of its variables' structures:
 
-  - Representatives: a union-find over the store's x = y atoms, in
-    which each name Elim eliminated points at the other side of its
-    equation.
-  - A node is a set of representatives.  A singleton whose name has an
-    x = f(ū) is labelled f, with the singletons of ū as children.  Any
-    other node takes the one symbol of its members' determinations,
-    each member read as far as its nearest equations, and one with no
+  - A node is a set of names.  A singleton whose name has an x = f(ū)
+    is labelled f, with the singletons of ū as children.  Any other
+    node takes the one symbol of its members' determinations, each
+    member read as far as its nearest equations, and one with no
     Store.syms entry, which has none, skipped in O(1); its k-th child
-    is the set of the representatives of every component of every
-    member determination's k-th argument.  A node with no
-    determinations is a hole.
+    is the set of every component of every member determination's k-th
+    argument.  A node with no determinations is a hole.
+  - Representatives: at a fixpoint of Elim a name that occurs in an
+    atom other than an x = y stands for its whole class (the frontier
+    paragraph below), so the walk builds its nodes from the names in
+    the atoms as they stand.  Only witness() reads a union-find over
+    the store's x = y atoms (representatives(), in which each name Elim
+    eliminated points at the other side of its equation), to start an
+    eliminated name, or a side of an x = y that occurs nowhere else,
+    at the node of its class.
 
 A node whose members' determinations carry two symbols is a clash.
 
@@ -231,14 +235,15 @@ into the k-th child node.  Two symbols at one position admit no tree.
 Read to the nearest equations, the product loses nothing at a fixpoint
 of the rules.  There a name that occurs in an atom other than an x = y
 is its own representative (Elim has used every equation with a side
-that occurs elsewhere), so nodes are sets of names.  Let cl(S) be the
-names of S and those they reach.  Take a name n and an atom d of its
-full read, on a name z.  Either n's read holds d, or the walk from n
-stopped, on the shortest path to z, at a name y whose equation
-y = f(v̄) n's read holds, and y is z or reaches it.  Then y's full read
-holds d and f, so by the Clash lemma d carries f, and Descend1,
-complete for the paper's rule (above), has made every component of d's
-k-th argument v_k or a name v_k reaches.  So a node N, read either
+that occurs elsewhere), so a node of names is a node of the classes
+the equations imply.  Let cl(S) be the names of S and those they
+reach.  Take a name n and an atom d of its full read, on a name z.
+Either n's read holds d, or the walk from n stopped, on the shortest
+path to z, at a name y whose equation y = f(v̄) n's read holds, and y
+is z or reaches it.  Then y's full read holds d and f, so by the Clash
+lemma d carries f, and Descend1, complete for the paper's rule
+(above), has made every component of d's k-th argument v_k or a name
+v_k reaches.  So a node N, read either
 way, carries the symbols of the full read of cl(N): a singleton with
 an equation carries that equation's symbol, which by Clash is then the
 only one.  And its k-th child has the cl of the k-th arguments of
@@ -251,18 +256,20 @@ clashes, and only the on atoms of a clash, read to the nearest
 equations, differ.
 
 Complete: with no clash every node carries one symbol or is a hole, so
-the nodes form a term graph; witness() maps each name to its node.  An
-x = y holds since both sides have one node, and an x = f(ū) since {x}
-is labelled from it.  For nodes S and T with S ⊆ cl(T), the graph at S
-weakly subsumes the graph at T.  Read to the nearest equations, T's
-determinations need not include S's, so the argument goes through the
-full reads.  If S is no hole, the full read of cl(T) holds that of
-cl(S), so T is no hole, and since T carries the symbols of that read
-and is no clash, it carries S's one symbol.  And S's k-th child is
-within cl of T's: an atom of S's read is in the full read of cl(T),
-so, by the paragraph above, the components of its k-th argument are in
-T's k-th child or are reached from the v_k there of an equation
-y = f(v̄) that T reads, or of T's own.  So the pairs with S ⊆ cl(T)
+the nodes form a term graph; witness() maps each name to the node of
+its representative, which is the name itself unless the name occurs
+in x = y atoms only.  An x = y holds since both sides have one
+representative, and an x = f(ū) since {x} is labelled from it.  For
+nodes S and T with S ⊆ cl(T), the graph at S weakly subsumes the
+graph at T.  Read to the nearest equations, T's determinations need
+not include S's, so the argument goes through the full reads.  If S
+is no hole, the full read of cl(T) holds that of cl(S), so T is no
+hole, and since T carries the symbols of that read and is no clash,
+it carries S's one symbol.  And S's k-th child is within cl of T's:
+an atom of S's read is in the full read of cl(T), so, by the
+paragraph above, the components of its k-th argument are in T's k-th
+child or are reached from the v_k there of an equation y = f(v̄) that
+T reads, or of T's own.  So the pairs with S ⊆ cl(T)
 form a simulation.  An x <= r holds, since {y} ⊆ cl({x}) for each
 component y of r, and oracles.check_witness reads r as the merge of
 its components.  An x <= f(ū) holds, since {x} carries f and each u_k
@@ -358,23 +365,24 @@ def _sources(store: Store, d: Determination) -> tuple[Atom, ...]:
 
 def _clash(store: Store, dets: Sequence[Determination]) -> Firing | None:
     """A contradiction, on the atoms behind the first determination and
-    the first after it with another symbol, if dets carry two symbols."""
+    the first after it with another symbol, if dets carry two symbols.
+    It leaves the store as it is: the caller that fires it marks the
+    store contradicted."""
     d1 = dets[0]
     d2 = next((d for d in dets if d.sym != d1.sym), None)
     if d2 is None:
         return None
-    store.contradiction = True
     return tuple(dict.fromkeys(_sources(store, d1) + _sources(store, d2))), (), ()
 
 
-def _clash_at(store: Store, w: Var) -> Firing | None:
-    """A Clash firing on w if w's determinations, read as far as its
-    nearest equations, carry two symbols.  They are built only where
+def _clash_at(store: Store, w: str) -> Firing | None:
+    """A Clash firing on name w if w's determinations, read as far as
+    its nearest equations, carry two symbols.  They are built only where
     the store's set of w's symbols, that of its full read, holds two,
     and may still show one, with the second behind an equation.  They
     also confirm the set, which a caller's own Store.remove can leave
     too large."""
-    if len(store.syms.get(w.parts[0], ())) < 2:
+    if len(store.syms.get(w, ())) < 2:
         return None
     dets = determinations(store, w)
     return _clash(store, dets) if dets else None
@@ -389,8 +397,9 @@ def rule_clash(store: Store) -> Firing | None:
     if store.contradiction:
         return None
     for n in sorted(store.clash_candidates):
-        fired = _clash_at(store, store.base_var(n))
+        fired = _clash_at(store, n)
         if fired is not None:
+            store.contradiction = True
             return fired
     return None
 
@@ -426,7 +435,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     # The determinations of a.lhs with a's symbol, but for a itself, in
     # determinations() order.
     same = []
-    for i, via in determining_atoms(store, a.lhs):
+    for i, via in determining_atoms(store, a.lhs.parts[0]):
         b = store.atom(i)
         if i != aid and b.sym == a.sym:
             same.append(Determination(b.sym, b.args, i, via))
@@ -437,19 +446,19 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     # from it: weak subsumption is reflexive.  Each u walks once, only
     # if it is asked for a name other than itself, and only until it has
     # reached every name it is asked for.
-    asked: dict[Var, set[str]] = {}
+    asked: dict[str, set[str]] = {}
     for d in same:
         for u, v in zip(a.args, d.args):
             if v is not u:
-                asked.setdefault(u, set()).update(v.parts)
-    reach = {u: store.reachable(u, until=names - {u.parts[0]}) for u, names in asked.items()}
+                asked.setdefault(u.parts[0], set()).update(v.parts)
+    reach = {u: store.reachable(u, until=names - {u}) for u, names in asked.items()}
     for d in same:
         missing = [(u, v) for u, v in zip(a.args, d.args)
-                   if not all(p in u.parts or p in reach[u] for p in v.parts)]
+                   if not all(p in u.parts or p in reach[u.parts[0]] for p in v.parts)]
         if not missing:
             continue
         # Each u <= v joins the u <= r on u, if there is one.
-        us = dict.fromkeys(u for u, _ in missing)
+        us = dict.fromkeys(u.parts[0] for u, _ in missing)
         removed = tuple(store.atom(i) for u in us for i in store.ids(Sub, u))
         for u, v in missing:
             store.add(Sub(u, v))
@@ -489,8 +498,7 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 
 # --- the product ------------------------------------------------------------------
 
-# A node of the product: a set of representatives (see the module
-# docstring).
+# A node of the product: a set of names (see the module docstring).
 Node = frozenset
 
 
@@ -516,31 +524,32 @@ def representatives(store: Store) -> Callable[[str], str]:
     return find
 
 
-def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
+def _walk(store: Store, roots: Sequence[str]
           ) -> tuple[dict[Node, tuple[Symbol | None, tuple[Node, ...]]], Firing | None]:
     """The nodes reached from the singletons of roots, depth first in
     the order of roots and of child positions, without recursion: each
     node's symbol and children (None and () for a hole), in the order
-    first reached.  Each member of a node other than a singleton with
-    an equation is read through determinations(), as far as its nearest
-    equations, and a member with no Store.syms entry is skipped: it has
-    no determinations, since the sets are never too small.  The walk
+    first reached.  Children are built from the names in the atoms as
+    they stand, each its own representative at a fixpoint.  Each member
+    of a node other than a singleton with an equation is read through
+    determinations(), as far as its nearest equations, and a member
+    with no Store.syms entry is skipped: it has no determinations, since
+    the sets are never too small.  The walk
     stops at the first node whose members' determinations carry two
     symbols and returns its Clash firing."""
     eqapps, syms = store._lhs[EqApp], store.syms
     nodes: dict[Node, tuple[Symbol | None, tuple[Node, ...]]] = {}
-    stack = [Node((find(r),)) for r in reversed(roots)]
+    stack = [Node((r,)) for r in reversed(roots)]
     while stack:
         node = stack.pop()
         if node in nodes:
             continue
-        own = eqapps.get(store.base_var(next(iter(node)))) if len(node) == 1 else None
+        own = eqapps.get(next(iter(node))) if len(node) == 1 else None
         if own:
             a = store.atom(min(own))
-            sym, kids = a.sym, tuple(Node((find(u.parts[0]),)) for u in a.args)
+            sym, kids = a.sym, tuple(Node(u.parts) for u in a.args)
         else:
-            dets = [d for n in sorted(node) if n in syms
-                    for d in determinations(store, store.base_var(n))]
+            dets = [d for n in sorted(node) if n in syms for d in determinations(store, n)]
             if not dets:
                 nodes[node] = (None, ())
                 continue
@@ -548,7 +557,7 @@ def _walk(store: Store, find: Callable[[str], str], roots: Sequence[str]
             if fired is not None:
                 return nodes, fired
             sym = dets[0].sym
-            kids = tuple(Node(find(c) for d in dets for c in d.args[k].parts)
+            kids = tuple(Node(c for d in dets for c in d.args[k].parts)
                          for k in range(sym.arity))
         nodes[node] = (sym, kids)
         stack.extend(reversed(kids))
@@ -560,24 +569,24 @@ def _product_clash(store: Store) -> Firing | None:
     walked from the left sides of subsumptions with no x = f(ū).  A
     start with no determinations is a hole and ends its walk at once."""
     lhs = store._lhs
-    starts = sorted(v.parts[0] for v in {*lhs[Sub], *lhs[SubApp]} if v not in lhs[EqApp])
-    return _walk(store, representatives(store), starts)[1] if starts else None
+    starts = sorted((lhs[Sub].keys() | lhs[SubApp].keys()) - lhs[EqApp].keys())
+    return _walk(store, starts)[1] if starts else None
 
 
 def witness(store: Store) -> dict[str, TermGraph] | None:
     """A model of a solved store read off its product: each base name of
-    the store maps to the term graph at its node.  A singleton hole is
-    named after its representative, unless that is `rec`, the term
-    syntax's binder keyword, and any other hole gets a fresh name, so
-    that format_term's text reads back.  None when the store or its
-    product holds a contradiction.
+    the store maps to the term graph at the node of its representative.
+    A singleton hole is named after its member, unless that is `rec`,
+    the term syntax's binder keyword, and any other hole gets a fresh
+    name, so that format_term's text reads back.  None when the store
+    or its product holds a contradiction; the store is left as it is.
     On a store that is not at a fixpoint of the rules, the product need
     not be a model."""
     if store.contradiction:
         return None
     names = sorted(store.base_vars())
     find = representatives(store)
-    nodes, clash = _walk(store, find, names)
+    nodes, clash = _walk(store, [find(n) for n in names])
     if clash is not None:
         return None
     number = {node: i for i, node in enumerate(nodes)}
@@ -668,12 +677,11 @@ class Solver:
         it now (Store.current), and an intersection variable kept, for
         Store.add to reject.  While no name is eliminated that is a
         itself, and a is returned unbuilt: current() is the identity
-        then, and since variables are interned, base_var(n) is the very
-        Var that a holds."""
+        then."""
         store = self.store
         if not store.elim:
             return a
-        return map_vars(a, lambda v: store.base_var(store.current(v.parts[0])) if v.is_base else v)
+        return map_vars(a, lambda v: Var((store.current(v.parts[0]),)) if v.is_base else v)
 
     def insert(self, a: Atom) -> None:
         """Add one atom without running rules.  Input atoms use base
@@ -698,6 +706,7 @@ class Solver:
                 return self._record([(rule, *fired)])
         fired = _product_clash(self.store)
         if fired is not None:
+            self.store.contradiction = True
             return self._record([(RuleId.CLASH, *fired)])
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.SAT

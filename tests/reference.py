@@ -2,18 +2,19 @@
 
 `instance_member` is the bounded membership probe that the term and
 oracle tests check the deciders against.  `left_sides` lists the
-variables a store's property tests look at.  `load_witness` reads back
-the `name := term` text that oracles.dump_witness and
-`wsc solve --witness` write.
+names a store's property tests look at: those of its atoms' left
+sides, by which the store keys its index.  `load_witness` reads back
+the `name := term` text that oracles.dump_witness and `wsc solve
+--witness` write.
 """
 
-from wsc.constraints import Store, Var
+from wsc.constraints import Store
 from wsc.terms import TermGraph, parse_term
 
 
-def left_sides(store: Store) -> set[Var]:
-    """The variables that are the left side of some atom of store."""
-    return {v for table in store._lhs.values() for v in table}
+def left_sides(store: Store) -> set[str]:
+    """The names that are the left side of some atom of store."""
+    return {n for table in store._lhs.values() for n in table}
 
 
 def instance_member(t: TermGraph, s: TermGraph, depth: int) -> bool:

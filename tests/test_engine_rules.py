@@ -261,7 +261,7 @@ def test_a_covered_subsumption_adds_nothing():
     assert s.add(Sub(x, var("u", "z"))) == before[0][0]
     assert s.atoms() == before
     # z <= u sits on z: it is no second atom on x
-    assert s.ids(Sub, x) == [before[0][0]]
+    assert s.ids(Sub, "x") == [before[0][0]]
 
 
 def test_elim_moving_a_subsumption_onto_a_name_with_one_joins_them():
@@ -348,11 +348,11 @@ def test_descend1_reads_up_to_the_nearest_equation():
     # y = f(v) pushes v <= w, and u reaches w through v
     assert rule_descend1(s) == (chain[2:], (), (Sub(v, w),))
     assert rule_descend1(s) is None
-    assert "w" in s.reachable(u)
+    assert "w" in s.reachable("u")
     for solver in solvers(chain):
         assert solver.verdict is Verdict.SAT
         assert not any({chain[0], chain[4]} <= set(e.on) for e in solver.trace)
-        assert "w" in solver.store.reachable(u)
+        assert "w" in solver.store.reachable("u")
 
 
 def test_descend1_reads_past_a_name_with_no_equation():
@@ -377,7 +377,7 @@ def test_descend1_stops_at_its_own_equation_round_a_cycle():
     # x <= y <= x: the walk from x passes y, which has no equation, and
     # stops at x, reading x's own equation routed, which is skipped
     s = store_of(EqApp(x, F1, (u,)), Sub(x, y), Sub(y, x))
-    assert determining_atoms(s, x) == [(0, None), (0, 1)]
+    assert determining_atoms(s, "x") == [(0, None), (0, 1)]
     assert rule_descend1(s) is None
     # y <= f(v) on the way is read once
     s.add(SubApp(y, F1, (v,)))

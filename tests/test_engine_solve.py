@@ -17,6 +17,7 @@ from wsc.engine import (
     Verdict,
     format_trace,
     solve,
+    witness,
 )
 from wsc.frontend import random_atoms
 from wsc.terms import Symbol
@@ -368,6 +369,22 @@ def test_stepping_the_loop_terminates_sat():
         n += 1
         assert n < 100
     assert s.verdict == Verdict.SAT
+
+
+def test_a_witness_leaves_the_store_as_it_is():
+    # x's one child lies below y = a() and z = b(): the product clashes.
+    # Asking for a witness first must not mark the store contradicted,
+    # so that the run still logs the clash as its one Clash step
+    atoms = [SubApp(x, F1, (y,)), SubApp(x, F1, (z,)), EqApp(y, A, ()), EqApp(z, B, ())]
+    fresh, looked = Solver(), Solver()
+    for a in atoms:
+        fresh.insert(a)
+        looked.insert(a)
+    assert witness(looked.store) is None
+    assert not looked.store.contradiction
+    assert looked.run() == fresh.run() == Verdict.UNSAT
+    assert format_trace(looked.trace) == format_trace(fresh.trace)
+    assert format_trace(fresh.trace) == "step 1: Clash on y = a(), z = b() => bottom"
 
 
 # --- incremental assertion -----------------------------------------------------------

@@ -12,9 +12,10 @@ look fires exactly on two symbols among them, a left side is read along
 x <= r edges as far as its nearest equations, the store keeps the
 symbols of every atom on a name and on every name it reaches, some left
 side's read shows two symbols iff some full read does, a Descend1
-fixpoint covers the full read, an unsat trace ends in its one Clash, on
-atoms in the store, and a trace does not depend on where in memory its
-variables live."""
+fixpoint covers the full read, at a fixpoint each name outside the
+x = y atoms is its own representative, an unsat trace ends in its one
+Clash, on atoms in the store, and a trace does not depend on where in
+memory its variables live."""
 
 import random
 from collections import Counter
@@ -23,10 +24,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsc.constraints import (
-    Eq, EqApp, Store, Sub, SubApp, Var, atom_vars, determinations, determining_atoms, var,
+    Eq, EqApp, Store, Sub, SubApp, Var, atom_base_vars, determinations, determining_atoms, var,
 )
 from wsc.engine import (
-    _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at, format_trace, solve,
+    _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at, format_trace,
+    representatives, solve,
 )
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
@@ -167,8 +169,6 @@ def test_resolving_the_solved_atoms_keeps_the_verdict(atoms):
 def index_answers(store):
     """What each index query of the store gives, in atoms rather than
     ids, so that a fresh store of the same atoms gives the same."""
-    atoms = store.atom_list()
-    variables = {v for a in atoms for v in atom_vars(a)}
     names = store.base_vars()
 
     def at(ids):
@@ -188,19 +188,19 @@ def index_answers(store):
 
     return {
         "ids": {
-            (kind.__name__, v): at(store.ids(kind, v))
+            (kind.__name__, n): at(store.ids(kind, n))
             for kind in (Eq, EqApp, Sub, SubApp)
-            for v in variables | {None}
+            for n in names | {None}
         },
         "left sides": left_sides(store),
         "base vars": names,
         "reaching": {y: reaching(y) for y in names},
         "determinations": {
-            v: [
+            n: [
                 (d.sym, d.args, store.atom(d.at), None if d.via is None else store.atom(d.via))
-                for d in determinations(store, v)
+                for d in determinations(store, n)
             ]
-            for v in variables
+            for n in names
         },
     }
 
@@ -305,9 +305,7 @@ def assert_clash_reads_the_determinations(store):
     for v in left_sides(store):
         dets = determinations(store, v)
         assert Counter(determining_atoms(store, v)) == Counter((d.at, d.via) for d in dets), v
-        was = store.contradiction
         fired = _clash_at(store, v) is not None
-        store.contradiction = was  # a firing sets it; the run goes on as it was
         assert fired == (len({d.sym for d in dets}) > 1), v
 
 
@@ -321,28 +319,28 @@ def test_clash_looks_read_the_determinations_after_every_step(atoms):
 
 
 def naive_reach(store, v):
-    """The names reachable from v along one or more x <= r edges, by a
-    naive fixpoint over the store's x <= r atoms."""
-    edges = {a.lhs: set(a.rhs.parts) for a in store.atom_list() if isinstance(a, Sub)}
+    """The names reachable from name v along one or more x <= r edges,
+    by a naive fixpoint over the store's x <= r atoms."""
+    edges = {a.lhs.parts[0]: set(a.rhs.parts) for a in store.atom_list() if isinstance(a, Sub)}
     reach = set(edges.get(v, ()))
     while True:
-        more = reach.union(*(edges.get(var(y), ()) for y in reach))
+        more = reach.union(*(edges.get(y, ()) for y in reach))
         if more == reach:
             return reach
         reach = more
 
 
 def naive_full_read(store, v):
-    """Every x = f(ū) and x <= f(ū) on v or on a name v reaches: the
-    determinations of v, read without stopping at equations."""
-    names = naive_reach(store, v) | {v.parts[0]}
+    """Every x = f(ū) and x <= f(ū) on name v or on a name v reaches:
+    the determinations of v, read without stopping at equations."""
+    names = naive_reach(store, v) | {v}
     return [a for a in store.atom_list()
             if isinstance(a, (EqApp, SubApp)) and a.lhs.parts[0] in names]
 
 
 def naive_frontier_read(store, v):
-    """The (id, route) pairs of the atoms that determine v as far as its
-    nearest equations, by a naive walk over the store's atoms: each
+    """The (id, route) pairs of the atoms that determine name v as far as
+    its nearest equations, by a naive walk over the store's atoms: each
     x = f(ū) and x <= f(ū) on v, unrouted, and for each name the walk
     from v along x <= r edges reaches, never going on past a name with
     an x = f(ū), that name's x = f(ū) if it has one, else its x <= f(ū),
@@ -351,7 +349,7 @@ def naive_frontier_read(store, v):
     edges = {a.lhs.parts[0]: a.rhs.parts for _, a in atoms if isinstance(a, Sub)}
     has_eq = {a.lhs.parts[0] for _, a in atoms if isinstance(a, EqApp)}
     (route,) = store.ids(Sub, v) or (None,)
-    reached, todo = set(), [v.parts[0]]
+    reached, todo = set(), [v]
     while todo:
         for y in edges.get(todo.pop(), ()):
             if y not in reached:
@@ -362,7 +360,7 @@ def naive_frontier_read(store, v):
     for i, a in atoms:
         if isinstance(a, (EqApp, SubApp)):
             n = a.lhs.parts[0]
-            if a.lhs is v:
+            if n == v:
                 want[i, None] += 1
             if n in reached and (isinstance(a, EqApp) or n not in has_eq):
                 want[i, route] += 1
@@ -396,7 +394,7 @@ def assert_kept_symbols_are_those_of_the_full_read(store):
     on every name it reaches, read without stopping at equations, and
     the Clash candidates are the names whose sets hold two."""
     for n in store.base_vars() | store.syms.keys():
-        want = {a.sym for a in naive_full_read(store, var(n))}
+        want = {a.sym for a in naive_full_read(store, n)}
         assert store.syms.get(n, frozenset()) == want, n
     assert store.clash_candidates == {n for n, syms in store.syms.items() if len(syms) > 1}
 
@@ -448,8 +446,8 @@ def assert_descend1_covers_every_determination(store):
     full read."""
     for aid in store.ids(EqApp):
         a = store.atom(aid)
-        reach = {u: store.reachable(u) for u in a.args}
-        for b in naive_full_read(store, a.lhs):
+        reach = {u: store.reachable(u.parts[0]) for u in a.args}
+        for b in naive_full_read(store, a.lhs.parts[0]):
             if b != a and b.sym == a.sym:
                 for u, w in zip(a.args, b.args):
                     assert all(p in u.parts or p in reach[u] for p in w.parts), (a, b)
@@ -471,6 +469,36 @@ def test_a_descend1_fixpoint_covers_every_determination(atoms):
         for a in atoms:
             if solver.assert_atom(a) is Verdict.SAT:
                 assert_descend1_covers_every_determination(solver.store)
+
+
+def assert_each_name_is_its_own_representative(store):
+    """Each name that occurs in an atom other than an x = y is its own
+    representative: Elim has used every equation with a side that occurs
+    elsewhere.  The product walks such names as they stand."""
+    find = representatives(store)
+    for a in store.atom_list():
+        if not isinstance(a, Eq):
+            for n in atom_base_vars(a):
+                assert find(n) == n, (n, a)
+
+
+@checked
+@given(st.one_of(instances, eq_heavy_instances, sub_heavy_instances))
+# Elim eliminates x0 for x1, then x1 for x2, which rewrites x0 = x1 to
+# x0 = x2: x2 is the one name left in x2 = f(x2) and x2 <= x3.
+@example([Eq(var("x0"), var("x1")), Eq(var("x1"), var("x2")), EqApp(var("x0"), F, (var("x1"),)),
+          Sub(var("x2"), var("x3"))])
+# x3 = x4 occurs nowhere else, so Elim leaves it unused.
+@example([Eq(var("x3"), var("x4")), SubApp(var("x0"), F, (var("x1"),))])
+def test_at_a_fixpoint_each_name_is_its_own_representative(atoms):
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        result = solve(atoms, priority=priority)
+        if result.verdict is Verdict.SAT:
+            assert_each_name_is_its_own_representative(result.store)
+        solver = Solver(priority=priority)
+        for a in atoms:
+            if solver.assert_atom(a) is Verdict.SAT:
+                assert_each_name_is_its_own_representative(solver.store)
 
 
 def assert_unsat_runs_end_in_one_clash(atoms):
