@@ -3,8 +3,7 @@
 A variable is a nonempty set of base-variable names kept in a canonical
 sorted tuple, so the set laws (associativity, commutativity,
 idempotence of `&`) hold by representation: two variables denote the
-same intersection iff they are the same object, since each value has
-one shared Var (see Var).  A singleton is a base
+same intersection iff they are equal (see Var).  A singleton is a base
 variable; anything larger is an intersection variable, standing for the
 trees admitted by every one of its components at once.
 
@@ -33,101 +32,53 @@ kept.
 
 from __future__ import annotations
 
-import functools
-import threading
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import Callable, Collection, Container, Iterable, NamedTuple, Union
-from weakref import KeyedRef
 
 from .terms import Symbol
 
 BaseVar = str
 
 
-_interned: dict[tuple[str, ...], KeyedRef] = {}
-# Held to build and register a Var and to drop a dead one's entry, so
-# that threads never build two Vars for one value.  Reentrant: a Var
-# that dies while the lock is held runs _forget in the same thread.
-_interning = threading.RLock()
+class _Parts(NamedTuple):
+    parts: tuple[str, ...]
 
 
-def _forget(ref: KeyedRef, table: dict = _interned, lock: threading.RLock = _interning) -> None:
-    """The callback of an entry in the table of variables: drop the
-    entry once its Var is gone, unless a newer Var holds the parts.
-    The defaults keep the table and lock reachable while the
-    interpreter clears module globals at exit."""
-    with lock:
-        if table.get(ref.key) is ref:
-            del table[ref.key]
-
-
-@functools.total_ordering
-class Var:
+class Var(_Parts):
     """A variable: a canonical nonempty tuple of base-variable names.
 
     len(parts) == 1 is a base variable; more parts make an intersection
     variable denoting the common instances of all components.
 
-    Variables are hash-consed: Var(parts) returns the one live Var with
-    those canonical parts, so equal variables are the same object, and
-    hashing and equality are `object`'s identity.  A module table maps
-    canonical parts to a weak reference, so an entry goes when its Var
-    dies; only a miss canonicalises, and only a new Var runs
-    __post_init__.  A Var is immutable, copies and pickles come back as
-    the shared object, and variables order by their parts.
+    A Var is an immutable value, a one-field tuple of its canonical
+    parts: it hashes, compares and orders as that tuple does, so equal
+    variables are equal values wherever they were built, and variables
+    order by their parts.  Every construction runs __post_init__.
     """
 
-    __slots__ = ("parts", "is_base", "__weakref__")
-    parts: tuple[str, ...]
-    is_base: bool
+    __slots__ = ()
 
     def __new__(cls, parts: Iterable[str]) -> Var:
-        try:
-            ref = _interned.get(parts)
-        except TypeError:  # an unhashable iterable of names, such as a list
-            ref = None
-        if ref is not None:
-            v = ref()
-            if v is not None:
-                return v
-        canon = tuple(sorted(set(parts)))
-        with _interning:
-            ref = _interned.get(canon)
-            if ref is not None:
-                v = ref()
-                if v is not None:
-                    return v
-            self = object.__new__(cls)
-            object.__setattr__(self, "parts", canon)
-            self.__post_init__()
-            _interned[canon] = KeyedRef(self, _forget, canon)
+        if isinstance(parts, str):
+            raise TypeError(f"Var takes a collection of names, not the string {parts!r}; use var()")
+        parts = tuple(parts)
+        if len(parts) != 1:
+            parts = tuple(sorted(set(parts)))
+        self = tuple.__new__(cls, (parts,))
+        self.__post_init__()
         return self
 
     def __post_init__(self) -> None:
-        """Check the canonical parts of a new Var and fill is_base."""
+        """Check the canonical parts of a new Var."""
         if not self.parts:
             raise ValueError("a variable needs at least one component")
         for p in self.parts:
             if not isinstance(p, str) or not p:
                 raise ValueError(f"bad base variable name {p!r}")
-        object.__setattr__(self, "is_base", len(self.parts) == 1)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return Var, (self.parts,)
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is Var:
-            return self.parts < other.parts
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Var(parts={self.parts!r})"
+    @property
+    def is_base(self) -> bool:
+        return len(self.parts) == 1
 
     def __str__(self) -> str:
         return "&".join(self.parts)
@@ -402,7 +353,7 @@ class Store:
             if aid in self._atoms:  # may have merged away already
                 old = self._atoms[aid]
                 a = subst_atom(old, x, y)
-                if self.rewrite(aid, a) == aid and a.lhs is not old.lhs:
+                if self.rewrite(aid, a) == aid and a.lhs != old.lhs:
                     moved.append(aid)
         for aid in moved:
             a = self._atoms.get(aid)

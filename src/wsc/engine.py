@@ -449,7 +449,7 @@ def _descend1_at(store: Store, aid: int) -> Firing | None:
     asked: dict[str, set[str]] = {}
     for d in same:
         for u, v in zip(a.args, d.args):
-            if v is not u:
+            if v != u:
                 asked.setdefault(u.parts[0], set()).update(v.parts)
     reach = {u: store.reachable(u, until=names - {u}) for u, names in asked.items()}
     for d in same:
