@@ -33,6 +33,7 @@ kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Collection, Container, Iterable, NamedTuple, Union
 
 from .terms import Symbol
@@ -186,16 +187,35 @@ def map_vars(a: Atom, f: Callable[[Var], Var]) -> Atom:
     return type(a)(f(a.lhs), a.sym, tuple(map(f, a.args)))
 
 
-def subst_atom(a: Atom, x: str, y: str) -> Atom:
-    """Deep substitution [y/x] on one atom: componentwise inside every
-    variable, re-canonicalizing (so {x,y}[y/x] collapses to {y})."""
+def renaming(x: str, y: str) -> Callable[[Var], Var]:
+    """Deep substitution [y/x] on variables: componentwise, re-
+    canonicalizing (so {x,y}[y/x] collapses to {y}).  The base variable
+    y is built once, for every occurrence of x that it replaces."""
+    yv = Var((y,))
 
     def sub(v: Var) -> Var:
         if x not in v.parts:
             return v
+        if len(v.parts) == 1:
+            return yv
         return Var(tuple(y if p == x else p for p in v.parts))
 
-    return map_vars(a, sub)
+    return sub
+
+
+def subst_atom(a: Atom, x: str, y: str) -> Atom:
+    """Deep substitution [y/x] on one atom (see renaming)."""
+    return map_vars(a, renaming(x, y))
+
+
+def _names(a: Atom) -> tuple[str, ...]:
+    """The base-variable names in an atom of a store, one per variable:
+    every variable there is a base variable but the right side of an
+    x <= r, which may be an intersection.  A name the atom repeats is
+    repeated."""
+    if isinstance(a, (Eq, Sub)):
+        return a.lhs.parts + a.rhs.parts
+    return a.lhs.parts + tuple([u.parts[0] for u in a.args])
 
 
 def format_atom(a: Atom) -> str:
@@ -263,7 +283,14 @@ class Store:
     hop.  `unused_eqs` holds the ids of the x = y atoms with two sides
     that Elim may still use: indexing such an atom adds its id unless
     `elim` records it, and unindexing drops it.  Elim drops the id it
-    uses.
+    uses.  `unused_heap` is a heapq of ids: indexing pushes the id it
+    adds to `unused_eqs`, and an id that leaves the set stays on the heap
+    until Elim pops it (lazy deletion), so Elim finds the smallest
+    unused id without sorting the set.  `idle_eqs` maps each side of an
+    unused x = y that Elim popped while both sides occurred in no other
+    atom to its id; indexing an atom with such a name pushes the id back
+    on the heap.  So every id of `unused_eqs` is on the heap or in
+    `idle_eqs`.
 
     A name carries at most one x = f(ū) per symbol: the class table of
     unification.  add() and subst_all() meet a second one with the same
@@ -293,6 +320,8 @@ class Store:
         self._sub_rhs: dict[str, set[int]] = {}
         self.elim: dict[int, str] = {}
         self.unused_eqs: set[int] = set()
+        self.unused_heap: list[int] = []
+        self.idle_eqs: dict[str, int] = {}
         self.syms: dict[str, frozenset[Symbol]] = {}
         self._symsets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         self.clash_candidates: set[str] = set()
@@ -348,11 +377,12 @@ class Store:
         y <= s only once every atom is rewritten, so that the argument
         equations mention no x."""
         skipset = set(skip)
+        sub = renaming(x, y)
         moved = []
         for aid in sorted(self._occ.get(x, set()) - skipset):
             if aid in self._atoms:  # may have merged away already
                 old = self._atoms[aid]
-                a = subst_atom(old, x, y)
+                a = map_vars(old, sub)
                 if self.rewrite(aid, a) == aid and a.lhs != old.lhs:
                     moved.append(aid)
         for aid in moved:
@@ -421,11 +451,6 @@ class Store:
         """All base variables occurring as a component anywhere."""
         return set(self._occ)
 
-    def occurs_elsewhere(self, x: str, excl: int) -> bool:
-        """Does base variable x occur as a component outside atom excl?"""
-        occ = self._occ.get(x, ())
-        return len(occ) > 1 or (len(occ) == 1 and excl not in occ)
-
     def reachable(self, v: str, stop: Container[str] = (),
                   until: Collection[str] = ()) -> dict[str, None]:
         """The names reachable from name v along one or more x <= r
@@ -469,13 +494,17 @@ class Store:
 
     def _index(self, aid: int, a: Atom) -> None:
         self._locs[a] = aid
-        for b in atom_base_vars(a):
-            self._occ.setdefault(b, set()).add(aid)
+        occ, idle = self._occ, self.idle_eqs
+        for b in _names(a):
+            occ.setdefault(b, set()).add(aid)
+            if b in idle:
+                heappush(self.unused_heap, idle.pop(b))
         x = a.lhs.parts[0]
         self._lhs[type(a)].setdefault(x, set()).add(aid)
         if isinstance(a, Eq):
             if a.lhs != a.rhs and aid not in self.elim:
                 self.unused_eqs.add(aid)
+                heappush(self.unused_heap, aid)
         elif isinstance(a, Sub):
             for y in a.rhs.parts:
                 self._sub_rhs.setdefault(y, set()).add(aid)
@@ -527,8 +556,13 @@ class Store:
 
     def _unindex(self, aid: int, a: Atom) -> None:
         del self._locs[a]
-        for b in atom_base_vars(a):
-            _drop(self._occ, b, aid)
+        occ = self._occ
+        for b in _names(a):
+            ids = occ.get(b)
+            if ids is not None:  # None once a name the atom repeats is dropped
+                ids.discard(aid)
+                if not ids:
+                    del occ[b]
         _drop(self._lhs[type(a)], a.lhs.parts[0], aid)
         if isinstance(a, Eq):
             self.unused_eqs.discard(aid)

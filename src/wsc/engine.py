@@ -156,9 +156,20 @@ takes one firing, whatever the order of its atoms, and one atom at a
 time at most one firing per atom.
 
 Elim reads the store's unused equations (Store.unused_eqs), the x = y
-atoms with two sides that it has not used, in ascending order.  This
-is not an agenda: an equation whose sides occur nowhere else does not
-fire, yet must stay, since a later atom can give a side an occurrence.
+atoms with two sides that it has not used, smallest id first, popping
+them off the heap the store keeps beside the set (Store.unused_heap).
+An equation whose sides occur nowhere else does not fire, yet must
+stay, since a later atom can give a side an occurrence: Elim parks it
+under both sides (Store.idle_eqs), and the store pushes it back on the
+heap when it indexes an atom with either side, so that such an
+equation is popped once, not at every look.  Of the sides that occur
+in another atom, Elim eliminates the one that occurs in fewer atoms,
+the smaller name of a tie: union by size, as in Tarjan's (1975) set
+union, which gives Huet's (1976) unification its near-linear bound.
+Where both sides occur elsewhere, an atom that is rewritten moves onto
+a name in at least as many atoms as the one it leaves.  As in the
+paper's rule, the side eliminated must occur elsewhere, so where one
+side occurs nowhere else, all the other side's atoms move onto it.
 
 The rules, and the store's own two:
 
@@ -167,8 +178,9 @@ The rules, and the store's own two:
               two equations x = f(ū), x = g(v̄) included:
               contradiction.
   Elim        use an equation x = y to substitute one side away
-              everywhere else (deep, inside intersection variables);
-              each equation is used at most once.
+              everywhere else (deep, inside intersection variables),
+              the side in fewer atoms; each equation is used at most
+              once.
   Decom       (the store's) two equations x = f(ū), x = f(v̄): replace
               the one with the smaller id by the pairwise argument
               equations.
@@ -302,6 +314,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Callable, Iterable, Sequence
 
 from .constraints import (
@@ -408,20 +421,29 @@ def rule_elim(store: Store) -> Firing | None:
     """Use an equation to substitute one side away from the rest of the
     store.  The equation is kept, and store.elim records its id with
     the name it eliminated; a recorded equation is not used again.
-    Preference: eliminate the smaller name.  The candidates are
-    store.unused_eqs, smallest id first."""
+    Preference: of the sides that occur in another atom, eliminate the
+    one that occurs in fewer atoms, and of two that occur in as many,
+    the smaller name.  The candidates are store.unused_eqs, smallest id
+    first, popped off store.unused_heap; an id there that is no longer
+    unused is dropped, and one whose sides occur nowhere else is parked
+    in store.idle_eqs under both sides, until an atom gives one of them
+    an occurrence."""
     if store.contradiction:
         return None
-    for aid in sorted(store.unused_eqs):
+    heap, unused, occ = store.unused_heap, store.unused_eqs, store._occ
+    while heap:
+        aid = heappop(heap)
+        if aid not in unused:
+            continue
         a = store.atom(aid)
         xn, yn = a.lhs.parts[0], a.rhs.parts[0]
-        if store.occurs_elsewhere(xn, aid):
-            gone, kept = xn, yn
-        elif store.occurs_elsewhere(yn, aid):
-            gone, kept = yn, xn
-        else:
+        nx, ny = len(occ[xn]), len(occ[yn])
+        if nx == ny == 1:
+            store.idle_eqs[xn] = store.idle_eqs[yn] = aid
             continue
-        store.unused_eqs.discard(aid)
+        # A side in no other atom is never the one eliminated.
+        gone, kept = (xn, yn) if ny == 1 or 1 < nx <= ny else (yn, xn)
+        unused.discard(aid)
         store.subst_all(gone, kept, skip={aid})
         store.elim[aid] = gone
         return (a,), (), ()

@@ -219,16 +219,6 @@ def test_store_indices_track_removal():
     assert s.ids(Sub) == []
 
 
-def test_store_occurs_elsewhere():
-    s = Store()
-    i = s.add(Eq(x, y))
-    assert not s.occurs_elsewhere("x", i)
-    j = s.add(Sub(z, var("x", "w")))
-    assert s.occurs_elsewhere("x", i)
-    assert not s.occurs_elsewhere("y", i)  # y lives only in atom i
-    assert s.occurs_elsewhere("y", j)
-
-
 def test_store_rewrite_keeps_id_and_merges_duplicates():
     s = Store([Sub(x, y), Sub(z, y)])
     (i, _), (j, _) = s.atoms()

@@ -14,6 +14,7 @@ from wsc.constraints import (
     Store,
     Sub,
     SubApp,
+    atom_base_vars,
     determining_atoms,
     var,
 )
@@ -82,15 +83,16 @@ def test_decom_needs_two_equations_same_lhs_same_symbol():
 def test_decom_inside_elim_waits_for_the_whole_substitution():
     # Elim moves x = f(u) onto y while y = f(x) still mentions x.  Met
     # at once, the pair would add u = x and bring x back; met after the
-    # loop, it is y = f(u) against y = f(y), and adds u = y.
-    s = store_of(Eq(x, y), EqApp(x, F1, (u,)), EqApp(y, F1, (x,)))
+    # loop, it is y = f(u) against y = f(y), and adds u = y.  w <= y
+    # gives y as many atoms as x, so that x, the smaller name, goes.
+    s = store_of(Eq(x, y), EqApp(x, F1, (u,)), EqApp(y, F1, (x,)), Sub(w, y))
     assert rule_elim(s) == ((Eq(x, y),), (), ())
     assert s.log == [
         ("Decom", (EqApp(y, F1, (u,)), EqApp(y, F1, (y,))), (EqApp(y, F1, (u,)),), (Eq(u, y),)),
     ]
-    assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (y,)), Eq(u, y)}
+    assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (y,)), Eq(u, y), Sub(w, y)}
     assert s.elim == {0: "x"}
-    assert not s.occurs_elsewhere("x", 0)
+    assert [a for a in s.atom_list() if "x" in atom_base_vars(a)] == [Eq(x, y)]
 
 
 # --- Clash ---------------------------------------------------------------------
@@ -225,6 +227,66 @@ def test_elim_can_eliminate_the_right_side():
     assert atoms_of(s) == {Eq(x, y), Sub(z, x)}
     assert s.elim == {0: "y"}
     assert s.current("y") == "x"
+
+
+def test_elim_eliminates_the_side_in_fewer_atoms():
+    # x is in three atoms and y in two: y goes, though x is the smaller name
+    s = store_of(Eq(x, y), Sub(z, x), Sub(w, x), Sub(u, y))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.elim == {0: "y"}
+    assert atoms_of(s) == {Eq(x, y), Sub(z, x), Sub(w, x), Sub(u, x)}
+    # the other way round, x goes
+    s = store_of(Eq(x, y), Sub(z, y), Sub(w, y), Sub(u, x))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.elim == {0: "x"}
+    assert atoms_of(s) == {Eq(x, y), Sub(z, y), Sub(w, y), Sub(u, y)}
+
+
+def test_elim_eliminates_the_smaller_name_of_a_tie():
+    s = store_of(Eq(x, y), Sub(z, y), Sub(u, x))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.elim == {0: "x"}
+    assert atoms_of(s) == {Eq(x, y), Sub(z, y), Sub(u, y)}
+
+
+def test_elim_moves_the_smaller_class_onto_a_hub():
+    # a is in n atoms c_i <= a, and each b_i only in a = b_i and d_i <= b_i.
+    # Eliminating the smaller name would move a's growing class from
+    # b_i to b_(i+1) at each firing, Θ(n²) rewrites; eliminating the
+    # side in fewer atoms moves one atom per firing.
+    n = 256
+    hub = [Sub(var(f"c{i:03}"), var("a")) for i in range(n)]
+    for i in range(n):
+        hub += [Eq(var("a"), var(f"b{i:03}")), Sub(var(f"d{i:03}"), var(f"b{i:03}"))]
+    s = store_of(*hub)
+    rewrite, calls = s.rewrite, []
+
+    def counted(aid, a):
+        calls.append(aid)
+        return rewrite(aid, a)
+
+    s.rewrite = counted
+    fired = 0
+    while rule_elim(s) is not None:
+        fired += 1
+    assert fired == n
+    assert len(calls) <= n * n.bit_length()
+    assert s.current("b000") == "a"
+
+
+def test_elim_parks_an_equation_whose_sides_occur_nowhere_else():
+    # p = q has the smaller id but no side elsewhere: Elim fires x = y,
+    # and p = q waits off the heap until an atom gives q an occurrence
+    p, q = var("p"), var("q")
+    s = store_of(Eq(p, q), Eq(x, y), Sub(z, x))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.idle_eqs == {"p": 0, "q": 0} and 0 not in s.unused_heap
+    assert rule_elim(s) is None
+    s.add(Sub(w, q))
+    assert 0 in s.unused_heap
+    assert rule_elim(s) == ((Eq(p, q),), (), ())
+    assert s.elim == {1: "x", 0: "q"}
+    assert atoms_of(s) == {Eq(p, q), Eq(x, y), Sub(z, y), Sub(w, p)}
 
 
 def test_elim_skips_reflexive_equations():

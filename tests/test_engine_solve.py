@@ -224,7 +224,7 @@ def route_digest():
 # The rule agendas and indexes find the same first instance as a scan
 # of the whole store would: a change that alters a verdict, a solved
 # store or the route to it must update this digest on purpose.
-ROUTE_DIGEST = "49643e54447841c179822dce5cbfda5723f654ac04aeaceab43aca724cbbc790"
+ROUTE_DIGEST = "93759c91f5535b07c0e3c90b19880f5f160f74e13d850c6d2a58c13570a247f7"
 
 
 def test_routes_are_pinned():
@@ -260,7 +260,7 @@ def base_outcome_digest():
 # What a solver decides, and the part of each batch solved store on base
 # left sides, whatever route it takes there and whether or not it keeps
 # atoms on intersection left sides.
-BASE_OUTCOME_DIGEST = "17dac07ce7d2bbcd8b4c2d4c8486a1c5a0fc043c20eb4eec2a04297537d543b4"
+BASE_OUTCOME_DIGEST = "fea29952686d8e2f8589a5bc64742e9cd700f0c07fd7174fb7b463a755062ec2"
 
 
 def test_verdicts_and_base_solved_stores_are_pinned():

@@ -14,9 +14,11 @@ symbols of every atom on a name and on every name it reaches, some left
 side's read shows two symbols iff some full read does, a Descend1
 fixpoint covers the full read, at a fixpoint each name outside the
 x = y atoms is its own representative, an unsat trace ends in its one
-Clash, on atoms in the store, and a trace does not depend on the hash
-seed."""
+Clash, on atoms in the store, Elim's heap holds the unused equations
+but those it parked, and it pops the one a sorted scan picks, and a
+trace does not depend on the hash seed."""
 
+import copy
 import os
 import random
 import subprocess
@@ -33,7 +35,7 @@ from wsc.constraints import (
 )
 from wsc.engine import (
     _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at,
-    representatives, solve,
+    representatives, rule_elim, solve,
 )
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
@@ -224,6 +226,11 @@ def test_indexes_and_incremental_verdicts_match_a_fresh_start(atoms):
         assert_indexes_match_a_fresh_store(solver.store)
 
 
+def occurs_only_in(store, name, aid):
+    """Does name occur in the atom at aid and in no other atom?"""
+    return [i for i, a in store.atoms() if name in atom_base_vars(a)] == [aid]
+
+
 def assert_each_elimination_is_its_equation(store):
     """store.elim maps present x = y atoms to a side that occurs in that
     atom only, current() gives the other side, and no equation Elim
@@ -232,7 +239,7 @@ def assert_each_elimination_is_its_equation(store):
         a = store.get(aid)
         assert isinstance(a, Eq) and a.lhs != a.rhs
         sides = (a.lhs.parts[0], a.rhs.parts[0])
-        assert gone in sides and not store.occurs_elsewhere(gone, aid)
+        assert gone in sides and occurs_only_in(store, gone, aid)
         assert store.current(gone) == (sides[1] if sides[0] == gone else sides[0])
     gone_names = set(store.elim.values())
     for aid in store.ids(Eq):
@@ -261,7 +268,7 @@ def assert_one_equation_per_name_and_symbol(store):
         syms = [store.atom(i).sym for i in store.ids(EqApp, v)]
         assert len(syms) == len(set(syms)), v
     for aid, gone in store.elim.items():
-        assert store.get(aid) is not None and not store.occurs_elsewhere(gone, aid)
+        assert store.get(aid) is not None and occurs_only_in(store, gone, aid)
 
 
 def check_after_every_insert_and_step(atoms, check):
@@ -283,11 +290,43 @@ def check_after_every_insert_and_step(atoms, check):
 @checked
 @given(eq_heavy_instances)
 # Random draws seldom give this shape: Elim moves x0 = f(x2) onto x1
-# while x1 = f(x0) still mentions x0.
+# while x1 = f(x0) still mentions x0 (x3 <= x1 gives x1 as many atoms
+# as x0, so that x0, the smaller name, goes).
 @example([Eq(var("x0"), var("x1")), EqApp(var("x0"), F, (var("x2"),)),
-          EqApp(var("x1"), F, (var("x0"),))])
+          EqApp(var("x1"), F, (var("x0"),)), Sub(var("x3"), var("x1"))])
 def test_a_left_side_keeps_one_equation_per_symbol_after_every_step(atoms):
     check_after_every_insert_and_step(atoms, assert_one_equation_per_name_and_symbol)
+
+
+def assert_elim_pops_what_a_sorted_scan_picks(store):
+    """Every id of store.unused_eqs is on store.unused_heap, or parked
+    in store.idle_eqs under both sides, which then occur in no other
+    atom; and Elim, on a copy of the store, fires the smallest of them
+    with a side that occurs in another atom."""
+    on_heap = set(store.unused_heap)
+    for i in store.unused_eqs:
+        if i not in on_heap:
+            a = store.atom(i)
+            for n in (a.lhs.parts[0], a.rhs.parts[0]):
+                assert store.idle_eqs.get(n) == i and occurs_only_in(store, n, i), (i, n)
+    if store.contradiction:
+        return
+    pick = next((i for i in sorted(store.unused_eqs)
+                 if not all(occurs_only_in(store, n, i) for n in atom_base_vars(store.atom(i)))),
+                None)
+    fired = rule_elim(copy.deepcopy(store))
+    assert fired == (None if pick is None else ((store.atom(pick),), (), ()))
+
+
+@checked
+@given(st.one_of(eq_heavy_instances, sub_heavy_instances))
+# One atom at a time, x2 = x3, the smallest id, occurs nowhere else when
+# x0 <= x5 comes: Elim parks it, fires x0 = x1, and must pop x2 = x3
+# again once x4 <= x3 comes.
+@example([Eq(var("x2"), var("x3")), Eq(var("x0"), var("x1")), Sub(var("x0"), var("x5")),
+          Sub(var("x4"), var("x3"))])
+def test_elim_pops_the_equation_a_sorted_scan_picks_after_every_step(atoms):
+    check_after_every_insert_and_step(atoms, assert_elim_pops_what_a_sorted_scan_picks)
 
 
 def assert_one_subsumption_per_name(store):
@@ -490,9 +529,9 @@ def assert_each_name_is_its_own_representative(store):
 @checked
 @given(st.one_of(instances, eq_heavy_instances, sub_heavy_instances))
 # Elim eliminates x0 for x1, then x1 for x2, which rewrites x0 = x1 to
-# x0 = x2: x2 is the one name left in x2 = f(x2) and x2 <= x3.
+# x0 = x2: x2 is the one name left in x2 = f(x2), x2 <= x3 and x4 <= x2.
 @example([Eq(var("x0"), var("x1")), Eq(var("x1"), var("x2")), EqApp(var("x0"), F, (var("x1"),)),
-          Sub(var("x2"), var("x3"))])
+          Sub(var("x2"), var("x3")), Sub(var("x4"), var("x2"))])
 # x3 = x4 occurs nowhere else, so Elim leaves it unused.
 @example([Eq(var("x3"), var("x4")), SubApp(var("x0"), F, (var("x1"),))])
 def test_at_a_fixpoint_each_name_is_its_own_representative(atoms):
@@ -544,9 +583,9 @@ def assert_unsat_runs_end_in_one_clash(atoms):
 @given(st.one_of(instances, eq_heavy_instances))
 # Elim moves x0 = a() onto x1, which holds x1 = f(x0), and then
 # rewrites that to x1 = f(x1): Clash must name the pair as it stands
-# after the whole substitution.
+# after the whole substitution (x3 <= x1 gives x1 as many atoms as x0).
 @example([Eq(var("x0"), var("x1")), EqApp(var("x0"), Symbol("a", 0), ()),
-          EqApp(var("x1"), F, (var("x0"),))])
+          EqApp(var("x1"), F, (var("x0"),)), Sub(var("x3"), var("x1"))])
 def test_an_unsat_trace_ends_in_one_clash_on_atoms_in_the_store(atoms):
     assert_unsat_runs_end_in_one_clash(atoms)
 
