@@ -9,7 +9,12 @@ trees admitted by every one of its components at once.
 
 Atoms come in four shapes: x = y, x = f(ȳ), x <= y, and x <= f(ȳ)
 (the last meaning: x is below some tree rooted f with the given
-children, i.e. there is a u with x <= u and u = f(ȳ)).
+children, i.e. there is a u with x <= u and u = f(ȳ)).  Atoms, like
+variables and the terms.Symbol of an x = f(ȳ) (its (name, arity) pair,
+which it equals), are immutable tuple values that hash and compare as
+tuples do.  An atom's last field is a kind tag, "=" or "<=", which
+keeps x = y and x <= y unequal, as it does x = f(ȳ) and x <= f(ȳ); it
+is not an argument of the constructors.
 
 A Store holds the current conjunction as a set of atoms indexed by
 kind and by the name of the left side, always a base variable, with
@@ -32,7 +37,6 @@ kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush
 from typing import Callable, Collection, Container, Iterable, NamedTuple, Union
 
@@ -90,69 +94,81 @@ def var(*names: str) -> Var:
     return Var(tuple(names))
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
+class _Pair(NamedTuple):
+    lhs: Var
+    rhs: Var
+    kind: str
+
+    def __str__(self) -> str:
+        return format_atom(self)
+
+
+class _App(NamedTuple):
+    lhs: Var
+    sym: Symbol
+    args: tuple[Var, ...]
+    kind: str
+
+    def __str__(self) -> str:
+        return format_atom(self)
+
+
+def _untagged(self) -> tuple:
+    """The __getnewargs__ of every atom: its fields without the kind
+    tag, which __new__ adds back, so that copies and pickles rebuild it."""
+    return self[:-1]
+
+
+def _app(cls: type, lhs: Var, sym: Symbol, args: Iterable[Var], kind: str):
+    """The __new__ of EqApp and SubApp: tuple the arguments and check
+    their number against the symbol's arity."""
+    args = tuple(args)
+    if len(args) != sym.arity:
+        raise ValueError(f"{sym} expects {sym.arity} arguments, got {len(args)}")
+    return tuple.__new__(cls, (lhs, sym, args, kind))
+
+
+class Eq(_Pair):
     """x = y.  Stored with the sides sorted, since x = y and y = x have
     identical solutions: rule matching treats the pair as unordered."""
 
-    lhs: Var
-    rhs: Var
+    __slots__ = ()
+    __getnewargs__ = _untagged
 
-    def __post_init__(self) -> None:
-        if self.rhs < self.lhs:
-            lhs, rhs = self.rhs, self.lhs
-            object.__setattr__(self, "lhs", lhs)
-            object.__setattr__(self, "rhs", rhs)
-
-    def __str__(self) -> str:
-        return format_atom(self)
+    def __new__(cls, lhs: Var, rhs: Var) -> Eq:
+        if rhs < lhs:
+            lhs, rhs = rhs, lhs
+        return tuple.__new__(cls, (lhs, rhs, "="))
 
 
-def _check_args(self) -> None:
-    """The __post_init__ of EqApp and SubApp: tuple the arguments and
-    check their number against the symbol's arity."""
-    object.__setattr__(self, "args", tuple(self.args))
-    if len(self.args) != self.sym.arity:
-        raise ValueError(f"{self.sym} expects {self.sym.arity} arguments, got {len(self.args)}")
-
-
-@dataclass(frozen=True, slots=True)
-class EqApp:
+class EqApp(_App):
     """x = f(y1, ..., yn)."""
 
-    lhs: Var
-    sym: Symbol
-    args: tuple[Var, ...]
+    __slots__ = ()
+    __getnewargs__ = _untagged
 
-    __post_init__ = _check_args
-
-    def __str__(self) -> str:
-        return format_atom(self)
+    def __new__(cls, lhs: Var, sym: Symbol, args: Iterable[Var]) -> EqApp:
+        return _app(cls, lhs, sym, args, "=")
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
+class Sub(_Pair):
     """x <= y: every instance of x is an instance of y."""
 
-    lhs: Var
-    rhs: Var
+    __slots__ = ()
+    __getnewargs__ = _untagged
 
-    def __str__(self) -> str:
-        return format_atom(self)
+    def __new__(cls, lhs: Var, rhs: Var) -> Sub:
+        return tuple.__new__(cls, (lhs, rhs, "<="))
 
 
-@dataclass(frozen=True, slots=True)
-class SubApp:
+class SubApp(_App):
     """x <= f(y1, ..., yn): x is below some tree rooted f with these children."""
 
-    lhs: Var
-    sym: Symbol
-    args: tuple[Var, ...]
+    __slots__ = ()
+    __getnewargs__ = _untagged
 
-    __post_init__ = _check_args
-
-    def __str__(self) -> str:
-        return format_atom(self)
+    def __new__(cls, lhs: Var, sym: Symbol, args: Iterable[Var]) -> SubApp:
+        return _app(cls, lhs, sym, args, "<=")
 
 
 Atom = Union[Eq, EqApp, Sub, SubApp]
@@ -174,17 +190,18 @@ def atom_base_vars(a: Atom) -> set[str]:
 
 
 def is_base_only(a: Atom) -> bool:
-    return all(v.is_base for v in atom_vars(a))
+    """Whether every variable of the atom is a base variable."""
+    if isinstance(a, (Eq, Sub)):
+        return len(a.lhs.parts) == 1 and len(a.rhs.parts) == 1
+    return len(a.lhs.parts) == 1 and all([len(u.parts) == 1 for u in a.args])
 
 
 def map_vars(a: Atom, f: Callable[[Var], Var]) -> Atom:
     """The atom of the same kind and symbol with f applied to each of
     its variables."""
-    if isinstance(a, Eq):
-        return Eq(f(a.lhs), f(a.rhs))
-    if isinstance(a, Sub):
-        return Sub(f(a.lhs), f(a.rhs))
-    return type(a)(f(a.lhs), a.sym, tuple(map(f, a.args)))
+    if isinstance(a, (Eq, Sub)):
+        return type(a)(f(a.lhs), f(a.rhs))
+    return type(a)(f(a.lhs), a.sym, map(f, a.args))
 
 
 def renaming(x: str, y: str) -> Callable[[Var], Var]:
@@ -213,20 +230,16 @@ def _names(a: Atom) -> tuple[str, ...]:
     every variable there is a base variable but the right side of an
     x <= r, which may be an intersection.  A name the atom repeats is
     repeated."""
-    if isinstance(a, (Eq, Sub)):
+    if a.__class__ is Eq or a.__class__ is Sub:
         return a.lhs.parts + a.rhs.parts
     return a.lhs.parts + tuple([u.parts[0] for u in a.args])
 
 
 def format_atom(a: Atom) -> str:
     """Canonical one-line rendering; the frontend parser reads this back."""
-    if isinstance(a, Eq):
-        return f"{a.lhs} = {a.rhs}"
-    if isinstance(a, EqApp):
-        return f"{a.lhs} = {a.sym.name}({', '.join(map(str, a.args))})"
-    if isinstance(a, Sub):
-        return f"{a.lhs} <= {a.rhs}"
-    return f"{a.lhs} <= {a.sym.name}({', '.join(map(str, a.args))})"
+    if isinstance(a, (Eq, Sub)):
+        return f"{a.lhs} {a.kind} {a.rhs}"
+    return f"{a.lhs} {a.kind} {a.sym.name}({', '.join(map(str, a.args))})"
 
 
 class Store:
@@ -335,7 +348,7 @@ class Store:
     def add(self, a: Atom) -> int:
         """Insert an atom; returns its id (the existing one if present,
         or that of the x <= r on its name that an x <= u joins)."""
-        if not (a.lhs.is_base if isinstance(a, Sub) else is_base_only(a)):
+        if not (len(a.lhs.parts) == 1 if isinstance(a, Sub) else is_base_only(a)):
             raise ValueError(f"intersection variable off a right side of <=: {format_atom(a)}")
         if a in self._locs:
             return self._locs[a]

@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+class Symbol(NamedTuple):
     """A constructor, identified by name *and* arity.
 
     The same name at two arities is two unrelated symbols; both clash
     detection and arity checks fall out of plain inequality of pairs.
+    A Symbol is an immutable value, the pair (name, arity): it hashes,
+    compares and orders as that pair does, and equals it.
     """
 
     name: str

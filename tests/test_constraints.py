@@ -21,6 +21,7 @@ from wsc.constraints import (
     determinations,
     format_atom,
     is_base_only,
+    map_vars,
     subst_atom,
     var,
 )
@@ -154,6 +155,46 @@ def test_app_atoms_check_arity():
         EqApp(x, F2, (y,))
     with pytest.raises(ValueError):
         SubApp(x, A, (y,))
+
+
+def test_atoms_of_each_kind_are_distinct_values():
+    # the kind tag keeps x = y apart from x <= y, and x = f(y) from x <= f(y)
+    assert Eq(x, y) != Sub(x, y) and EqApp(x, F1, (y,)) != SubApp(x, F1, (y,))
+    assert len(Store([Eq(x, y), Sub(x, y)])) == 2
+    assert len(Store([EqApp(x, F1, (y,)), SubApp(x, F1, (y,))])) == 2
+    assert [str(a) for a in Store([Sub(x, y), Eq(x, y)]).atom_list()] == ["x <= y", "x = y"]
+
+
+def test_copies_of_an_atom_are_the_atom():
+    for a in [Eq(y, x), EqApp(x, F2, (y, z)), Sub(x, var("y", "z")), SubApp(x, A, ())]:
+        for c in [pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]:
+            assert type(c) is type(a) and c == a and hash(c) == hash(a)
+
+
+def test_atoms_are_immutable():
+    for a in [Eq(x, y), EqApp(x, F1, (y,)), Sub(x, y), SubApp(x, F1, (y,))]:
+        for field in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, field, z)
+
+
+def test_app_atoms_take_any_iterable_of_arguments():
+    for kind in (EqApp, SubApp):
+        assert kind(x, F2, [y, z]) == kind(x, F2, (v for v in (y, z))) == kind(x, F2, (y, z))
+        assert kind(x, F2, [y, z]).args == (y, z)
+        with pytest.raises(ValueError):
+            kind(x, F2, [y])
+        with pytest.raises(ValueError):
+            kind(x, A, (v for v in (y,)))
+
+
+def test_map_vars_keeps_the_kind():
+    f = {x: u, y: w}.get
+    for a, b in [(Eq(x, y), Eq(u, w)), (Sub(x, y), Sub(u, w)),
+                 (EqApp(x, F1, (y,)), EqApp(u, F1, (w,))),
+                 (SubApp(x, F1, (y,)), SubApp(u, F1, (w,)))]:
+        c = map_vars(a, f)
+        assert type(c) is type(a) and c == b
 
 
 def test_atom_vars_and_base_vars():

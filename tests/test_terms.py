@@ -8,6 +8,8 @@ pair).  The oracle is deliberately a different algorithm (no relation
 refinement) so the two can disagree if either is wrong.
 """
 
+import copy
+import pickle
 import random
 import time
 
@@ -129,6 +131,26 @@ def test_symbol_identity_is_name_and_arity():
     assert Symbol("f", 1) != Symbol("f", 2)
     assert Symbol("f", 1) != Symbol("g", 1)
     assert str(Symbol("f", 2)) == "f/2"
+
+
+def test_symbols_sort_by_name_then_arity():
+    syms = [Symbol(n, k) for n in "gfa" for k in (2, 0, 1)]
+    assert sorted(syms) == sorted(syms, key=lambda s: (s.name, s.arity))
+    assert sorted(syms)[:3] == [Symbol("a", 0), Symbol("a", 1), Symbol("a", 2)]
+    assert Symbol("f", 2) < Symbol("g", 0)
+
+
+def test_symbol_str_and_repr():
+    assert str(Symbol("f", 1)) == "f/1"
+    assert repr(Symbol("f", 1)) == "Symbol(name='f', arity=1)"
+
+
+def test_a_symbol_is_its_name_and_arity_pair():
+    assert Symbol("f", 1) != Symbol("f", 2)
+    assert Symbol("f", 1) == ("f", 1) and hash(Symbol("f", 1)) == hash(("f", 1))
+    s = Symbol("cons", 2)
+    for c in [pickle.loads(pickle.dumps(s)), copy.deepcopy(s)]:
+        assert type(c) is Symbol and c == s and hash(c) == hash(s)
 
 
 def test_app_checks_arity():
