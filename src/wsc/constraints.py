@@ -81,6 +81,12 @@ class Var(_Parts):
             if not isinstance(p, str) or not p:
                 raise ValueError(f"bad base variable name {p!r}")
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> Var:
+        """Build through __new__, which canonicalises and checks the
+        parts; _replace calls this too."""
+        return cls(*fields)
+
     @property
     def is_base(self) -> bool:
         return len(self.parts) == 1
@@ -99,9 +105,6 @@ class _Pair(NamedTuple):
     rhs: Var
     kind: str
 
-    def __str__(self) -> str:
-        return format_atom(self)
-
 
 class _App(NamedTuple):
     lhs: Var
@@ -109,14 +112,32 @@ class _App(NamedTuple):
     args: tuple[Var, ...]
     kind: str
 
+
+class _Atom:
+    """The methods the four atom kinds share.  It comes before the
+    fields' NamedTuple among each kind's bases, so that its _make and
+    __getnewargs__ replace the generated ones."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        """The fields without the kind tag, which __new__ adds back, so
+        that copies and pickles rebuild the atom."""
+        return self[:-1]
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        """Build through __new__, so that Eq's side swap and the arity
+        check hold, and check the kind tag against the class; _replace
+        calls this too."""
+        *args, kind = fields
+        a = cls(*args)
+        if kind != a.kind:
+            raise ValueError(f"{cls.__name__} has kind {a.kind!r}, not {kind!r}")
+        return a
+
     def __str__(self) -> str:
         return format_atom(self)
-
-
-def _untagged(self) -> tuple:
-    """The __getnewargs__ of every atom: its fields without the kind
-    tag, which __new__ adds back, so that copies and pickles rebuild it."""
-    return self[:-1]
 
 
 def _app(cls: type, lhs: Var, sym: Symbol, args: Iterable[Var], kind: str):
@@ -128,12 +149,11 @@ def _app(cls: type, lhs: Var, sym: Symbol, args: Iterable[Var], kind: str):
     return tuple.__new__(cls, (lhs, sym, args, kind))
 
 
-class Eq(_Pair):
+class Eq(_Atom, _Pair):
     """x = y.  Stored with the sides sorted, since x = y and y = x have
     identical solutions: rule matching treats the pair as unordered."""
 
     __slots__ = ()
-    __getnewargs__ = _untagged
 
     def __new__(cls, lhs: Var, rhs: Var) -> Eq:
         if rhs < lhs:
@@ -141,31 +161,28 @@ class Eq(_Pair):
         return tuple.__new__(cls, (lhs, rhs, "="))
 
 
-class EqApp(_App):
+class EqApp(_Atom, _App):
     """x = f(y1, ..., yn)."""
 
     __slots__ = ()
-    __getnewargs__ = _untagged
 
     def __new__(cls, lhs: Var, sym: Symbol, args: Iterable[Var]) -> EqApp:
         return _app(cls, lhs, sym, args, "=")
 
 
-class Sub(_Pair):
+class Sub(_Atom, _Pair):
     """x <= y: every instance of x is an instance of y."""
 
     __slots__ = ()
-    __getnewargs__ = _untagged
 
     def __new__(cls, lhs: Var, rhs: Var) -> Sub:
         return tuple.__new__(cls, (lhs, rhs, "<="))
 
 
-class SubApp(_App):
+class SubApp(_Atom, _App):
     """x <= f(y1, ..., yn): x is below some tree rooted f with these children."""
 
     __slots__ = ()
-    __getnewargs__ = _untagged
 
     def __new__(cls, lhs: Var, sym: Symbol, args: Iterable[Var]) -> SubApp:
         return _app(cls, lhs, sym, args, "<=")
@@ -293,17 +310,12 @@ class Store:
     eliminated.  That name occurs in no other atom, so the equation is
     never removed or merged.  subst_all rewrites it whenever its other
     side is eliminated in turn, so current() finds the live name in one
-    hop.  `unused_eqs` holds the ids of the x = y atoms with two sides
-    that Elim may still use: indexing such an atom adds its id unless
-    `elim` records it, and unindexing drops it.  Elim drops the id it
-    uses.  `unused_heap` is a heapq of ids: indexing pushes the id it
-    adds to `unused_eqs`, and an id that leaves the set stays on the heap
-    until Elim pops it (lazy deletion), so Elim finds the smallest
-    unused id without sorting the set.  `idle_eqs` maps each side of an
-    unused x = y that Elim popped while both sides occurred in no other
-    atom to its id; indexing an atom with such a name pushes the id back
-    on the heap.  So every id of `unused_eqs` is on the heap or in
-    `idle_eqs`.
+    hop.  `unused_heap` is a heapq of the ids of the x = y atoms with
+    two sides that Elim may still use: indexing such an atom pushes its
+    id unless `elim` records it.  An id stays on the heap until Elim
+    pops it, and Elim drops one whose atom is gone, has one side left
+    or is recorded in `elim` (lazy deletion), so it finds the smallest
+    unused id without a sort or a set of the unused ids.
 
     A name carries at most one x = f(ū) per symbol: the class table of
     unification.  add() and subst_all() meet a second one with the same
@@ -332,9 +344,7 @@ class Store:
         self._lhs: dict[type, dict[str, set[int]]] = {Eq: {}, EqApp: {}, Sub: {}, SubApp: {}}
         self._sub_rhs: dict[str, set[int]] = {}
         self.elim: dict[int, str] = {}
-        self.unused_eqs: set[int] = set()
         self.unused_heap: list[int] = []
-        self.idle_eqs: dict[str, int] = {}
         self.syms: dict[str, frozenset[Symbol]] = {}
         self._symsets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         self.clash_candidates: set[str] = set()
@@ -507,16 +517,13 @@ class Store:
 
     def _index(self, aid: int, a: Atom) -> None:
         self._locs[a] = aid
-        occ, idle = self._occ, self.idle_eqs
+        occ = self._occ
         for b in _names(a):
             occ.setdefault(b, set()).add(aid)
-            if b in idle:
-                heappush(self.unused_heap, idle.pop(b))
         x = a.lhs.parts[0]
         self._lhs[type(a)].setdefault(x, set()).add(aid)
         if isinstance(a, Eq):
             if a.lhs != a.rhs and aid not in self.elim:
-                self.unused_eqs.add(aid)
                 heappush(self.unused_heap, aid)
         elif isinstance(a, Sub):
             for y in a.rhs.parts:
@@ -577,9 +584,7 @@ class Store:
                 if not ids:
                     del occ[b]
         _drop(self._lhs[type(a)], a.lhs.parts[0], aid)
-        if isinstance(a, Eq):
-            self.unused_eqs.discard(aid)
-        elif isinstance(a, Sub):
+        if isinstance(a, Sub):
             for y in a.rhs.parts:
                 _drop(self._sub_rhs, y, aid)
 

@@ -155,21 +155,18 @@ x_(n−1) <= x0 and closes the cycle.  So batch C(n)
 takes one firing, whatever the order of its atoms, and one atom at a
 time at most one firing per atom.
 
-Elim reads the store's unused equations (Store.unused_eqs), the x = y
-atoms with two sides that it has not used, smallest id first, popping
-them off the heap the store keeps beside the set (Store.unused_heap).
-An equation whose sides occur nowhere else does not fire, yet must
-stay, since a later atom can give a side an occurrence: Elim parks it
-under both sides (Store.idle_eqs), and the store pushes it back on the
-heap when it indexes an atom with either side, so that such an
-equation is popped once, not at every look.  Of the sides that occur
-in another atom, Elim eliminates the one that occurs in fewer atoms,
-the smaller name of a tie: union by size, as in Tarjan's (1975) set
-union, which gives Huet's (1976) unification its near-linear bound.
-Where both sides occur elsewhere, an atom that is rewritten moves onto
-a name in at least as many atoms as the one it leaves.  As in the
-paper's rule, the side eliminated must occur elsewhere, so where one
-side occurs nowhere else, all the other side's atoms move onto it.
+Elim fires on the x = y atoms with two sides that it has not used,
+smallest id first, popping their ids off a heap the store keeps
+(Store.unused_heap).  It eliminates the side that occurs in fewer
+atoms, the smaller name of a tie: union by size, as in Tarjan's (1975)
+set union, which gives Huet's (1976) unification its near-linear
+bound.  An atom that is rewritten moves onto a name in at least as
+many atoms as the one it leaves.  A side that occurs in no other atom
+is eliminated too, and nothing is rewritten.  The paper's rule asks
+for an occurrence elsewhere, but Store.elim already keeps an equation
+from being used twice, so that condition does no work, and without it
+no equation waits for a later atom: such an atom lands on the kept
+side (Solver._normalize).
 
 The rules, and the store's own two:
 
@@ -179,8 +176,8 @@ The rules, and the store's own two:
               contradiction.
   Elim        use an equation x = y to substitute one side away
               everywhere else (deep, inside intersection variables),
-              the side in fewer atoms; each equation is used at most
-              once.
+              the side in fewer atoms, even one in no other atom;
+              each equation is used at most once.
   Decom       (the store's) two equations x = f(ū), x = f(v̄): replace
               the one with the smaller id by the pairwise argument
               equations.
@@ -218,14 +215,15 @@ of its variables' structures:
     Store.syms entry, which has none, skipped in O(1); its k-th child
     is the set of every component of every member determination's k-th
     argument.  A node with no determinations is a hole.
-  - Representatives: at a fixpoint of Elim a name that occurs in an
-    atom other than an x = y stands for its whole class (the frontier
-    paragraph below), so the walk builds its nodes from the names in
-    the atoms as they stand.  Only witness() reads a union-find over
-    the store's x = y atoms (representatives(), in which each name Elim
-    eliminated points at the other side of its equation), to start an
-    eliminated name, or a side of an x = y that occurs nowhere else,
-    at the node of its class.
+  - Representatives: at a fixpoint of Elim every x = y with two sides
+    is used, and a name it eliminated occurs in its equation only, so
+    every other name stands for its whole class (the frontier paragraph
+    below), and the walk builds its nodes from the names in the atoms
+    as they stand.  witness() starts an eliminated name at the node of
+    the name that stands for it (Store.current), the other side of its
+    equation.  A union-find over the store's x = y atoms
+    (representatives()) serves frontend.solved_classes only, whose
+    classes also cover a store that Clash left with equations unused.
 
 A node whose members' determinations carry two symbols is a clash.
 
@@ -246,21 +244,21 @@ into the k-th child node.  Two symbols at one position admit no tree.
 
 Read to the nearest equations, the product loses nothing at a fixpoint
 of the rules.  There a name that occurs in an atom other than an x = y
-is its own representative (Elim has used every equation with a side
-that occurs elsewhere), so a node of names is a node of the classes
-the equations imply.  Let cl(S) be the names of S and those they
-reach.  Take a name n and an atom d of its full read, on a name z.
-Either n's read holds d, or the walk from n stopped, on the shortest
-path to z, at a name y whose equation y = f(v̄) n's read holds, and y
-is z or reaches it.  Then y's full read holds d and f, so by the Clash
-lemma d carries f, and Descend1, complete for the paper's rule
-(above), has made every component of d's k-th argument v_k or a name
-v_k reaches.  So a node N, read either
-way, carries the symbols of the full read of cl(N): a singleton with
-an equation carries that equation's symbol, which by Clash is then the
-only one.  And its k-th child has the cl of the k-th arguments of
-every atom of that read: Descend1 covers them by the v_k of the
-equations read, or of N's own equation.  Both depend on cl(N) alone.
+is its own representative (Elim has used every x = y with two sides),
+so a node of names is a node of the classes the equations imply.  Let
+cl(S) be the names of S and those they reach.  Take a name n and an
+atom d of its full read, on a name z.  Either n's read holds d, or the
+walk from n stopped, on the shortest path to z, at a name y whose
+equation y = f(v̄) n's read holds, and y is z or reaches it.  Then y's
+full read holds d and f, so by the Clash lemma d carries f, and
+Descend1, complete for the paper's rule (above), has made every
+component of d's k-th argument v_k or a name v_k reaches.  So a node
+N, read either way, carries the symbols of the full read of cl(N): a
+singleton with an equation carries that equation's symbol, which by
+Clash is then the only one.  And its k-th child has the cl of the
+k-th arguments of every atom of that read: Descend1 covers them by the
+v_k of the equations read, or of N's own equation.  Both depend on
+cl(N) alone.
 The two walks start at the same singletons, so along each path they
 meet nodes with the same cl, and a node with two symbols at the end of
 a path in one walk is there in the other: both walks find the same
@@ -269,12 +267,12 @@ equations, differ.
 
 Complete: with no clash every node carries one symbol or is a hole, so
 the nodes form a term graph; witness() maps each name to the node of
-its representative, which is the name itself unless the name occurs
-in x = y atoms only.  An x = y holds since both sides have one
-representative, and an x = f(ū) since {x} is labelled from it.  For
-nodes S and T with S ⊆ cl(T), the graph at S weakly subsumes the
-graph at T.  Read to the nearest equations, T's determinations need
-not include S's, so the argument goes through the full reads.  If S
+the name that stands for it, which is the name itself unless Elim
+eliminated it.  An x = y holds since both sides stand for one name,
+and an x = f(ū) since {x} is labelled from it.  For nodes S and T with
+S ⊆ cl(T), the graph at S weakly subsumes the graph at T.  Read to
+the nearest equations, T's determinations need not include S's, so
+the argument goes through the full reads.  If S
 is no hole, the full read of cl(T) holds that of cl(S), so T is no
 hole, and since T carries the symbols of that read and is no clash,
 it carries S's one symbol.  And S's k-th child is within cl of T's:
@@ -421,31 +419,23 @@ def rule_elim(store: Store) -> Firing | None:
     """Use an equation to substitute one side away from the rest of the
     store.  The equation is kept, and store.elim records its id with
     the name it eliminated; a recorded equation is not used again.
-    Preference: of the sides that occur in another atom, eliminate the
-    one that occurs in fewer atoms, and of two that occur in as many,
-    the smaller name.  The candidates are store.unused_eqs, smallest id
-    first, popped off store.unused_heap; an id there that is no longer
-    unused is dropped, and one whose sides occur nowhere else is parked
-    in store.idle_eqs under both sides, until an atom gives one of them
-    an occurrence."""
+    The side eliminated is the one that occurs in fewer atoms, and of
+    two that occur in as many, the smaller name; a side in no other
+    atom is eliminated too, and nothing is rewritten.  The candidates
+    are the ids on store.unused_heap, smallest first; one whose atom is
+    gone, has one side left or is recorded is dropped."""
     if store.contradiction:
         return None
-    heap, unused, occ = store.unused_heap, store.unused_eqs, store._occ
+    heap, elim, occ = store.unused_heap, store.elim, store._occ
     while heap:
         aid = heappop(heap)
-        if aid not in unused:
+        a = store.get(aid)
+        if a.__class__ is not Eq or a.lhs == a.rhs or aid in elim:
             continue
-        a = store.atom(aid)
         xn, yn = a.lhs.parts[0], a.rhs.parts[0]
-        nx, ny = len(occ[xn]), len(occ[yn])
-        if nx == ny == 1:
-            store.idle_eqs[xn] = store.idle_eqs[yn] = aid
-            continue
-        # A side in no other atom is never the one eliminated.
-        gone, kept = (xn, yn) if ny == 1 or 1 < nx <= ny else (yn, xn)
-        unused.discard(aid)
+        gone, kept = (xn, yn) if len(occ[xn]) <= len(occ[yn]) else (yn, xn)
         store.subst_all(gone, kept, skip={aid})
-        store.elim[aid] = gone
+        elim[aid] = gone
         return (a,), (), ()
     return None
 
@@ -527,7 +517,10 @@ Node = frozenset
 def representatives(store: Store) -> Callable[[str], str]:
     """find() of a union-find over the store's x = y atoms, in which the
     name each used equation eliminated points at its other side: the
-    classes the equations imply, each named by a name still in use."""
+    classes the equations imply, each named by a name still in use.
+    frontend.solved_classes reads it, since a store that Clash stopped
+    can hold equations Elim has not used; at a fixpoint of Elim,
+    Store.current gives the same classes, and witness() reads that."""
     parent: dict[str, str] = {}
 
     def find(n: str) -> str:
@@ -597,18 +590,18 @@ def _product_clash(store: Store) -> Firing | None:
 
 def witness(store: Store) -> dict[str, TermGraph] | None:
     """A model of a solved store read off its product: each base name of
-    the store maps to the term graph at the node of its representative.
-    A singleton hole is named after its member, unless that is `rec`,
-    the term syntax's binder keyword, and any other hole gets a fresh
-    name, so that format_term's text reads back.  None when the store
+    the store maps to the term graph at the node of the name that stands
+    for it (Store.current).  A singleton hole is named after its member,
+    unless that is `rec`, the term syntax's binder keyword, and any
+    other hole gets a fresh name, so that format_term's text reads
+    back.  None when the store
     or its product holds a contradiction; the store is left as it is.
     On a store that is not at a fixpoint of the rules, the product need
     not be a model."""
     if store.contradiction:
         return None
     names = sorted(store.base_vars())
-    find = representatives(store)
-    nodes, clash = _walk(store, [find(n) for n in names])
+    nodes, clash = _walk(store, [store.current(n) for n in names])
     if clash is not None:
         return None
     number = {node: i for i, node in enumerate(nodes)}
@@ -642,7 +635,7 @@ def witness(store: Store) -> dict[str, TermGraph] | None:
             )
         return graphs[root]
 
-    return {n: graph(number[Node((find(n),))]) for n in names}
+    return {n: graph(number[Node((store.current(n),))]) for n in names}
 
 
 # --- solver -------------------------------------------------------------------
@@ -714,7 +707,7 @@ class Solver:
         self.store.add(self._normalize(a))
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.UNKNOWN
-        self._record([])
+        self._record()
 
     def step(self) -> bool:
         """Fire the first applicable rule by priority, or where none is,
@@ -725,22 +718,25 @@ class Solver:
         for rule in self.priority:
             fired = _RULES[rule](self.store)
             if fired is not None:
-                return self._record([(rule, *fired)])
+                return self._record(rule, fired)
         fired = _product_clash(self.store)
         if fired is not None:
             self.store.contradiction = True
-            return self._record([(RuleId.CLASH, *fired)])
+            return self._record(RuleId.CLASH, fired)
         if self.verdict is not Verdict.UNSAT:
             self.verdict = Verdict.SAT
         return False
 
-    def _record(self, firings: list[tuple]) -> bool:
-        """Log the (rule, on, removed, added) firings, and then the
+    def _record(self, rule: RuleId | None = None, fired: Firing | None = None) -> bool:
+        """Log the firing of rule, if one is given, and then the
         decompositions the store made as it indexed atoms (Store.log),
-        one step each; read a contradiction."""
-        for rule, *fired in firings + self.store.log:
+        one Decom step each; read a contradiction."""
+        if rule is not None:
             self.step_count += 1
-            self.trace.append(TraceEntry(self.step_count, RuleId(rule), *fired))
+            self.trace.append(TraceEntry(self.step_count, rule, *fired))
+        for _, on, removed, added in self.store.log:
+            self.step_count += 1
+            self.trace.append(TraceEntry(self.step_count, RuleId.DECOM, on, removed, added))
         self.store.log.clear()
         if self.store.contradiction:
             self.verdict = Verdict.UNSAT

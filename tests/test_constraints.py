@@ -171,6 +171,23 @@ def test_copies_of_an_atom_are_the_atom():
             assert type(c) is type(a) and c == a and hash(c) == hash(a)
 
 
+def test_make_and_replace_build_through_the_constructor():
+    # Eq's side swap, the arity check and the kind tag hold for the
+    # tuple methods too, and so does a variable's canonical form
+    assert Eq(x, y)._replace(rhs=u) == Eq(u, x) and Eq(x, y)._replace(rhs=u).lhs == u
+    assert Eq._make((y, x, "=")) == Eq(x, y)
+    with pytest.raises(ValueError, match="expects 1 arguments"):
+        EqApp(x, F1, (y,))._replace(args=(y, y))
+    with pytest.raises(ValueError, match="kind"):
+        Eq._make((x, y, "<="))
+    with pytest.raises(ValueError, match="kind"):
+        SubApp(x, F1, (y,))._replace(kind="=")
+    assert Sub._make((x, y, "<=")) == Sub(x, y) and SubApp._make((x, A, (), "<=")) == SubApp(x, A, ())
+    assert Var._make([("y", "x", "y")]) == var("x", "y") == x._replace(parts=("y", "x"))
+    with pytest.raises(ValueError):
+        x._replace(parts=())
+
+
 def test_atoms_are_immutable():
     for a in [Eq(x, y), EqApp(x, F1, (y,)), Sub(x, y), SubApp(x, F1, (y,))]:
         for field in a._fields:

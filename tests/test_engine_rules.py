@@ -194,21 +194,30 @@ def test_clash_confirms_a_set_left_stale_by_a_removal():
 
 
 def test_elim_substitutes_inside_intersection_variables():
-    s = store_of(Eq(x, y), Sub(z, var("x", "w")))
+    # u <= y gives y as many atoms as x, so that x, the smaller name, goes
+    s = store_of(Eq(x, y), Sub(z, var("x", "w")), Sub(u, y))
     assert rule_elim(s) == ((Eq(x, y),), (), ())
-    assert atoms_of(s) == {Eq(x, y), Sub(z, var("y", "w"))}
+    assert atoms_of(s) == {Eq(x, y), Sub(z, var("y", "w")), Sub(u, y)}
     assert s.elim == {0: "x"}
     assert s.current("x") == "y"
 
 
 def test_elim_rewrites_equations():
-    s = store_of(Eq(x, y), EqApp(x, F1, (u,)))
+    # w <= y gives y as many atoms as x, so that x, the smaller name, goes
+    s = store_of(Eq(x, y), EqApp(x, F1, (u,)), Sub(w, y))
     assert rule_elim(s) is not None
-    assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (u,))}
+    assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (u,)), Sub(w, y)}
 
 
-def test_elim_needs_an_occurrence_elsewhere():
-    assert rule_elim(store_of(Eq(x, y))) is None
+def test_elim_fires_on_a_lone_equation_and_rewrites_nothing():
+    # neither side occurs elsewhere: the smaller name goes, and the
+    # store keeps the equation as it is
+    s = store_of(Eq(x, y))
+    assert rule_elim(s) == ((Eq(x, y),), (), ())
+    assert s.atoms() == [(0, Eq(x, y))]
+    assert s.elim == {0: "x"}
+    assert s.current("x") == "y"
+    assert rule_elim(s) is None
 
 
 def test_elim_fires_once_per_equation():
@@ -221,10 +230,11 @@ def test_elim_fires_once_per_equation():
 
 
 def test_elim_can_eliminate_the_right_side():
-    # x occurs nowhere else, y does: y is substituted away instead
-    s = store_of(Eq(x, y), Sub(z, y))
+    # x, the smaller name, occurs in more atoms than y: y is substituted
+    # away instead
+    s = store_of(Eq(x, y), Sub(z, y), Sub(u, x), Sub(w, x))
     assert rule_elim(s) is not None
-    assert atoms_of(s) == {Eq(x, y), Sub(z, x)}
+    assert atoms_of(s) == {Eq(x, y), Sub(z, x), Sub(u, x), Sub(w, x)}
     assert s.elim == {0: "y"}
     assert s.current("y") == "x"
 
@@ -249,6 +259,18 @@ def test_elim_eliminates_the_smaller_name_of_a_tie():
     assert atoms_of(s) == {Eq(x, y), Sub(z, y), Sub(u, y)}
 
 
+def counting_rewrites(store):
+    """A list that gets the id of each later Store.rewrite call."""
+    rewrite, calls = store.rewrite, []
+
+    def counted(aid, a):
+        calls.append(aid)
+        return rewrite(aid, a)
+
+    store.rewrite = counted
+    return calls
+
+
 def test_elim_moves_the_smaller_class_onto_a_hub():
     # a is in n atoms c_i <= a, and each b_i only in a = b_i and d_i <= b_i.
     # Eliminating the smaller name would move a's growing class from
@@ -259,13 +281,7 @@ def test_elim_moves_the_smaller_class_onto_a_hub():
     for i in range(n):
         hub += [Eq(var("a"), var(f"b{i:03}")), Sub(var(f"d{i:03}"), var(f"b{i:03}"))]
     s = store_of(*hub)
-    rewrite, calls = s.rewrite, []
-
-    def counted(aid, a):
-        calls.append(aid)
-        return rewrite(aid, a)
-
-    s.rewrite = counted
+    calls = counting_rewrites(s)
     fired = 0
     while rule_elim(s) is not None:
         fired += 1
@@ -274,29 +290,32 @@ def test_elim_moves_the_smaller_class_onto_a_hub():
     assert s.current("b000") == "a"
 
 
-def test_elim_parks_an_equation_whose_sides_occur_nowhere_else():
-    # p = q has the smaller id but no side elsewhere: Elim fires x = y,
-    # and p = q waits off the heap until an atom gives q an occurrence
-    p, q = var("p"), var("q")
-    s = store_of(Eq(p, q), Eq(x, y), Sub(z, x))
-    assert rule_elim(s) == ((Eq(x, y),), (), ())
-    assert s.idle_eqs == {"p": 0, "q": 0} and 0 not in s.unused_heap
-    assert rule_elim(s) is None
-    s.add(Sub(w, q))
-    assert 0 in s.unused_heap
-    assert rule_elim(s) == ((Eq(p, q),), (), ())
-    assert s.elim == {1: "x", 0: "q"}
-    assert atoms_of(s) == {Eq(p, q), Eq(x, y), Sub(z, y), Sub(w, p)}
+def test_elim_eliminates_the_fresh_sides_of_a_hub():
+    # y is in n atoms c_i <= y, and each x_i only in x_i = y.  Keeping a
+    # side in no other atom would move y's whole class onto x_i at each
+    # firing, about n²/2 rewrites; eliminating the fresh x_i rewrites
+    # nothing.
+    n = 256
+    s = Solver()
+    for i in range(n):
+        s.insert(Sub(var(f"c{i:03}"), y))
+    for i in range(n):
+        s.insert(Eq(var(f"x{i:03}"), y))
+    calls = counting_rewrites(s.store)
+    assert s.run() == Verdict.SAT
+    assert len(calls) <= n
+    assert [e.rule for e in s.trace] == [RuleId.ELIM] * n
 
 
 def test_elim_skips_reflexive_equations():
     assert rule_elim(store_of(Eq(x, x), Sub(z, x))) is None
 
 
-def test_elim_keeps_an_equation_until_a_side_occurs_elsewhere():
+def test_elim_uses_a_lone_equation_and_a_later_atom_lands_on_the_kept_side():
     s = Solver()
     s.assert_atom(Eq(x, y))
-    assert s.step_count == 0
+    assert [e.rule.value for e in s.trace] == ["Elim"]
+    assert s.store.elim == {0: "x"}
     s.assert_atom(Sub(z, x))
     assert [e.rule.value for e in s.trace] == ["Elim"]
     assert atoms_of(s.store) == {Eq(x, y), Sub(z, y)}

@@ -224,7 +224,7 @@ def route_digest():
 # The rule agendas and indexes find the same first instance as a scan
 # of the whole store would: a change that alters a verdict, a solved
 # store or the route to it must update this digest on purpose.
-ROUTE_DIGEST = "93759c91f5535b07c0e3c90b19880f5f160f74e13d850c6d2a58c13570a247f7"
+ROUTE_DIGEST = "7e119f1871c9287eb7e8ddb52f95c813909763152719b2a2bd109c77d58df0af"
 
 
 def test_routes_are_pinned():
@@ -260,7 +260,7 @@ def base_outcome_digest():
 # What a solver decides, and the part of each batch solved store on base
 # left sides, whatever route it takes there and whether or not it keeps
 # atoms on intersection left sides.
-BASE_OUTCOME_DIGEST = "fea29952686d8e2f8589a5bc64742e9cd700f0c07fd7174fb7b463a755062ec2"
+BASE_OUTCOME_DIGEST = "89907519ccd277171b31ac8b97396e6037ab3e62043ea16e6a500552506d6dc8"
 
 
 def test_verdicts_and_base_solved_stores_are_pinned():

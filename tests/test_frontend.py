@@ -266,12 +266,13 @@ def test_solved_classes_include_eliminated_variables():
 
 
 def test_late_atom_and_classes_read_the_one_elimination_record():
-    """A chain x0 = x1, ..., x5 = x6 asserted one atom at a time leaves
-    x6 as the surviving name.  A later atom on x0 lands on x6, and
+    """A chain x0 = x1, ..., x5 = x6 asserted one atom at a time from
+    its end leaves x6 as the surviving name: each new name occurs in
+    fewer atoms than x6, and goes.  A later atom on x0 lands on x6, and
     solved_classes reads the store's record without writing to it."""
     xs = [var(f"x{i}") for i in range(7)]
     s = Solver()
-    for a, b in zip(xs, xs[1:]):
+    for a, b in reversed(list(zip(xs, xs[1:]))):
         s.assert_atom(Eq(a, b))
     assert set(s.store.elim.values()) == {f"x{i}" for i in range(6)}
     assert s.assert_atom(EqApp(xs[0], F1, (y,))) == Verdict.SAT

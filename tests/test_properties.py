@@ -13,10 +13,11 @@ x <= r edges as far as its nearest equations, the store keeps the
 symbols of every atom on a name and on every name it reaches, some left
 side's read shows two symbols iff some full read does, a Descend1
 fixpoint covers the full read, at a fixpoint each name outside the
-x = y atoms is its own representative, an unsat trace ends in its one
-Clash, on atoms in the store, Elim's heap holds the unused equations
-but those it parked, and it pops the one a sorted scan picks, and a
-trace does not depend on the hash seed."""
+x = y atoms is its own representative and Store.current gives the
+classes of representatives(), an unsat trace ends in its one Clash, on
+atoms in the store, Elim fires the unused x = y with the smallest id,
+which a sorted scan picks, and leaves none at a fixpoint, and a trace
+does not depend on the hash seed."""
 
 import copy
 import os
@@ -298,35 +299,36 @@ def test_a_left_side_keeps_one_equation_per_symbol_after_every_step(atoms):
     check_after_every_insert_and_step(atoms, assert_one_equation_per_name_and_symbol)
 
 
+def unused_equations(store):
+    """The ids of the x = y atoms with two sides that store.elim does
+    not record, in ascending order."""
+    return [i for i in store.ids(Eq)
+            if i not in store.elim and store.atom(i).lhs != store.atom(i).rhs]
+
+
 def assert_elim_pops_what_a_sorted_scan_picks(store):
-    """Every id of store.unused_eqs is on store.unused_heap, or parked
-    in store.idle_eqs under both sides, which then occur in no other
-    atom; and Elim, on a copy of the store, fires the smallest of them
-    with a side that occurs in another atom."""
-    on_heap = set(store.unused_heap)
-    for i in store.unused_eqs:
-        if i not in on_heap:
-            a = store.atom(i)
-            for n in (a.lhs.parts[0], a.rhs.parts[0]):
-                assert store.idle_eqs.get(n) == i and occurs_only_in(store, n, i), (i, n)
+    """Elim, on a copy of the store, fires the unused equation with the
+    smallest id, and is inapplicable when there is none."""
     if store.contradiction:
         return
-    pick = next((i for i in sorted(store.unused_eqs)
-                 if not all(occurs_only_in(store, n, i) for n in atom_base_vars(store.atom(i)))),
-                None)
+    unused = unused_equations(store)
     fired = rule_elim(copy.deepcopy(store))
-    assert fired == (None if pick is None else ((store.atom(pick),), (), ()))
+    assert fired == (((store.atom(unused[0]),), (), ()) if unused else None)
 
 
 @checked
 @given(st.one_of(eq_heavy_instances, sub_heavy_instances))
-# One atom at a time, x2 = x3, the smallest id, occurs nowhere else when
-# x0 <= x5 comes: Elim parks it, fires x0 = x1, and must pop x2 = x3
-# again once x4 <= x3 comes.
+# x2 = x3, the smallest id, occurs nowhere else when it comes: Elim
+# fires it at once and eliminates x2, the smaller name of a tie, which
+# rewrites nothing.
 @example([Eq(var("x2"), var("x3")), Eq(var("x0"), var("x1")), Sub(var("x0"), var("x5")),
           Sub(var("x4"), var("x3"))])
 def test_elim_pops_the_equation_a_sorted_scan_picks_after_every_step(atoms):
     check_after_every_insert_and_step(atoms, assert_elim_pops_what_a_sorted_scan_picks)
+    for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
+        result = solve(atoms, priority=priority)
+        if result.verdict is Verdict.SAT:
+            assert unused_equations(result.store) == []
 
 
 def assert_one_subsumption_per_name(store):
@@ -517,13 +519,16 @@ def test_a_descend1_fixpoint_covers_every_determination(atoms):
 
 def assert_each_name_is_its_own_representative(store):
     """Each name that occurs in an atom other than an x = y is its own
-    representative: Elim has used every equation with a side that occurs
-    elsewhere.  The product walks such names as they stand."""
+    representative: Elim has used every x = y with two sides.  The
+    product walks such names as they stand.  And Store.current, which
+    witness() reads, gives the classes of representatives()."""
     find = representatives(store)
     for a in store.atom_list():
         if not isinstance(a, Eq):
             for n in atom_base_vars(a):
                 assert find(n) == n, (n, a)
+    pairs = {(store.current(n), find(n)) for n in store.base_vars()}
+    assert len(pairs) == len({c for c, _ in pairs}) == len({r for _, r in pairs})
 
 
 @checked
@@ -532,7 +537,7 @@ def assert_each_name_is_its_own_representative(store):
 # x0 = x2: x2 is the one name left in x2 = f(x2), x2 <= x3 and x4 <= x2.
 @example([Eq(var("x0"), var("x1")), Eq(var("x1"), var("x2")), EqApp(var("x0"), F, (var("x1"),)),
           Sub(var("x2"), var("x3")), Sub(var("x4"), var("x2"))])
-# x3 = x4 occurs nowhere else, so Elim leaves it unused.
+# x3 = x4 occurs nowhere else: Elim eliminates x3 and rewrites nothing.
 @example([Eq(var("x3"), var("x4")), SubApp(var("x0"), F, (var("x1"),))])
 def test_at_a_fixpoint_each_name_is_its_own_representative(atoms):
     for priority in (DEFAULT_PRIORITY, DEFAULT_PRIORITY[::-1]):
