@@ -292,8 +292,10 @@ Once Clash has stopped, every singleton carries one symbol, so a clash
 sits at a node with two members.  The first such node on a path from a
 name is the child of a singleton with determinations and no x = f(ū):
 an equation's singleton has singleton children, and a hole has none.
-So the fixpoint check walks from those singletons only, and a store of
-equations does no product work at all.  A clash it finds is
+So the fixpoint check walks from those singletons only: the left sides
+of subsumptions with no x = f(ū) and with a Store.syms entry, since a
+name with no entry has no determinations.  A store of equations does
+no product work at all, nor does a hole.  A clash it finds is
 recorded as a Clash firing on the atoms behind the two determinations
 that disagree.
 
@@ -581,10 +583,11 @@ def _walk(store: Store, roots: Sequence[str]
 
 def _product_clash(store: Store) -> Firing | None:
     """A clash in the product of a store at a fixpoint of the rules,
-    walked from the left sides of subsumptions with no x = f(ū).  A
-    start with no determinations is a hole and ends its walk at once."""
-    lhs = store._lhs
-    starts = sorted((lhs[Sub].keys() | lhs[SubApp].keys()) - lhs[EqApp].keys())
+    walked from the left sides of subsumptions with no x = f(ū) and
+    with a Store.syms entry: a start with none is a hole."""
+    lhs, syms = store._lhs, store.syms
+    starts = sorted(n for n in lhs[Sub].keys() | lhs[SubApp].keys()
+                    if n in syms and n not in lhs[EqApp])
     return _walk(store, starts)[1] if starts else None
 
 

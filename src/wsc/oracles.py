@@ -466,6 +466,18 @@ def witness_search(
     loop testing every candidate in turn would: the scan jumps to the
     next passing candidate and counts the ones it skips.  Past `budget`
     the search stops with `checked == budget + 1`.
+
+    The search backjumps over repeated dead subtrees (Gaschnig 1979).
+    reader[j] is the first level after j that tests an atom on
+    names[j].  A subtree under level j that ends with no witness,
+    having counted C placements and entered no level from reader[j]
+    on, read nothing of names[j]'s candidate: each level's passing set
+    depends only on the positions its conjuncts read.  So every
+    candidate left at level j would walk that subtree again, count C
+    again and find nothing; the search adds C per candidate left and
+    closes the level, and the jump may cascade upward.  `checked`
+    grows monotonically either way, so the witness, `exhausted` and
+    `checked` are those of the plain loop, budget cut included.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -517,8 +529,13 @@ def witness_search(
     idx = {nm: i for i, nm in enumerate(names)}
     fixed: list[list[tuple]] = [[] for _ in names]
     varying: list[list[tuple]] = [[] for _ in names]
+    # reader[j]: the first level after j that tests an atom on names[j]
+    reader = [len(names)] * len(names)
     for a in atom_list:
         i = max(idx[n] for n in atom_base_vars(a))
+        for n in atom_base_vars(a):
+            if idx[n] < i:
+                reader[idx[n]] = min(reader[idx[n]], i)
         if not is_base_only(a):
             conjuncts = [(("atom", a), set(atom_base_vars(a)))]
         else:
@@ -568,11 +585,15 @@ def witness_search(
     # Depth first over the variables in sorted order, without recursion:
     # left[i] is the set of names[i]'s passing candidates not tried yet,
     # and pos[i] the last position tried (-1 before the first); checked
-    # counts every position up to it, passing or not.
+    # counts every position up to it, passing or not.  Since pos[i] was
+    # placed, mark[i] is what checked was then, and deep[i] the deepest
+    # level entered.
     if not names:
         return SearchResult({}, False, 0)
     checked = 0
     left = [passing(0)]
+    deep = [0] * len(names)
+    mark = [0] * len(names)
     while left:
         i = len(left) - 1
         rest = left[i]
@@ -581,13 +602,22 @@ def witness_search(
         checked += p - pos[i]
         if checked > budget:
             return SearchResult(None, True, budget + 1)
+        if i:
+            deep[i - 1] = max(deep[i - 1], deep[i])
         if not rest:
             left.pop()
+            if i and deep[i - 1] < reader[i - 1]:
+                # every candidate left one level up repeats the subtree
+                # just walked: charge them all, then scan to its end
+                checked += left[-1].bit_count() * (checked - mark[i - 1])
+                left[-1] = 0
             continue
         left[i], pos[i] = rest & (rest - 1), p
         env[names[i]] = pools[i][p]
         if i + 1 == len(names):
             return SearchResult({nm: env[nm] for nm in names}, False, checked)
+        deep[i] = deep[i + 1] = i + 1
+        mark[i] = checked
         pos[i + 1] = -1
         left.append(passing(i + 1))
     return SearchResult(None, False, checked)

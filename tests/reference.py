@@ -5,10 +5,12 @@ oracle tests check the deciders against.  `left_sides` lists the
 names a store's property tests look at: those of its atoms' left
 sides, by which the store keys its index.  `load_witness` reads back
 the `name := term` text that oracles.dump_witness and `wsc solve
---witness` write.
+--witness` write.  `plain_witness_search` is the search that
+oracles.witness_search must answer exactly as, without its pruning.
 """
 
-from wsc.constraints import Store
+from wsc.constraints import EqApp, Store, SubApp, atom_base_vars
+from wsc.oracles import SearchResult, check_witness, enumerate_graphs
 from wsc.terms import TermGraph, parse_term
 
 
@@ -54,3 +56,38 @@ def load_witness(text: str) -> dict[str, TermGraph]:
             raise ValueError(f"line {lineno}: bad variable name {name!r}")
         out[name] = parse_term(term.strip())
     return out
+
+
+def plain_witness_search(atoms, max_depth: int, max_holes: int, budget: int) -> SearchResult:
+    """witness_search's answer the slow way: variables in sorted order,
+    each over the enumerate_graphs() pool whose roots carry the symbols
+    its applied atoms force, each atom judged by check_witness once its
+    last variable is placed, and every placement counted once."""
+    atoms = list(atoms)
+    names = sorted({n for a in atoms for n in atom_base_vars(a)})
+    applied = [a for a in atoms if isinstance(a, (EqApp, SubApp))]
+    pool = enumerate_graphs({a.sym for a in applied}, max_depth, max_holes)
+    forced = [{a.sym for a in applied if a.lhs.parts == (nm,)} for nm in names]
+    pools = [[g for g in pool if not f or g.labels.get(g.root) in f] for f in forced]
+    tested = [[a for a in atoms if max(atom_base_vars(a)) == nm] for nm in names]
+    sigma: dict[str, TermGraph] = {}
+    checked = 0
+
+    def place(i: int) -> bool:
+        nonlocal checked
+        if i == len(names):
+            return True
+        for g in pools[i]:
+            checked += 1
+            if checked > budget:
+                raise OverflowError
+            sigma[names[i]] = g
+            if check_witness(sigma, tested[i]) and place(i + 1):
+                return True
+        return False
+
+    try:
+        found = place(0)
+    except OverflowError:
+        return SearchResult(None, True, budget + 1)
+    return SearchResult(dict(sigma) if found else None, False, checked)

@@ -35,7 +35,7 @@ from wsc.terms import (
     weak_subsumes,
 )
 
-from reference import instance_member, load_witness
+from reference import instance_member, load_witness, plain_witness_search
 
 A = Symbol("a", 0)
 B = Symbol("b", 0)
@@ -456,6 +456,48 @@ def test_search_empty_constraint():
     assert res.witness == {}
     assert not res.exhausted
     assert res.checked == 0
+
+
+def search_outcome(res):
+    found = None if res.witness is None else (tuple(res.witness), dump_witness(res.witness))
+    return found, res.exhausted, res.checked
+
+
+def test_search_answers_as_the_plain_search():
+    # Small inputs, a fifth of them with an atom on an intersection
+    # variable; the budgets cut the plain search one placement before
+    # its end, at its end, and never.  On an input with no witness the
+    # count often ends in a charge for repeated subtrees, and the first
+    # budget then falls inside that charge.
+    unsat = 0
+    for i in range(300):
+        rng = random.Random(i)
+        atoms = random_atoms(rng, n_vars=5, n_symbols=1 + i % 2, n_atoms=8)
+        if i % 5 == 0:
+            a, b, c = rng.sample(["x0", "x1", "x2", "x3", "x4"], 3)
+            atoms.append(Sub(var(a, b), var(c)) if i % 2 else SubApp(var(c), F1, (var(a, b),)))
+        full = plain_witness_search(atoms, max_depth=1, max_holes=1, budget=10**9)
+        unsat += full.witness is None
+        for budget in (full.checked - 1, full.checked, 10**9):
+            want = plain_witness_search(atoms, max_depth=1, max_holes=1, budget=budget)
+            got = witness_search(atoms, max_depth=1, max_holes=1, budget=budget)
+            assert search_outcome(got) == search_outcome(want), (i, budget)
+    assert unsat >= 50  # the sample reaches the charged repeats
+
+
+def test_search_counts_a_dead_level_space_in_full():
+    # v689's level fails for every g-rooted v399 (v399 = v689, v689 =
+    # a()), so the subtree under a v659 candidate ends there, before
+    # v924's level, the first that reads v659: it repeats under every
+    # v659 candidate.  The count charges the repeats without walking
+    # them, and is still the plain loop's count.
+    v239, v399, v659, v689, v924 = (var(n) for n in ("v239", "v399", "v659", "v689", "v924"))
+    atoms = [EqApp(v689, A, ()), Eq(v399, v689), Sub(v924, v924), Sub(v399, v239),
+             EqApp(v659, G2, (v239, v924)), EqApp(v399, G2, (v924, v399))]
+    full = witness_search(atoms, max_depth=2, max_holes=1, budget=10**9)
+    assert (full.witness, full.exhausted, full.checked) == (None, False, 526_898)
+    cut = witness_search(atoms, max_depth=2, max_holes=1, budget=526_897)
+    assert (cut.witness, cut.exhausted, cut.checked) == (None, True, 526_898)
 
 
 def test_enumerate_graphs_contains_the_loops():
