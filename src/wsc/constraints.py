@@ -237,11 +237,6 @@ def renaming(x: str, y: str) -> Callable[[Var], Var]:
     return sub
 
 
-def subst_atom(a: Atom, x: str, y: str) -> Atom:
-    """Deep substitution [y/x] on one atom (see renaming)."""
-    return map_vars(a, renaming(x, y))
-
-
 def _names(a: Atom) -> tuple[str, ...]:
     """The base-variable names in an atom of a store, one per variable:
     every variable there is a base variable but the right side of an
@@ -262,9 +257,10 @@ def format_atom(a: Atom) -> str:
 class Store:
     """A conjunction as an indexed set of atoms, with solver bookkeeping.
 
-    Every atom present has exactly one id.  Adding an atom already
-    present is a no-op, and a rewrite that produces an atom present
-    under another id merges the two.
+    A new store is empty, and add() inserts atoms one at a time.  Every
+    atom present has exactly one id.  Adding an atom already present is
+    a no-op, and a rewrite that produces an atom present under another
+    id merges the two.
 
     Intersection variables occur only on the right side of an x <= r;
     that is the shape every reachable solver state has, and add()
@@ -325,9 +321,10 @@ class Store:
     bring back the name being eliminated.  One with another symbol
     stays, and its name's set of symbols makes it a Clash candidate:
     the store normalises and never decides unsat, so nothing here sets
-    `contradiction`.  `log` holds each decomposition, as ("Decom", on,
-    removed, added), until a solver reads and clears it; once a rule
-    has contradicted the store it logs nothing more.
+    `contradiction`.  `log` holds each decomposition as an (on,
+    removed, added) triple, the shape of a rule's firing, until a
+    solver reads and clears it; once a rule has contradicted the store
+    it logs nothing more.
 
     Likewise a name carries at most one x <= r: add() grows it in place
     to x <= r&u, keeping its id, and subst_all() joins one moved onto a
@@ -335,7 +332,7 @@ class Store:
     logs nothing, like the dedup (engine.py says why it is sound).
     """
 
-    def __init__(self, atoms: Iterable[Atom] = ()):
+    def __init__(self) -> None:
         self.contradiction = False
         self._atoms: dict[int, Atom] = {}
         self._next_id = 0
@@ -349,9 +346,7 @@ class Store:
         self._symsets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         self.clash_candidates: set[str] = set()
         self.agenda: set[int] | None = None
-        self.log: list[tuple[str, tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
-        for a in atoms:
-            self.add(a)
+        self.log: list[tuple[tuple[Atom, ...], tuple[Atom, ...], tuple[Atom, ...]]] = []
 
     # -- basic mutation --------------------------------------------------
 
@@ -434,7 +429,7 @@ class Store:
         self.remove(first)
         added = tuple(Eq(u, v) for u, v in zip(pair[0].args, pair[1].args))
         if not self.contradiction:
-            self.log.append(("Decom", pair, pair[:1], added))
+            self.log.append((pair, pair[:1], added))
         for eq in added:
             self.add(eq)
 

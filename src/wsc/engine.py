@@ -43,12 +43,12 @@ equations.  That is Decom given precedence over every rule, which the
 verdict does not depend on.  Inside Elim's substitution the pairs meet
 only once every atom is rewritten, so that no argument equation brings
 back the name being eliminated.  The store keeps each decomposition in
-Store.log, and the Solver logs it as a Decom step after the insert or
-firing that caused it, so traces hold every derivation step.  An
-x = g(·) with another symbol stays beside the first: its name then
-holds two symbols, and Clash fires on it like on any other name.  So
-the store only normalises, and only the rules and the product decide
-unsat.
+Store.log, as a firing (on, removed, added) like a rule's, and the
+Solver logs it as a Decom step after the insert or firing that caused
+it, so traces hold every derivation step.  An x = g(·) with another
+symbol stays beside the first: its name then holds two symbols, and
+Clash fires on it like on any other name.  So the store only
+normalises, and only the rules and the product decide unsat.
 
 Clash reads the store's symbol sets.  Whenever the store indexes an
 atom, new or rewritten, it adds the atom's symbol, or for an x <= r the
@@ -221,9 +221,10 @@ of its variables' structures:
     below), and the walk builds its nodes from the names in the atoms
     as they stand.  witness() starts an eliminated name at the node of
     the name that stands for it (Store.current), the other side of its
-    equation.  A union-find over the store's x = y atoms
-    (representatives()) serves frontend.solved_classes only, whose
-    classes also cover a store that Clash left with equations unused.
+    equation, one hop away.  That is the engine's one reader of a
+    name's class; frontend.solved_classes, whose classes also cover a
+    store that Clash stopped with equations unused, keeps its own
+    union-find over the x = y atoms.
 
 A node whose members' determinations carry two symbols is a clash.
 
@@ -516,31 +517,6 @@ _RULES: dict[RuleId, Callable[[Store], Firing | None]] = {
 Node = frozenset
 
 
-def representatives(store: Store) -> Callable[[str], str]:
-    """find() of a union-find over the store's x = y atoms, in which the
-    name each used equation eliminated points at its other side: the
-    classes the equations imply, each named by a name still in use.
-    frontend.solved_classes reads it, since a store that Clash stopped
-    can hold equations Elim has not used; at a fixpoint of Elim,
-    Store.current gives the same classes, and witness() reads that."""
-    parent: dict[str, str] = {}
-
-    def find(n: str) -> str:
-        while n in parent:
-            parent[n] = n = parent.get(parent[n], parent[n])  # path halving
-        return n
-
-    for aid in store.ids(Eq):
-        a = store.atom(aid)
-        x, y = a.lhs.parts[0], a.rhs.parts[0]
-        if store.elim.get(aid) == y:
-            x, y = y, x
-        x, y = find(x), find(y)
-        if x != y:
-            parent[x] = y
-    return find
-
-
 def _walk(store: Store, roots: Sequence[str]
           ) -> tuple[dict[Node, tuple[Symbol | None, tuple[Node, ...]]], Firing | None]:
     """The nodes reached from the singletons of roots, depth first in
@@ -588,7 +564,7 @@ def _product_clash(store: Store) -> Firing | None:
     lhs, syms = store._lhs, store.syms
     starts = sorted(n for n in lhs[Sub].keys() | lhs[SubApp].keys()
                     if n in syms and n not in lhs[EqApp])
-    return _walk(store, starts)[1] if starts else None
+    return _walk(store, starts)[1]
 
 
 def witness(store: Store) -> dict[str, TermGraph] | None:
@@ -726,8 +702,7 @@ class Solver:
         if fired is not None:
             self.store.contradiction = True
             return self._record(RuleId.CLASH, fired)
-        if self.verdict is not Verdict.UNSAT:
-            self.verdict = Verdict.SAT
+        self.verdict = Verdict.SAT
         return False
 
     def _record(self, rule: RuleId | None = None, fired: Firing | None = None) -> bool:
@@ -737,9 +712,9 @@ class Solver:
         if rule is not None:
             self.step_count += 1
             self.trace.append(TraceEntry(self.step_count, rule, *fired))
-        for _, on, removed, added in self.store.log:
+        for decom in self.store.log:
             self.step_count += 1
-            self.trace.append(TraceEntry(self.step_count, RuleId.DECOM, on, removed, added))
+            self.trace.append(TraceEntry(self.step_count, RuleId.DECOM, *decom))
         self.store.log.clear()
         if self.store.contradiction:
             self.verdict = Verdict.UNSAT

@@ -40,7 +40,7 @@ from importlib import resources
 from typing import NoReturn, Optional, Sequence
 
 from .constraints import Atom, Eq, EqApp, Store, Sub, SubApp, Var, format_atom, var
-from .engine import Solver, SolveResult, Verdict, format_trace, representatives, solve, witness
+from .engine import Solver, SolveResult, Verdict, format_trace, solve, witness
 from .oracles import NaiveResult, dump_witness, naive_solve, rational_unify, witness_search
 from .terms import Symbol
 
@@ -258,8 +258,22 @@ def random_atoms(
 def solved_classes(store: Store) -> list[dict]:
     """Variable classes implied by the store's equations (the solved
     ones, which keep each eliminated name, among them), each with the
-    constructor the class is bound to, if any."""
-    find = representatives(store)
+    constructor the class is bound to, if any.  They come from a
+    union-find over the x = y atoms, since a store that Clash stopped
+    can hold equations Elim has not used, whose classes Store.current
+    does not show."""
+    parent: dict[str, str] = {}
+
+    def find(n: str) -> str:
+        while n in parent:
+            parent[n] = n = parent.get(parent[n], parent[n])  # path halving
+        return n
+
+    for aid in store.ids(Eq):
+        a = store.atom(aid)
+        x, y = find(a.lhs.parts[0]), find(a.rhs.parts[0])
+        if x != y:
+            parent[x] = y
     classes: dict[str, dict] = {}
     for n in sorted(store.base_vars()):
         classes.setdefault(find(n), {"vars": [], "constructor": None})["vars"].append(n)

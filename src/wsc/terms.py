@@ -110,13 +110,9 @@ def hole(name: str) -> TermGraph:
     return TermGraph(0, {}, {}, {0: name})
 
 
-def app(sym: Symbol | str, *args: TermGraph) -> TermGraph:
+def app(sym: Symbol, *args: TermGraph) -> TermGraph:
     """Apply a constructor to argument graphs (taking disjoint copies).
-
-    A bare string is promoted to Symbol(name, len(args)).
-    """
-    if isinstance(sym, str):
-        sym = Symbol(sym, len(args))
+    The symbol's arity must be the number of arguments."""
     if sym.arity != len(args):
         raise ValueError(f"{sym} applied to {len(args)} arguments")
     labels: dict[int, Symbol] = {0: sym}

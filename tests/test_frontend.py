@@ -283,6 +283,21 @@ def test_late_atom_and_classes_read_the_one_elimination_record():
     assert s.store.elim == record
 
 
+def test_classes_of_a_store_that_clash_stopped_before_elim():
+    """x = f(a) and x = g(b) clash at the first step, so Elim never uses
+    y = x: Store.current maps y to itself, and only the report's
+    union-find over the x = y atoms puts y into x's class."""
+    a, b = var("a"), var("b")
+    result = solve([EqApp(x, F1, (a,)), EqApp(x, Symbol("g", 1), (b,)), Eq(y, x)])
+    assert (result.verdict, result.steps, result.store.elim) == (Verdict.UNSAT, 1, {})
+    assert result.store.current("y") == "y"
+    assert solved_classes(result.store) == [
+        {"vars": ["a"], "constructor": None},
+        {"vars": ["b"], "constructor": None},
+        {"vars": ["x", "y"], "constructor": "f/1"},
+    ]
+
+
 # Random instances weighted towards x = y, so that unused equations and
 # the elimination record both feed the classes.
 EQ_HEAVY_KINDS = ("eq", "eq", "eq") + ATOM_KINDS

@@ -14,7 +14,8 @@ symbols of every atom on a name and on every name it reaches, some left
 side's read shows two symbols iff some full read does, a Descend1
 fixpoint covers the full read, at a fixpoint each name outside the
 x = y atoms is its own representative and Store.current gives the
-classes of representatives(), an unsat trace ends in its one Clash, on
+classes of the tests' union-find over the x = y atoms
+(reference.representatives), an unsat trace ends in its one Clash, on
 atoms in the store, Elim fires the unused x = y with the smallest id,
 which a sorted scan picks, and leaves none at a fixpoint, and a trace
 does not depend on the hash seed."""
@@ -35,13 +36,12 @@ from wsc.constraints import (
     Eq, EqApp, Store, Sub, SubApp, Var, atom_base_vars, determinations, determining_atoms, var,
 )
 from wsc.engine import (
-    _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at,
-    representatives, rule_elim, solve,
+    _RULES, DEFAULT_PRIORITY, RuleId, Solver, Verdict, _clash_at, rule_elim, solve,
 )
 from wsc.frontend import ATOM_KINDS, random_atoms
 from wsc.terms import Symbol
 
-from reference import left_sides
+from reference import left_sides, representatives, store_of
 
 N_VARS = 6
 F = Symbol("f", 1)
@@ -170,7 +170,7 @@ def test_resolving_the_solved_atoms_keeps_the_verdict(atoms):
     again = Solver()
     # The solved atoms may hold intersection variables, which solve()
     # rejects as input; the rules accept them.
-    again.store = Store(result.store.atom_list())
+    again.store = store_of(*result.store.atom_list())
     assert again.run() == result.verdict
 
 
@@ -214,7 +214,7 @@ def index_answers(store):
 
 
 def assert_indexes_match_a_fresh_store(store):
-    assert index_answers(store) == index_answers(Store(store.atom_list()))
+    assert index_answers(store) == index_answers(store_of(*store.atom_list()))
 
 
 @checked
